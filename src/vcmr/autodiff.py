@@ -1,10 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Everything is small enough at desk scale that each value is a plain numpy
-float64 array and every differentiable operation records a backward closure
-on the active tape. Operations never mutate their inputs, and every forward
-result is checked for NaN/Inf so numerical failures surface at the op that
-produced them instead of corrupting a training run silently.
+float64 array and every differentiable operation records, on the active
+tape, one gradient function per tensor input. Operations never mutate their
+inputs, and every forward result is checked for NaN/Inf so numerical
+failures surface at the op that produced them instead of corrupting a
+training run silently.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ class ShapeError(ValueError):
 
 
 _ACTIVE_TAPE = None
-
-
-def active_tape():
-    return _ACTIVE_TAPE
 
 
 class Tensor:
@@ -99,7 +96,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._records = []  # (output tensor, backward closure)
+        self._records = []  # (output tensor, [(input tensor, grad_fn), ...])
         self._grads = {}  # id(tensor) -> ndarray
         self._live = {}  # id(tensor) -> tensor, keeps ids stable
         self._done = False
@@ -116,8 +113,14 @@ class Tape:
         _ACTIVE_TAPE = None
         return False
 
-    def record(self, out, backward_fn):
-        self._records.append((out, backward_fn))
+    def record(self, out, pairs):
+        """Record `out` with its (input tensor, grad_fn) pairs; `grad_fn(g)`
+        maps the gradient of `out` to the gradient of that input.
+
+        The functions close over forward values only, never over the tape, so
+        a finished tape is freed by reference counting alone.
+        """
+        self._records.append((out, pairs))
 
     def accumulate(self, t, grad):
         if grad.shape != t.data.shape:
@@ -140,10 +143,11 @@ class Tape:
             raise RuntimeError("backward was already run on this tape")
         self._done = True
         self.accumulate(loss, np.ones_like(loss.data))
-        for out, fn in reversed(self._records):
+        for out, pairs in reversed(self._records):
             g = self._grads.get(id(out))
             if g is not None:
-                fn(g)
+                for t, fn in pairs:
+                    self.accumulate(t, fn(g))
 
 
 def _val(x):
@@ -176,19 +180,12 @@ def _unbroadcast(grad, shape):
 
 
 def _record(out, inputs, grad_fns):
-    """Attach backward closures for `inputs` (Tensor entries only)."""
-    tape = _ACTIVE_TAPE
-    if tape is None:
+    """Record gradient functions for `inputs` (Tensor entries only)."""
+    if _ACTIVE_TAPE is None:
         return
     tracked = [(t, fn) for t, fn in zip(inputs, grad_fns) if isinstance(t, Tensor)]
-    if not tracked:
-        return
-
-    def backward(g):
-        for t, fn in tracked:
-            tape.accumulate(t, fn(g))
-
-    tape.record(out, backward)
+    if tracked:
+        _ACTIVE_TAPE.record(out, tracked)
 
 
 # ---------------------------------------------------------------------------
@@ -364,18 +361,17 @@ def swapaxes(x, a, b):
 def concat(parts, axis=0):
     vals = [_val(p) for p in parts]
     out = _make(np.concatenate(vals, axis=axis))
-    tape = _ACTIVE_TAPE
-    if tape is not None:
-        offsets = np.cumsum([0] + [v.shape[axis] for v in vals])
+    offsets = np.cumsum([0] + [v.shape[axis] for v in vals])
 
-        def backward(g):
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                if isinstance(p, Tensor):
-                    sl = [slice(None)] * g.ndim
-                    sl[axis] = slice(lo, hi)
-                    tape.accumulate(p, g[tuple(sl)])
+    def part_grad(lo, hi):
+        def grad(g):
+            sl = [slice(None)] * g.ndim
+            sl[axis] = slice(lo, hi)
+            return g[tuple(sl)]
 
-        tape.record(out, backward)
+        return grad
+
+    _record(out, parts, [part_grad(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])])
     return out
 
 
@@ -410,12 +406,8 @@ def take(x, indices, axis=0):
     return out
 
 
-def embedding_lookup(table, indices):
-    return take(table, indices, axis=0)
-
-
 # ---------------------------------------------------------------------------
-# normalization / similarity
+# normalization
 
 
 def l2_normalize(x, axis=-1):
@@ -432,30 +424,6 @@ def l2_normalize(x, axis=-1):
         return np.where(norms > 0.0, gx, 0.0)
 
     _record(out, (x,), (grad,))
-    return out
-
-
-def cosine_similarity(a, b):
-    """Cosine of two equal-length vectors; 0 if either has zero norm."""
-    av, bv = _val(a), _val(b)
-    if av.shape != bv.shape or av.ndim != 1:
-        raise ShapeError(f"cosine_similarity expects equal-length vectors, got {av.shape}, {bv.shape}")
-    na = float(np.sqrt(av @ av))
-    nb = float(np.sqrt(bv @ bv))
-    if na == 0.0 or nb == 0.0:
-        out = _make(0.0)
-        _record(out, (a, b), (lambda g: np.zeros_like(av), lambda g: np.zeros_like(bv)))
-        return out
-    c = float(av @ bv / (na * nb))
-    out = _make(c)
-
-    def grad_a(g):
-        return g * (bv / (na * nb) - c * av / (na * na))
-
-    def grad_b(g):
-        return g * (av / (na * nb) - c * bv / (nb * nb))
-
-    _record(out, (a, b), (grad_a, grad_b))
     return out
 
 
@@ -485,23 +453,21 @@ def conv1d(x, kernel, bias=None):
     for t in range(k):
         res += np.matmul(xp[..., t : t + length, :], kv[t])
     out = _make(res)
-    tape = _ACTIVE_TAPE
-    if tape is not None:
 
-        def backward(g):
-            if isinstance(x, Tensor):
-                gxp = np.zeros_like(xp)
-                for t in range(k):
-                    gxp[..., t : t + length, :] += np.matmul(g, kv[t].T)
-                tape.accumulate(x, gxp[..., pad : pad + length, :])
-            if isinstance(kernel, Tensor):
-                gk = np.zeros_like(kv)
-                for t in range(k):
-                    seg = xp[..., t : t + length, :]
-                    gk[t] = np.tensordot(seg, g, axes=(tuple(range(seg.ndim - 1)), tuple(range(g.ndim - 1))))
-                tape.accumulate(kernel, gk)
+    def grad_x(g):
+        gxp = np.zeros_like(xp)
+        for t in range(k):
+            gxp[..., t : t + length, :] += np.matmul(g, kv[t].T)
+        return gxp[..., pad : pad + length, :]
 
-        tape.record(out, backward)
+    def grad_kernel(g):
+        gk = np.zeros_like(kv)
+        for t in range(k):
+            seg = xp[..., t : t + length, :]
+            gk[t] = np.tensordot(seg, g, axes=(tuple(range(seg.ndim - 1)), tuple(range(g.ndim - 1))))
+        return gk
+
+    _record(out, (x, kernel), (grad_x, grad_kernel))
     if bias is not None:
         out = add(out, bias)
     return out

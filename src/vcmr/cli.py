@@ -17,6 +17,7 @@ import sys
 from . import checkpoint as ckpt_mod
 from . import corpus as corpus_mod
 from . import pipeline
+from .autodiff import NonFiniteError
 from .corpus import CorpusError, SyntheticSpec
 from .localizer import LocalizerConfig, LocalizerModel
 from .pipeline import DivergenceError, InferenceConfig, TrainConfig
@@ -93,12 +94,22 @@ def load_run_config(path=None, seed=None):
     cfg.train.seed = cfg.seed
     try:
         cfg.retriever.validate()
+        cfg.localizer.validate()
         cfg.train.validate()
         cfg.inference.validate()
         cfg.synthetic.validate()
     except (ValueError, CorpusError) as exc:
         raise ConfigError(str(exc))
     return cfg
+
+
+def _load_model(cls, corpus, model_cfg, state, seed, ckpt_path):
+    model = cls(corpus.d_txt, corpus.d_img, corpus.d_sub, model_cfg, seed=seed)
+    try:
+        model.params.load_state_dict(state)
+    except (KeyError, ValueError) as exc:
+        raise ckpt_mod.CheckpointError(f"{ckpt_path}: weights do not fit the configured model ({exc})") from exc
+    return model
 
 
 def _write_loss_csv(path, curve):
@@ -175,9 +186,7 @@ def cmd_train(args):
         if not retr_state:
             raise CorpusError(
                 f"{args.ckpt} holds no retriever weights; hard-negative mining requires a trained retriever")
-        retr = RetrieverModel(train_corpus.d_txt, train_corpus.d_img, train_corpus.d_sub,
-                              cfg.retriever, seed=cfg.train.seed)
-        retr.params.load_state_dict(retr_state)
+        retr = _load_model(RetrieverModel, train_corpus, cfg.retriever, retr_state, cfg.train.seed, args.ckpt)
         model, curve, _ = pipeline.train_localizer(
             train_corpus, retr, cfg.train, cfg.inference, model_config=cfg.localizer)
         merged = dict(arrays)
@@ -200,15 +209,13 @@ def cmd_eval(args):
     retr_state = ckpt_mod.split_namespace(arrays, "retriever")
     if not retr_state:
         raise CorpusError(f"{args.ckpt} holds no retriever weights")
-    retr = RetrieverModel(corpus.d_txt, corpus.d_img, corpus.d_sub, cfg.retriever, seed=cfg.train.seed)
-    retr.params.load_state_dict(retr_state)
+    retr = _load_model(RetrieverModel, corpus, cfg.retriever, retr_state, cfg.train.seed, args.ckpt)
     loc = None
     if args.task in ("svmr", "vcmr"):
         loc_state = ckpt_mod.split_namespace(arrays, "localizer")
         if not loc_state:
             raise CorpusError(f"{args.ckpt} holds no localizer weights; train --stage localizer first")
-        loc = LocalizerModel(corpus.d_txt, corpus.d_img, corpus.d_sub, cfg.localizer, seed=cfg.train.seed + 1)
-        loc.params.load_state_dict(loc_state)
+        loc = _load_model(LocalizerModel, corpus, cfg.localizer, loc_state, cfg.train.seed + 1, args.ckpt)
 
     report = pipeline.evaluate_pipeline(retr, loc, corpus, cfg.inference, tasks=(args.task,))
     values = getattr(report, args.task)
@@ -274,7 +281,7 @@ def main(argv=None):
     except (CorpusError, ckpt_mod.CheckpointError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except DivergenceError as exc:
+    except (DivergenceError, NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

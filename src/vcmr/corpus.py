@@ -309,16 +309,24 @@ def save(corpus: Corpus, path):
         fh.write("\n")
 
 
-def _parse_jsonl(path):
+def _parse_jsonl(path, parse):
+    """[parse(record, where) for each non-blank line], where = "path:lineno"."""
+    out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
-                yield lineno, json.loads(line)
+                rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
+                raise CorpusError(f"{where}: malformed JSON ({exc.msg})") from exc
+            try:
+                out.append(parse(rec, where))
+            except KeyError as exc:
+                raise CorpusError(f"{where}: record has no key {exc}") from exc
+    return out
 
 
 def load(path) -> Corpus:
@@ -326,44 +334,46 @@ def load(path) -> Corpus:
     try:
         with open(meta_path) as fh:
             meta = json.load(fh)
+        d_img, d_sub, d_txt, split = meta["d_img"], meta["d_sub"], meta["d_txt"], meta["split"]
     except FileNotFoundError:
         raise CorpusError(f"{meta_path}: missing corpus meta file")
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{meta_path}: malformed JSON ({exc.msg})") from exc
+    except KeyError as exc:
+        raise CorpusError(f"{meta_path}: meta has no key {exc}") from exc
 
-    d_img, d_sub, d_txt = meta["d_img"], meta["d_sub"], meta["d_txt"]
-    videos = []
-    vpath = os.path.join(path, VIDEOS_FILE)
-    for lineno, rec in _parse_jsonl(vpath):
+    def parse_video(rec, where):
         clips = []
         for ci, c in enumerate(rec["clips"]):
             image = np.asarray(c["image"], dtype=np.float64)
             if image.shape != (d_img,):
-                raise CorpusError(f"{vpath}:{lineno}: clip {ci} image dim {image.shape} != ({d_img},)")
+                raise CorpusError(f"{where}: clip {ci} image dim {image.shape} != ({d_img},)")
             subtitle = c.get("subtitle")
             if subtitle is not None:
                 subtitle = np.asarray(subtitle, dtype=np.float64)
                 if subtitle.shape != (d_sub,):
-                    raise CorpusError(f"{vpath}:{lineno}: clip {ci} subtitle dim {subtitle.shape} != ({d_sub},)")
+                    raise CorpusError(f"{where}: clip {ci} subtitle dim {subtitle.shape} != ({d_sub},)")
             clips.append(ClipFeature(image=image, subtitle=subtitle))
         if not clips:
-            raise CorpusError(f"{vpath}:{lineno}: video {rec['id']!r} has no clips")
-        videos.append(Video(id=rec["id"], clips=clips))
+            raise CorpusError(f"{where}: video {rec['id']!r} has no clips")
+        return Video(id=rec["id"], clips=clips)
 
+    videos = _parse_jsonl(os.path.join(path, VIDEOS_FILE), parse_video)
     by_id = {v.id: v for v in videos}
-    queries = []
-    qpath = os.path.join(path, QUERIES_FILE)
-    for lineno, rec in _parse_jsonl(qpath):
+
+    def parse_query(rec, where):
         tokens = np.asarray(rec["tokens"], dtype=np.float64)
         if tokens.ndim != 2 or tokens.shape[1] != d_txt:
-            raise CorpusError(f"{qpath}:{lineno}: token dim {tokens.shape} != (*, {d_txt})")
+            raise CorpusError(f"{where}: token dim {tokens.shape} != (*, {d_txt})")
         vid = rec["video"]
         if vid not in by_id:
-            raise CorpusError(f"{qpath}:{lineno}: query {rec['id']!r} references missing video id {vid!r}")
+            raise CorpusError(f"{where}: query {rec['id']!r} references missing video id {vid!r}")
         st, ed = rec["span"]
         if not (0 <= st <= ed < len(by_id[vid])):
-            raise CorpusError(f"{qpath}:{lineno}: span [{st}, {ed}] out of range for video {vid!r}")
-        queries.append(Query(id=rec["id"], tokens=tokens, target_video=vid, span=(int(st), int(ed))))
+            raise CorpusError(f"{where}: span [{st}, {ed}] out of range for video {vid!r}")
+        return Query(id=rec["id"], tokens=tokens, target_video=vid, span=(int(st), int(ed)))
+
+    queries = _parse_jsonl(os.path.join(path, QUERIES_FILE), parse_query)
 
     spec = None
     if meta.get("spec"):
@@ -375,7 +385,7 @@ def load(path) -> Corpus:
     return Corpus(
         videos=videos,
         queries=queries,
-        split=meta["split"],
+        split=split,
         d_img=d_img,
         d_sub=d_sub,
         d_txt=d_txt,

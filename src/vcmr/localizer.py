@@ -1,13 +1,14 @@
 """Focus-then-fuse moment localizer.
 
-Early-fusion design with its own encoders (no parameter sharing with the
-retriever): modality-specific gates emphasize query-relevant content per
-channel, a fully-connected layer fuses the gated image/subtitle streams per
-clip, a two-layer transformer with cross-attention to the query tokens
-contextualizes the clips, and two convolutional heads emit per-clip start
-and end boundary scores. Boundary training uses shared normalization across
-the positive and all mined negative videos; an auxiliary adversarial branch
-classifies moment features as relevant/irrelevant (never used at inference).
+Early-fusion design on its own copy of the encoder trunk (the retriever's
+architecture, no parameter sharing): modality-specific gates emphasize
+query-relevant content per channel, a fully-connected layer fuses the gated
+image/subtitle streams per clip, a two-layer transformer with
+cross-attention to the query tokens contextualizes the clips, and two
+convolutional heads emit per-clip start and end boundary scores. Boundary
+training uses shared normalization across the positive and all mined
+negative videos; an auxiliary adversarial branch classifies moment features
+as relevant/irrelevant (never used at inference).
 """
 
 from __future__ import annotations
@@ -18,40 +19,21 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .nn import MASK_NEG, Params, TransformerLayer, xavier_uniform
-from .spans import sample_positive_spans, top_spans  # noqa: F401  (re-exported)
+from .nn import MASK_NEG, TransformerLayer, xavier_uniform
 
 
 @dataclass
-class LocalizerConfig:
-    hidden: int = 32
-    intermediate: int = 128
-    heads: int = 4
-    max_positions: int = 64
+class LocalizerConfig(nn.EncoderConfig):
     fusion_layers: int = 2
     use_gates: bool = True
     shared_norm: bool = True
 
 
-class LocalizerModel:
+class LocalizerModel(nn.EncoderTrunk):
     def __init__(self, d_txt, d_img, d_sub, config: LocalizerConfig | None = None, seed=0):
-        self.config = config or LocalizerConfig()
-        self.d_txt, self.d_img, self.d_sub = d_txt, d_img, d_sub
-        d = self.config.hidden
         rng = np.random.default_rng(seed)
-        p = Params()
-        p.add("q_proj.w", xavier_uniform(rng, d_txt, d))
-        p.add("q_proj.b", np.zeros(d))
-        p.add("img_proj.w", xavier_uniform(rng, d_img, d))
-        p.add("img_proj.b", np.zeros(d))
-        p.add("sub_proj.w", xavier_uniform(rng, d_sub, d))
-        p.add("sub_proj.b", np.zeros(d))
-        p.add("pos_emb", rng.normal(0.0, 0.02, size=(self.config.max_positions, d)))
-        p.add("mod_emb", rng.normal(0.0, 0.02, size=(2, d)))
-        self.q_layer = TransformerLayer(p, "qtrans", d, self.config.intermediate, self.config.heads, rng)
-        self.v_layer = TransformerLayer(p, "vtrans", d, self.config.intermediate, self.config.heads, rng)
-        p.add("pool.w_img", xavier_uniform(rng, d, 1))
-        p.add("pool.w_sub", xavier_uniform(rng, d, 1))
+        super().__init__(d_txt, d_img, d_sub, config or LocalizerConfig(), rng)
+        p, d = self.params, self.config.hidden
         p.add("gate.w_img", xavier_uniform(rng, d, d))
         p.add("gate.w_sub", xavier_uniform(rng, d, d))
         p.add("fuse.w", xavier_uniform(rng, 2 * d, d))
@@ -74,39 +56,6 @@ class LocalizerModel:
         p.add("adv.fc2.b", np.zeros(d))
         p.add("adv.fc3.w", xavier_uniform(rng, d, 1))
         p.add("adv.fc3.b", np.zeros(1))
-        self.params = p
-
-    # -- encoders ------------------------------------------------------------
-
-    def encode_query_batch(self, tokens, token_mask):
-        """-> (token reps [B, L, D], q_img [B, D], q_sub [B, D])."""
-        p = self.params
-        b, length, _ = tokens.shape
-        h = nn.linear(tokens, p["q_proj.w"], p["q_proj.b"])
-        h = ad.add(h, ad.slice_axis(p["pos_emb"], 0, 0, length))
-        h = self.q_layer(h, mask=nn.self_attention_mask(token_mask))
-        valid = np.asarray(token_mask, dtype=np.float64)
-        reps = []
-        for w_name in ("pool.w_img", "pool.w_sub"):
-            o = ad.reshape(ad.matmul(h, p[w_name]), (b, length))
-            alpha = ad.softmax(ad.add(o, (1.0 - valid) * MASK_NEG), axis=-1)
-            reps.append(ad.reshape(ad.matmul(ad.reshape(alpha, (b, 1, length)), h), (b, self.config.hidden)))
-        return h, reps[0], reps[1]
-
-    def encode_video_batch(self, images, subtitles, clip_mask=None):
-        p = self.params
-        b, n, _ = images.shape
-        pos = ad.slice_axis(p["pos_emb"], 0, 0, n)
-        h_img = ad.add(nn.linear(images, p["img_proj.w"], p["img_proj.b"]), pos)
-        h_img = ad.add(h_img, ad.slice_axis(p["mod_emb"], 0, 0, 1))
-        h_sub = ad.add(nn.linear(subtitles, p["sub_proj.w"], p["sub_proj.b"]), pos)
-        h_sub = ad.add(h_sub, ad.slice_axis(p["mod_emb"], 0, 1, 2))
-        seq = ad.concat([h_img, h_sub], axis=1)
-        mask = None
-        if clip_mask is not None:
-            mask = nn.self_attention_mask(np.concatenate([clip_mask, clip_mask], axis=1))
-        out = self.v_layer(seq, mask=mask)
-        return ad.slice_axis(out, 1, 0, n), ad.slice_axis(out, 1, n, 2 * n)
 
     # -- focus-then-fuse ------------------------------------------------------
 
@@ -176,7 +125,8 @@ class LocalizerModel:
         scores, the fused clip sequence, and (optionally) the adversarial
         branch outputs.
         """
-        token_reps, q_img, q_sub = self.encode_query_batch(tokens, token_mask)
+        token_reps = self.encode_tokens(tokens, token_mask)
+        q_img, q_sub, _ = self.pool_tokens(token_reps, token_mask)
         img_r, sub_r = self.encode_video_batch(images, subs, clip_mask=clip_mask)
         if self.config.use_gates:
             img_g, sub_g = self.apply_gates(img_r, sub_r, q_img, q_sub)
@@ -241,14 +191,7 @@ def adversarial_loss(model: LocalizerModel, adv_out, positives, negatives):
 
 def total_loss(boundary, adversarial=None, gamma=0.8):
     """Weighted sum of the boundary loss and the adversarial loss."""
-    if adversarial is None or gamma == 0.0:
-        return boundary if adversarial is None else ad.add(boundary, ad.mul(adversarial, 0.0))
+    if adversarial is None:
+        return boundary
     return ad.add(boundary, ad.mul(adversarial, gamma))
 
-
-def mine_negative_moments(l_st_values, l_ed_values, min_len, max_len, k=5, cap=512):
-    """Top-k spans per negative video by current boundary scores.
-
-    Value-only selection: no gradients flow through the ranking.
-    """
-    return top_spans(l_st_values, l_ed_values, min_len, max_len, k, cap=cap)

@@ -10,6 +10,7 @@ sublayer -> add -> norm.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,6 +163,118 @@ def self_attention_mask(key_valid, query_len=None):
     return np.repeat(kv[:, None, :], lq, axis=1)
 
 
-def diagonal_mask(batch, length):
-    """Diagnostic mask: every position may attend only to itself."""
-    return np.repeat(np.eye(length)[None, :, :], batch, axis=0)
+def pad_pairs(pairs, d_sub):
+    """Zero-pad (query, video) rows into dense model inputs.
+
+    Returns tokens [R, L, d_txt], token_mask [R, L], images [R, N, d_img],
+    subs [R, N, d_sub] and clip_mask [R, N]; absent subtitles are zeros.
+    """
+    r = len(pairs)
+    max_tok = max(q.tokens.shape[0] for q, _ in pairs)
+    n = max(len(v) for _, v in pairs)
+    tokens = np.zeros((r, max_tok, pairs[0][0].tokens.shape[1]))
+    token_mask = np.zeros((r, max_tok))
+    images = np.zeros((r, n, pairs[0][1].clips[0].image.shape[0]))
+    subs = np.zeros((r, n, d_sub))
+    clip_mask = np.zeros((r, n))
+    for i, (q, v) in enumerate(pairs):
+        lt, lv = q.tokens.shape[0], len(v)
+        tokens[i, :lt] = q.tokens
+        token_mask[i, :lt] = 1.0
+        images[i, :lv] = v.image_matrix()
+        subs[i, :lv] = v.subtitle_matrix(d_sub)
+        clip_mask[i, :lv] = 1.0
+    return tokens, token_mask, images, subs, clip_mask
+
+
+@dataclass
+class EncoderConfig:
+    """Sizes of the encoder trunk; each model's config extends these fields."""
+
+    hidden: int = 32
+    intermediate: int = 128
+    heads: int = 4
+    max_positions: int = 64
+
+    def validate(self):
+        for name in ("hidden", "intermediate", "heads", "max_positions"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
+        if self.hidden % self.heads != 0:
+            raise ValueError(f"hidden size {self.hidden} is not divisible by {self.heads} heads")
+
+
+class EncoderTrunk:
+    """Query and video encoders shared by the retriever and the localizer.
+
+    Queries: projected tokens plus positions through one transformer layer,
+    then modality-specific attention pooling. Videos: projected image and
+    subtitle clips plus positions and a modality embedding, encoded jointly
+    by one transformer layer over both streams. A model draws its own
+    parameters from `rng` after the trunk's.
+    """
+
+    def __init__(self, d_txt, d_img, d_sub, config: EncoderConfig, rng):
+        config.validate()
+        self.config = config
+        self.d_txt, self.d_img, self.d_sub = d_txt, d_img, d_sub
+        d = config.hidden
+        p = Params()
+        p.add("q_proj.w", xavier_uniform(rng, d_txt, d))
+        p.add("q_proj.b", np.zeros(d))
+        p.add("img_proj.w", xavier_uniform(rng, d_img, d))
+        p.add("img_proj.b", np.zeros(d))
+        p.add("sub_proj.w", xavier_uniform(rng, d_sub, d))
+        p.add("sub_proj.b", np.zeros(d))
+        p.add("pos_emb", rng.normal(0.0, 0.02, size=(config.max_positions, d)))
+        p.add("mod_emb", rng.normal(0.0, 0.02, size=(2, d)))
+        self.q_layer = TransformerLayer(p, "qtrans", d, config.intermediate, config.heads, rng)
+        self.v_layer = TransformerLayer(p, "vtrans", d, config.intermediate, config.heads, rng)
+        p.add("pool.w_img", xavier_uniform(rng, d, 1))
+        p.add("pool.w_sub", xavier_uniform(rng, d, 1))
+        self.params = p
+
+    def _check_length(self, what, length):
+        if length > self.config.max_positions:
+            raise ad.ShapeError(f"{what} length {length} exceeds max_positions {self.config.max_positions}")
+
+    def encode_tokens(self, tokens, token_mask):
+        """tokens [B, L, d_txt], token_mask [B, L] -> token reps [B, L, D]."""
+        p = self.params
+        length = tokens.shape[1]
+        self._check_length("query", length)
+        h = linear(tokens, p["q_proj.w"], p["q_proj.b"])
+        h = ad.add(h, ad.slice_axis(p["pos_emb"], 0, 0, length))
+        return self.q_layer(h, mask=self_attention_mask(token_mask))
+
+    def pool_tokens(self, h, token_mask):
+        """Modality-specific pooling of token reps [B, L, D].
+
+        -> (q_img [B, D], q_sub [B, D], (alpha_img, alpha_sub) [B, L]).
+        """
+        b, length, d = h.shape
+        blocked = (1.0 - np.asarray(token_mask, dtype=np.float64)) * MASK_NEG
+        reps, alphas = [], []
+        for w_name in ("pool.w_img", "pool.w_sub"):
+            o = ad.reshape(ad.matmul(h, self.params[w_name]), (b, length))
+            alpha = ad.softmax(ad.add(o, blocked), axis=-1)
+            reps.append(ad.reshape(ad.matmul(ad.reshape(alpha, (b, 1, length)), h), (b, d)))
+            alphas.append(alpha)
+        return reps[0], reps[1], (alphas[0], alphas[1])
+
+    def encode_video_batch(self, images, subtitles, clip_mask=None):
+        """images [B, N, d_img], subtitles [B, N, d_sub] -> ([B, N, D], [B, N, D])."""
+        p = self.params
+        n = images.shape[1]
+        self._check_length("video", n)
+        pos = ad.slice_axis(p["pos_emb"], 0, 0, n)
+        h_img = ad.add(linear(images, p["img_proj.w"], p["img_proj.b"]), pos)
+        h_img = ad.add(h_img, ad.slice_axis(p["mod_emb"], 0, 0, 1))
+        h_sub = ad.add(linear(subtitles, p["sub_proj.w"], p["sub_proj.b"]), pos)
+        h_sub = ad.add(h_sub, ad.slice_axis(p["mod_emb"], 0, 1, 2))
+        seq = ad.concat([h_img, h_sub], axis=1)
+        mask = None
+        if clip_mask is not None:
+            mask = self_attention_mask(np.concatenate([clip_mask, clip_mask], axis=1))
+        out = self.v_layer(seq, mask=mask)
+        return ad.slice_axis(out, 1, 0, n), ad.slice_axis(out, 1, n, 2 * n)

@@ -14,10 +14,10 @@ from . import localizer as loc_mod
 from . import retriever as ret_mod
 from .autodiff import Tape
 from .localizer import LocalizerConfig, LocalizerModel
-from .nn import MASK_NEG
+from .nn import MASK_NEG, pad_pairs
 from .optim import AdamW
 from .retriever import RetrieverConfig, RetrieverModel
-from .spans import enumerate_spans, iou, nms, top_spans
+from .spans import enumerate_spans, iou, nms, sample_positive_spans, top_spans
 
 
 @dataclass
@@ -189,7 +189,8 @@ def mine_hard_negatives(model: RetrieverModel, corpus, config: TrainConfig, inde
 
 def _localizer_rows(corpus, queries, negatives):
     """Stack (query, video) rows: for each query its ground-truth video first,
-    then its mined negative videos."""
+    then its mined negative videos. Returns (rows, groups) plus the padded
+    inputs of `pad_pairs`."""
     rows = []  # (query, video)
     groups = []  # per query: list of row indices, gt first
     for q in queries:
@@ -197,23 +198,7 @@ def _localizer_rows(corpus, queries, negatives):
         start = len(rows)
         rows.extend((q, corpus.video(v)) for v in vids)
         groups.append(list(range(start, len(rows))))
-    r = len(rows)
-    max_tok = max(q.tokens.shape[0] for q, _ in rows)
-    n = max(len(v) for _, v in rows)
-    tokens = np.zeros((r, max_tok, corpus.d_txt))
-    token_mask = np.zeros((r, max_tok))
-    images = np.zeros((r, n, corpus.d_img))
-    subs = np.zeros((r, n, corpus.d_sub))
-    clip_mask = np.zeros((r, n))
-    for i, (q, v) in enumerate(rows):
-        lt = q.tokens.shape[0]
-        tokens[i, :lt] = q.tokens
-        token_mask[i, :lt] = 1.0
-        lv = len(v)
-        images[i, :lv] = v.image_matrix()
-        subs[i, :lv] = v.subtitle_matrix(corpus.d_sub)
-        clip_mask[i, :lv] = 1.0
-    return rows, groups, tokens, token_mask, images, subs, clip_mask
+    return (rows, groups) + pad_pairs(rows, corpus.d_sub)
 
 
 def localizer_batch_loss(model: LocalizerModel, corpus, queries, negatives, config: TrainConfig,
@@ -254,7 +239,7 @@ def localizer_batch_loss(model: LocalizerModel, corpus, queries, negatives, conf
     for query, row_ids in zip(queries, groups):
         gt_row = row_ids[0]
         video_len = int(clip_mask[gt_row].sum())
-        for span in loc_mod.sample_positive_spans(query.span, video_len):
+        for span in sample_positive_spans(query.span, video_len):
             positives.append((gt_row, span))
         for ri in row_ids[1:]:
             vlen = int(clip_mask[ri].sum())
@@ -308,65 +293,51 @@ def train_localizer(corpus, retriever_model: RetrieverModel, config: TrainConfig
 
 def localize_scores(model: LocalizerModel, query, videos, d_sub):
     """Boundary scores for one query over several videos; no gradients."""
-    r = len(videos)
-    max_tok = query.tokens.shape[0]
-    n = max(len(v) for v in videos)
-    tokens = np.repeat(query.tokens[None], r, axis=0)
-    token_mask = np.ones((r, max_tok))
-    images = np.zeros((r, n, videos[0].clips[0].image.shape[0]))
-    subs = np.zeros((r, n, d_sub))
-    clip_mask = np.zeros((r, n))
-    for i, v in enumerate(videos):
-        lv = len(v)
-        images[i, :lv] = v.image_matrix()
-        subs[i, :lv] = v.subtitle_matrix(d_sub)
-        clip_mask[i, :lv] = 1.0
-    fwd = model.forward_rows(tokens, token_mask, images, subs, clip_mask=clip_mask, with_adv=False)
+    inputs = pad_pairs([(query, v) for v in videos], d_sub)
+    fwd = model.forward_rows(*inputs, with_adv=False)
     return fwd["l_st"].data, fwd["l_ed"].data
 
 
-def _moments_for_video(video_id, n_clips, retrieval_score, l_st, l_ed, icfg: InferenceConfig):
-    cands = enumerate_spans(n_clips, icfg.moment_min_len, icfg.moment_max_len)
-    base = retrieval_score / icfg.score_temperature
-    moments = [(span, base + float(l_st[span[0]] + l_ed[span[1]])) for span in cands]
-    kept = nms(moments, icfg.nms_threshold, keep=icfg.results_per_query)
-    return [MomentPrediction(video_id=video_id, span=span, score=score) for span, score in kept]
+def _rank_moments(localizer_model: LocalizerModel, corpus, query, scored, icfg: InferenceConfig):
+    """Localize `query` in each (video id, retrieval score) of `scored`, score
+    every admissible span as retrieval/temperature + start + end, NMS per
+    video, then merge, sort and cut to `results_per_query`."""
+    videos = [corpus.video(vid) for vid, _ in scored]
+    l_st, l_ed = localize_scores(localizer_model, query, videos, corpus.d_sub)
+    preds = []
+    for i, (vid, score) in enumerate(scored):
+        cands = enumerate_spans(len(videos[i]), icfg.moment_min_len, icfg.moment_max_len)
+        base = score / icfg.score_temperature
+        moments = [(span, base + float(l_st[i, span[0]] + l_ed[i, span[1]])) for span in cands]
+        kept = nms(moments, icfg.nms_threshold, keep=icfg.results_per_query)
+        preds.extend(MomentPrediction(video_id=vid, span=span, score=sc) for span, sc in kept)
+    preds.sort(key=lambda m: (-m.score, m.video_id, m.span))
+    return preds[: icfg.results_per_query]
 
 
 def infer(retriever_model: RetrieverModel, localizer_model: LocalizerModel, corpus, query,
           icfg: InferenceConfig, index=None):
-    """Two-stage inference: retrieve top-K videos, score every admissible
-    span as retrieval/temperature + start + end, NMS per video, then merge."""
+    """Two-stage inference: retrieve top-K videos, then rank their moments."""
     icfg.validate()
     ranked = ret_mod.retrieve_topk(
         retriever_model, corpus, query, k=icfg.top_k_videos, index=index,
         use_subtitles=corpus.has_subtitles,
     )
-    videos = [corpus.video(vid) for vid, _ in ranked]
-    l_st, l_ed = localize_scores(localizer_model, query, videos, corpus.d_sub)
-    preds = []
-    for i, (vid, score) in enumerate(ranked):
-        n_clips = len(videos[i])
-        preds.extend(_moments_for_video(vid, n_clips, score, l_st[i, :n_clips], l_ed[i, :n_clips], icfg))
-    preds.sort(key=lambda m: (-m.score, m.video_id, m.span))
-    return preds[: icfg.results_per_query]
+    return _rank_moments(localizer_model, corpus, query, ranked, icfg)
 
 
 def infer_single_video(retriever_model: RetrieverModel, localizer_model: LocalizerModel, corpus, query,
                        icfg: InferenceConfig, index=None):
     """Moment predictions restricted to the query's ground-truth video."""
     icfg.validate()
-    video = corpus.video(query.target_video)
-    if index is not None and query.target_video in index:
-        enc = index[query.target_video]
+    vid = query.target_video
+    if index is not None and vid in index:
+        enc = index[vid]
     else:
-        enc = ret_mod.encode_video(retriever_model, video)
+        enc = ret_mod.encode_video(retriever_model, corpus.video(vid))
     reps = ret_mod.encode_query(retriever_model, query)
     score = ret_mod.score_video(reps, enc, use_subtitles=corpus.has_subtitles).score
-    l_st, l_ed = localize_scores(localizer_model, query, [video], corpus.d_sub)
-    preds = _moments_for_video(video.id, len(video), score, l_st[0], l_ed[0], icfg)
-    preds.sort(key=lambda m: (-m.score, m.video_id, m.span))
-    return preds[: icfg.results_per_query]
+    return _rank_moments(localizer_model, corpus, query, [(vid, score)], icfg)
 
 
 # ---------------------------------------------------------------------------

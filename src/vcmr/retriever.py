@@ -19,20 +19,17 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .nn import MASK_NEG, Params, TransformerLayer, xavier_uniform
+from .nn import MASK_NEG
 
 POOLING_MODES = ("modality_specific", "mean", "max")
 
 
 @dataclass
-class RetrieverConfig:
-    hidden: int = 32
-    intermediate: int = 128
-    heads: int = 4
-    max_positions: int = 64
+class RetrieverConfig(nn.EncoderConfig):
     pooling: str = "modality_specific"
 
     def validate(self):
+        super().validate()
         if self.pooling not in POOLING_MODES:
             raise ValueError(f"unknown pooling mode {self.pooling!r}; expected one of {POOLING_MODES}")
 
@@ -68,50 +65,18 @@ class RelevanceSample:
     weak_score: float | None
 
 
-class RetrieverModel:
+class RetrieverModel(nn.EncoderTrunk):
     def __init__(self, d_txt, d_img, d_sub, config: RetrieverConfig | None = None, seed=0):
-        self.config = config or RetrieverConfig()
-        self.config.validate()
-        self.d_txt, self.d_img, self.d_sub = d_txt, d_img, d_sub
-        d = self.config.hidden
-        rng = np.random.default_rng(seed)
-        p = Params()
-        p.add("q_proj.w", xavier_uniform(rng, d_txt, d))
-        p.add("q_proj.b", np.zeros(d))
-        p.add("img_proj.w", xavier_uniform(rng, d_img, d))
-        p.add("img_proj.b", np.zeros(d))
-        p.add("sub_proj.w", xavier_uniform(rng, d_sub, d))
-        p.add("sub_proj.b", np.zeros(d))
-        p.add("pos_emb", rng.normal(0.0, 0.02, size=(self.config.max_positions, d)))
-        p.add("mod_emb", rng.normal(0.0, 0.02, size=(2, d)))
-        self.q_layer = TransformerLayer(p, "qtrans", d, self.config.intermediate, self.config.heads, rng)
-        self.v_layer = TransformerLayer(p, "vtrans", d, self.config.intermediate, self.config.heads, rng)
-        p.add("pool.w_img", xavier_uniform(rng, d, 1))
-        p.add("pool.w_sub", xavier_uniform(rng, d, 1))
-        self.params = p
-
-    # -- batched encoders (Tensor in/out, differentiable under a tape) ------
+        super().__init__(d_txt, d_img, d_sub, config or RetrieverConfig(), np.random.default_rng(seed))
 
     def encode_query_batch(self, tokens, token_mask):
         """tokens [B, L, d_txt], token_mask [B, L] -> (q_img, q_sub [B, D], alphas [2, B, L])."""
-        p = self.params
-        b, length, _ = tokens.shape
-        if length > self.config.max_positions:
-            raise ad.ShapeError(f"query length {length} exceeds max_positions {self.config.max_positions}")
-        h = nn.linear(tokens, p["q_proj.w"], p["q_proj.b"])
-        h = ad.add(h, ad.slice_axis(p["pos_emb"], 0, 0, length))
-        h = self.q_layer(h, mask=nn.self_attention_mask(token_mask))
+        h = self.encode_tokens(tokens, token_mask)
         mode = self.config.pooling
-        valid = np.asarray(token_mask, dtype=np.float64)
         if mode == "modality_specific":
-            reps, alphas = [], []
-            for w_name in ("pool.w_img", "pool.w_sub"):
-                o = ad.reshape(ad.matmul(h, p[w_name]), (b, length))
-                o = ad.add(o, (1.0 - valid) * MASK_NEG)
-                alpha = ad.softmax(o, axis=-1)
-                reps.append(ad.reshape(ad.matmul(ad.reshape(alpha, (b, 1, length)), h), (b, self.config.hidden)))
-                alphas.append(alpha)
-            return reps[0], reps[1], (alphas[0], alphas[1])
+            return self.pool_tokens(h, token_mask)
+        b = h.shape[0]
+        valid = np.asarray(token_mask, dtype=np.float64)
         if mode == "mean":
             weights = valid / valid.sum(axis=1, keepdims=True)
             q = ad.reshape(ad.matmul(weights[:, None, :], h), (b, self.config.hidden))
@@ -122,28 +87,6 @@ class RetrieverModel:
         q, _ = ad.max_over_axis(masked, axis=1)
         alpha = Tensor(valid / valid.sum(axis=1, keepdims=True))
         return q, q, (alpha, alpha)
-
-    def encode_video_batch(self, images, subtitles, clip_mask=None, diag_attention=False):
-        """images [B, N, d_img], subtitles [B, N, d_sub] -> ([B, N, D], [B, N, D])."""
-        p = self.params
-        b, n, _ = images.shape
-        if n > self.config.max_positions:
-            raise ad.ShapeError(f"video length {n} exceeds max_positions {self.config.max_positions}")
-        pos = ad.slice_axis(p["pos_emb"], 0, 0, n)
-        h_img = ad.add(nn.linear(images, p["img_proj.w"], p["img_proj.b"]), pos)
-        h_img = ad.add(h_img, ad.slice_axis(p["mod_emb"], 0, 0, 1))
-        h_sub = ad.add(nn.linear(subtitles, p["sub_proj.w"], p["sub_proj.b"]), pos)
-        h_sub = ad.add(h_sub, ad.slice_axis(p["mod_emb"], 0, 1, 2))
-        seq = ad.concat([h_img, h_sub], axis=1)
-        if diag_attention:
-            mask = nn.diagonal_mask(b, 2 * n)
-        elif clip_mask is not None:
-            key_valid = np.concatenate([clip_mask, clip_mask], axis=1)
-            mask = nn.self_attention_mask(key_valid)
-        else:
-            mask = None
-        out = self.v_layer(seq, mask=mask)
-        return ad.slice_axis(out, 1, 0, n), ad.slice_axis(out, 1, n, 2 * n)
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +107,10 @@ def encode_query(model: RetrieverModel, query) -> ModalityQueryReps:
     )
 
 
-def encode_video(model: RetrieverModel, video, diag_attention=False) -> VideoEncoding:
+def encode_video(model: RetrieverModel, video) -> VideoEncoding:
     images = video.image_matrix()[None]
     subs = video.subtitle_matrix(model.d_sub)[None]
-    img_r, sub_r = model.encode_video_batch(images, subs, diag_attention=diag_attention)
+    img_r, sub_r = model.encode_video_batch(images, subs)
     return VideoEncoding(image=img_r.data[0].copy(), subtitle=sub_r.data[0].copy())
 
 
@@ -254,24 +197,9 @@ def make_batch(corpus, query_indices):
     """Pad a set of queries plus their target videos into dense arrays."""
     queries = [corpus.queries[i] for i in query_indices]
     videos = [corpus.video(q.target_video) for q in queries]
-    b = len(queries)
-    max_tok = max(q.tokens.shape[0] for q in queries)
-    n = max(len(v) for v in videos)
-    d_txt = queries[0].tokens.shape[1]
-    tokens = np.zeros((b, max_tok, d_txt))
-    token_mask = np.zeros((b, max_tok))
-    images = np.zeros((b, n, corpus.d_img))
-    subs = np.zeros((b, n, corpus.d_sub))
-    clip_mask = np.zeros((b, n))
-    in_span = np.zeros((b, n))
-    for i, (q, v) in enumerate(zip(queries, videos)):
-        lt = q.tokens.shape[0]
-        tokens[i, :lt] = q.tokens
-        token_mask[i, :lt] = 1.0
-        lv = len(v)
-        images[i, :lv] = v.image_matrix()
-        subs[i, :lv] = v.subtitle_matrix(corpus.d_sub)
-        clip_mask[i, :lv] = 1.0
+    tokens, token_mask, images, subs, clip_mask = nn.pad_pairs(list(zip(queries, videos)), corpus.d_sub)
+    in_span = np.zeros(clip_mask.shape)
+    for i, q in enumerate(queries):
         in_span[i, q.span[0] : q.span[1] + 1] = 1.0
     return {
         "tokens": tokens,

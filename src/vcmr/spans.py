@@ -51,19 +51,17 @@ def sample_positive_spans(gt, video_len, threshold=0.7):
     return out
 
 
-def top_spans(l_st, l_ed, min_len, max_len, k, cap=512):
+def top_spans(l_st, l_ed, min_len, max_len, k):
     """Top-k spans by l_st[st] + l_ed[ed] within the length limits.
 
     Pure value computation (no gradients); ties break by (start, end) so the
-    ordering is deterministic. Enumeration is capped at `cap` spans after
-    ranking to bound cost.
+    ordering is deterministic.
     """
     l_st = np.asarray(l_st, dtype=np.float64)
     l_ed = np.asarray(l_ed, dtype=np.float64)
     cands = enumerate_spans(len(l_st), min_len, max_len)
     scored = [(float(l_st[s] + l_ed[e]), (s, e)) for s, e in cands]
     scored.sort(key=lambda item: (-item[0], item[1]))
-    scored = scored[:cap]
     return [span for _, span in scored[:k]]
 
 

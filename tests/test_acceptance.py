@@ -24,7 +24,7 @@ from vcmr import retriever as R
 from vcmr.autodiff import Tensor
 from vcmr.localizer import LocalizerConfig
 from vcmr.retriever import RetrieverConfig
-from vcmr.spans import iou, sample_positive_spans
+from vcmr.spans import iou, sample_positive_spans, top_spans
 
 
 def report(num, name, ok, detail):
@@ -66,7 +66,7 @@ def frozen_total_loss(loc, corpus, queries, negatives, gamma):
         for span in sample_positive_spans(query.span, n):
             positives.append((row_ids[0], span))
         for ri in row_ids[1:]:
-            mined = L.mine_negative_moments(fwd0["l_st"].data[ri], fwd0["l_ed"].data[ri], 1, n, k=2)
+            mined = top_spans(fwd0["l_st"].data[ri], fwd0["l_ed"].data[ri], 1, n, k=2)
             neg_items.extend((ri, span) for span in mined)
 
     def loss_fn():

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from vcmr import cli
@@ -148,3 +149,67 @@ def test_seed_flag_overrides_config(tmp_path, tiny_config):
     assert cfg.seed == 42
     assert cfg.synthetic.seed == 42
     assert cfg.train.seed == 42
+
+
+@pytest.mark.parametrize("section", ["retriever", "localizer"])
+def test_hidden_not_divisible_by_heads_is_config_error(tmp_path, section, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({section: {"hidden": 10, "heads": 4}}))
+    code = cli.main(["train", "--stage", section, "--config", str(bad),
+                     "--corpus", str(tmp_path / "nowhere"), "--ckpt", str(tmp_path / "m.ckpt")])
+    assert code == cli.EXIT_CONFIG
+    assert "divisible" in capsys.readouterr().err
+
+
+def test_corpus_record_missing_key_is_data_error(tmp_path, tiny_config, capsys):
+    out = tmp_path / "corpus"
+    cli.main(["gen", "--config", tiny_config, "--out", str(out)])
+    videos = out / "train" / "videos.jsonl"
+    lines = videos.read_text().splitlines()
+    rec = json.loads(lines[1])
+    del rec["clips"]
+    lines[1] = json.dumps(rec)
+    videos.write_text("\n".join(lines) + "\n")
+    code = cli.main(["train", "--stage", "retriever", "--config", tiny_config,
+                     "--corpus", str(out), "--ckpt", str(tmp_path / "m.ckpt")])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "videos.jsonl:2" in err and "clips" in err
+
+
+def untrained_retriever_checkpoint(corpus_dir, path, scale=1.0):
+    """Save an untrained retriever built from TINY, img_proj.w scaled by `scale`."""
+    from vcmr.checkpoint import save_checkpoint
+    from vcmr.corpus import load
+    from vcmr.retriever import RetrieverConfig, RetrieverModel
+
+    corpus = load(str(corpus_dir / "test"))
+    model = RetrieverModel(corpus.d_txt, corpus.d_img, corpus.d_sub, RetrieverConfig(**TINY["retriever"]))
+    arrays = {f"retriever.{n}": t.data for n, t in model.params.items()}
+    arrays["retriever.img_proj.w"] = arrays["retriever.img_proj.w"] * scale
+    save_checkpoint(path, arrays)
+
+
+def test_eval_with_config_not_matching_checkpoint_is_data_error(tmp_path, tiny_config, capsys):
+    out = tmp_path / "corpus"
+    ckpt = tmp_path / "model.ckpt"
+    cli.main(["gen", "--config", tiny_config, "--out", str(out)])
+    untrained_retriever_checkpoint(out, ckpt)
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(dict(TINY, retriever={"hidden": 8, "intermediate": 32, "heads": 2})))
+    code = cli.main(["eval", "--task", "vr", "--config", str(other),
+                     "--corpus", str(out), "--ckpt", str(ckpt)])
+    assert code == cli.EXIT_DATA
+    assert "do not fit" in capsys.readouterr().err
+
+
+def test_eval_non_finite_forward_is_numerical_failure(tmp_path, tiny_config, capsys):
+    out = tmp_path / "corpus"
+    ckpt = tmp_path / "model.ckpt"
+    cli.main(["gen", "--config", tiny_config, "--out", str(out)])
+    untrained_retriever_checkpoint(out, ckpt, scale=1e307)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["eval", "--task", "vr", "--config", tiny_config,
+                         "--corpus", str(out), "--ckpt", str(ckpt)])
+    assert code == cli.EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err

@@ -279,7 +279,7 @@ def test_total_loss_gradient_linearity():
 
 
 def test_mining_two_clip_video_returns_all_three_ordered():
-    spans = L.mine_negative_moments([0.5, 0.1], [0.2, 0.9], 1, 24, k=5)
+    spans = top_spans([0.5, 0.1], [0.2, 0.9], 1, 24, k=5)
     assert set(spans) == {(0, 0), (0, 1), (1, 1)}
     scores = [0.5 + 0.2, 0.5 + 0.9, 0.1 + 0.9]  # (0,0), (0,1), (1,1)
     order = sorted(zip(spans, [dict(zip([(0, 0), (0, 1), (1, 1)], scores))[s] for s in spans]),
@@ -292,7 +292,7 @@ def test_mining_matches_brute_force_ordering():
     for _ in range(10):
         n = int(r.integers(3, 9))
         l_st, l_ed = r.normal(size=n), r.normal(size=n)
-        got = L.mine_negative_moments(l_st, l_ed, 1, 4, k=5)
+        got = top_spans(l_st, l_ed, 1, 4, k=5)
         ref = sorted(
             ((st, ed) for st in range(n) for ed in range(st, min(n, st + 4))),
             key=lambda s: (-(l_st[s[0]] + l_ed[s[1]]), s),

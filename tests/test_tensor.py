@@ -71,8 +71,6 @@ def test_shape_ops_match_fd(seed):
     assert fd_check(lambda x: ad.sum_(ad.pow_const(ad.slice_axis(x, 1, 1, 3), 2.0)), [a]) < RTOL
     idx = np.array([0, 1, 1, 0])
     assert fd_check(lambda x: ad.sum_(ad.pow_const(ad.take(x, idx, axis=0), 2.0)), [a]) < RTOL
-    table = r.normal(size=(5, 3))
-    assert fd_check(lambda x: ad.sum_(ad.pow_const(ad.embedding_lookup(x, np.array([4, 0, 4])), 2.0)), [table]) < RTOL
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -81,7 +79,6 @@ def test_normalize_cosine_conv_bce_match_fd(seed):
     a = r.normal(size=(3, 4)) + 0.1
     b = r.normal(size=(3, 4)) + 0.1
     assert fd_check(lambda x: ad.sum_(ad.mul(ad.l2_normalize(x), b)), [a]) < RTOL
-    assert fd_check(lambda x, y: ad.cosine_similarity(x, y), [a[0], b[0]]) < RTOL
     x = r.normal(size=(2, 6, 3))
     k = r.normal(size=(3, 3, 2))
     bias = r.normal(size=(2,))
@@ -159,7 +156,6 @@ def test_zero_norm_rows_are_fixed_points():
     out = ad.l2_normalize(Tensor(x)).data
     assert np.array_equal(out[0], np.zeros(3))
     assert np.allclose(np.linalg.norm(out[1]), 1.0)
-    assert float(ad.cosine_similarity(Tensor(np.zeros(3)), Tensor(np.ones(3))).data) == 0.0
 
 
 def test_non_finite_forward_raises():
