@@ -127,8 +127,6 @@ def _write_loss_csv(path, curve):
 def cmd_gen(args):
     cfg = load_run_config(args.config, seed=args.seed)
     spec = cfg.synthetic
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     # val/test reuse the generating process with offset seeds and fewer
     # queries per video; dimensions and corpus size stay identical
@@ -164,9 +162,6 @@ def _require_split(corpus_dir, split):
 
 def cmd_train(args):
     cfg = load_run_config(args.config, seed=args.seed)
-    if args.pooling is not None:
-        cfg.retriever.pooling = args.pooling
-        cfg.retriever.validate()
     train_corpus = _require_split(args.corpus, "train")
     val_corpus = _load_split(args.corpus, "val")
 
@@ -249,7 +244,6 @@ def build_parser():
     p_train.add_argument("--ckpt", required=True)
     p_train.add_argument("--loss-csv", default=None)
     p_train.add_argument("--seed", type=int, default=None)
-    p_train.add_argument("--pooling", choices=("modality_specific", "mean", "max"), default=None)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="run inference and report metrics")

@@ -1,8 +1,8 @@
 """Untrimmed multi-modal video corpus: data model, persistence, synthesis.
 
-A video is an ordered list of clips, each with an image vector and an
-optional subtitle vector; absent subtitles are stored as absent and only
-materialized as zero vectors at model input. The synthetic generator plants
+A video holds one array per modality over its ordered clips: image
+vectors, and subtitle vectors with a presence mask (an absent subtitle is a
+zero row in memory and `null` on disk). The synthetic generator plants
 per-query concept signal into exactly one modality channel inside the
 annotated span (with attenuated leakage into adjacent clips), so retrieval
 and localization behaviour is verifiable without real video features.
@@ -22,41 +22,55 @@ class CorpusError(ValueError):
     pass
 
 
-@dataclass
-class ClipFeature:
-    image: np.ndarray
-    subtitle: np.ndarray | None = None
-
-    def __eq__(self, other):
-        if not isinstance(other, ClipFeature):
-            return NotImplemented
-        if (self.subtitle is None) != (other.subtitle is None):
-            return False
-        if self.subtitle is not None and not np.array_equal(self.subtitle, other.subtitle):
-            return False
-        return np.array_equal(self.image, other.image)
+def _frozen(array, dtype):
+    out = np.array(array, dtype=dtype)
+    out.flags.writeable = False
+    return out
 
 
-@dataclass
+@dataclass(eq=False)
 class Video:
+    """One video as one read-only array per modality.
+
+    images [N, d_img]; subtitles [N, d_sub], a zero row wherever
+    has_subtitle [N] is False.
+    """
+
     id: str
-    clips: list[ClipFeature]
+    images: np.ndarray
+    subtitles: np.ndarray
+    has_subtitle: np.ndarray
+
+    def __post_init__(self):
+        self.images = _frozen(self.images, np.float64)
+        self.has_subtitle = _frozen(self.has_subtitle, bool)
+        subtitles = np.array(self.subtitles, dtype=np.float64)
+        n = len(self.images)
+        if self.images.ndim != 2 or subtitles.ndim != 2 or len(subtitles) != n or self.has_subtitle.shape != (n,):
+            raise CorpusError(f"video {self.id!r}: images {self.images.shape}, subtitles {subtitles.shape} "
+                              f"and has_subtitle {self.has_subtitle.shape} do not describe one clip sequence")
+        subtitles[~self.has_subtitle] = 0.0
+        self.subtitles = _frozen(subtitles, np.float64)
 
     def __len__(self):
-        return len(self.clips)
+        return len(self.images)
 
     def image_matrix(self):
-        return np.stack([c.image for c in self.clips])
+        return self.images
 
-    def subtitle_matrix(self, d_sub):
-        """[clips, d_sub]; absent subtitles materialize as zero vectors."""
-        rows = [np.zeros(d_sub) if c.subtitle is None else c.subtitle for c in self.clips]
-        return np.stack(rows)
+    def subtitle_matrix(self):
+        """[clips, d_sub]; absent subtitles are zero rows."""
+        return self.subtitles
 
     def __eq__(self, other):
         if not isinstance(other, Video):
             return NotImplemented
-        return self.id == other.id and self.clips == other.clips
+        return (
+            self.id == other.id
+            and np.array_equal(self.images, other.images)
+            and np.array_equal(self.subtitles, other.subtitles)
+            and np.array_equal(self.has_subtitle, other.has_subtitle)
+        )
 
 
 @dataclass
@@ -246,12 +260,8 @@ def generate(spec: SyntheticSpec, split="train") -> Corpus:
                 Query(id=f"q{vi:05d}_{qi}", tokens=tokens, target_video=vid, span=(start, end))
             )
 
-        absent = rng.random(n) < spec.subtitle_absent_prob
-        clips = []
-        for j in range(n):
-            subtitle = None if (absent[j] and not sub_planted[j]) else subs[j].copy()
-            clips.append(ClipFeature(image=images[j].copy(), subtitle=subtitle))
-        videos.append(Video(id=vid, clips=clips))
+        has_subtitle = sub_planted | (rng.random(n) >= spec.subtitle_absent_prob)
+        videos.append(Video(id=vid, images=images, subtitles=subs, has_subtitle=has_subtitle))
 
     return Corpus(
         videos=videos,
@@ -276,16 +286,8 @@ def save(corpus: Corpus, path):
     os.makedirs(path, exist_ok=True)
     with open(os.path.join(path, VIDEOS_FILE), "w") as fh:
         for v in corpus.videos:
-            rec = {
-                "id": v.id,
-                "clips": [
-                    {
-                        "image": c.image.tolist(),
-                        "subtitle": None if c.subtitle is None else c.subtitle.tolist(),
-                    }
-                    for c in v.clips
-                ],
-            }
+            clips = zip(v.images.tolist(), v.subtitles.tolist(), v.has_subtitle.tolist())
+            rec = {"id": v.id, "clips": [{"image": im, "subtitle": sub if has else None} for im, sub, has in clips]}
             fh.write(json.dumps(rec) + "\n")
     with open(os.path.join(path, QUERIES_FILE), "w") as fh:
         for q in corpus.queries:
@@ -329,6 +331,13 @@ def _parse_jsonl(path, parse):
     return out
 
 
+def _vector(value, dim, what):
+    vec = np.asarray(value, dtype=np.float64)
+    if vec.shape != (dim,):
+        raise CorpusError(f"{what} dim {vec.shape} != ({dim},)")
+    return vec
+
+
 def load(path) -> Corpus:
     meta_path = os.path.join(path, META_FILE)
     try:
@@ -343,20 +352,18 @@ def load(path) -> Corpus:
         raise CorpusError(f"{meta_path}: meta has no key {exc}") from exc
 
     def parse_video(rec, where):
-        clips = []
-        for ci, c in enumerate(rec["clips"]):
-            image = np.asarray(c["image"], dtype=np.float64)
-            if image.shape != (d_img,):
-                raise CorpusError(f"{where}: clip {ci} image dim {image.shape} != ({d_img},)")
-            subtitle = c.get("subtitle")
-            if subtitle is not None:
-                subtitle = np.asarray(subtitle, dtype=np.float64)
-                if subtitle.shape != (d_sub,):
-                    raise CorpusError(f"{where}: clip {ci} subtitle dim {subtitle.shape} != ({d_sub},)")
-            clips.append(ClipFeature(image=image, subtitle=subtitle))
+        clips = rec["clips"]
         if not clips:
             raise CorpusError(f"{where}: video {rec['id']!r} has no clips")
-        return Video(id=rec["id"], clips=clips)
+        images = np.zeros((len(clips), d_img))
+        subtitles = np.zeros((len(clips), d_sub))
+        has_subtitle = np.zeros(len(clips), dtype=bool)
+        for ci, c in enumerate(clips):
+            images[ci] = _vector(c["image"], d_img, f"{where}: clip {ci} image")
+            if c.get("subtitle") is not None:
+                subtitles[ci] = _vector(c["subtitle"], d_sub, f"{where}: clip {ci} subtitle")
+                has_subtitle[ci] = True
+        return Video(id=rec["id"], images=images, subtitles=subtitles, has_subtitle=has_subtitle)
 
     videos = _parse_jsonl(os.path.join(path, VIDEOS_FILE), parse_video)
     by_id = {v.id: v for v in videos}

@@ -36,9 +36,6 @@ class Params:
     def __getitem__(self, name):
         return self._tensors[name]
 
-    def __contains__(self, name):
-        return name in self._tensors
-
     def names(self):
         return list(self._tensors)
 
@@ -174,7 +171,7 @@ def pad_pairs(pairs, d_sub):
     n = max(len(v) for _, v in pairs)
     tokens = np.zeros((r, max_tok, pairs[0][0].tokens.shape[1]))
     token_mask = np.zeros((r, max_tok))
-    images = np.zeros((r, n, pairs[0][1].clips[0].image.shape[0]))
+    images = np.zeros((r, n, pairs[0][1].images.shape[1]))
     subs = np.zeros((r, n, d_sub))
     clip_mask = np.zeros((r, n))
     for i, (q, v) in enumerate(pairs):
@@ -182,7 +179,7 @@ def pad_pairs(pairs, d_sub):
         tokens[i, :lt] = q.tokens
         token_mask[i, :lt] = 1.0
         images[i, :lv] = v.image_matrix()
-        subs[i, :lv] = v.subtitle_matrix(d_sub)
+        subs[i, :lv] = v.subtitle_matrix()
         clip_mask[i, :lv] = 1.0
     return tokens, token_mask, images, subs, clip_mask
 

@@ -109,7 +109,7 @@ def encode_query(model: RetrieverModel, query) -> ModalityQueryReps:
 
 def encode_video(model: RetrieverModel, video) -> VideoEncoding:
     images = video.image_matrix()[None]
-    subs = video.subtitle_matrix(model.d_sub)[None]
+    subs = video.subtitle_matrix()[None]
     img_r, sub_r = model.encode_video_batch(images, subs)
     return VideoEncoding(image=img_r.data[0].copy(), subtitle=sub_r.data[0].copy())
 

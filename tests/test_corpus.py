@@ -27,7 +27,7 @@ def in_span_similarities(corpus):
         v = corpus.video(q.target_video)
         c = concept_of(q)
         img = v.image_matrix()
-        sub = v.subtitle_matrix(corpus.d_sub)
+        sub = v.subtitle_matrix()
         sims = {}
         for name, mat in (("img", img), ("sub", sub)):
             norms = np.linalg.norm(mat, axis=1)
@@ -54,7 +54,7 @@ def test_noiseless_visual_spec_has_exact_signal():
         v = corpus.video(q.target_video)
         c = concept_of(q)
         for j in range(q.span[0], q.span[1] + 1):
-            clip = v.clips[j].image
+            clip = v.images[j]
             cos = clip @ c / (np.linalg.norm(clip) * np.linalg.norm(c))
             assert cos > 1.0 - 1e-9  # identity projection, zero noise
 
@@ -70,7 +70,7 @@ def test_default_spec_separation_ratio():
         inside = np.zeros(len(v), dtype=bool)
         inside[q.span[0] : q.span[1] + 1] = True
         channel = None
-        for mat in (v.image_matrix(), v.subtitle_matrix(corpus.d_sub)):
+        for mat in (v.image_matrix(), v.subtitle_matrix()):
             norms = np.linalg.norm(mat, axis=1)
             cos = (mat @ c) / np.where(norms > 0, norms, 1.0)
             if channel is None or cos[inside].mean() > channel[inside].mean():
@@ -120,10 +120,10 @@ def test_spans_within_video_and_disjoint_per_video():
 def test_absent_subtitles_materialize_as_zeros():
     spec = dataclasses.replace(SMALL, subtitle_absent_prob=0.6, seed=21)
     corpus = C.generate(spec)
-    absent = [(v, j) for v in corpus.videos for j, c in enumerate(v.clips) if c.subtitle is None]
+    absent = [(v, j) for v in corpus.videos for j in np.flatnonzero(~v.has_subtitle)]
     assert absent, "expected some absent subtitles at prob 0.6"
     v, j = absent[0]
-    assert np.array_equal(v.subtitle_matrix(spec.d_sub)[j], np.zeros(spec.d_sub))
+    assert np.array_equal(v.subtitle_matrix()[j], np.zeros(spec.d_sub))
 
 
 def test_round_trip_identity(tmp_path):
@@ -178,13 +178,13 @@ def test_load_rejects_dimension_mismatch(tmp_path):
 
 
 def test_corpus_validation_errors():
-    v = C.Video(id="v0", clips=[C.ClipFeature(image=np.zeros(4)) for _ in range(4)])
+    v = C.Video(id="v0", images=np.zeros((4, 4)), subtitles=np.zeros((4, 4)), has_subtitle=np.zeros(4, bool))
     with pytest.raises(C.CorpusError, match="missing video"):
         C.Corpus(videos=[v], queries=[C.Query("q", np.zeros((2, 4)), "nope", (0, 1))])
     with pytest.raises(C.CorpusError, match="out of range"):
         C.Corpus(videos=[v], queries=[C.Query("q", np.zeros((2, 4)), "v0", (2, 7))])
     with pytest.raises(C.CorpusError, match="duplicate"):
-        C.Corpus(videos=[v, C.Video(id="v0", clips=v.clips)], queries=[])
+        C.Corpus(videos=[v, dataclasses.replace(v)], queries=[])
 
 
 def test_spec_validation_errors():

@@ -82,7 +82,7 @@ def test_modality_specific_pooling_separates_modalities():
 
 def test_single_clip_zero_subtitle_encodes_finite():
     model = make_model()
-    video = C.Video("v", [C.ClipFeature(image=np.ones(SPEC.d_img), subtitle=None)])
+    video = C.Video("v", np.ones((1, SPEC.d_img)), np.zeros((1, SPEC.d_sub)), np.zeros(1, bool))
     enc = R.encode_video(model, video)
     assert enc.image.shape == (1, model.config.hidden)
     assert np.all(np.isfinite(enc.subtitle))
@@ -91,10 +91,11 @@ def test_single_clip_zero_subtitle_encodes_finite():
 def test_clip_permutation_changes_encoding():
     model = make_model()
     r = np.random.default_rng(4)
-    clips = [C.ClipFeature(image=r.normal(size=SPEC.d_img), subtitle=r.normal(size=SPEC.d_sub))
-             for _ in range(4)]
-    enc = R.encode_video(model, C.Video("v", clips))
-    swapped = R.encode_video(model, C.Video("v", [clips[1], clips[0]] + clips[2:]))
+    clips = r.normal(size=(4, SPEC.d_img + SPEC.d_sub))  # per clip: image, then subtitle
+    has = np.ones(4, bool)
+    enc = R.encode_video(model, C.Video("v", clips[:, :SPEC.d_img], clips[:, SPEC.d_img:], has))
+    swapped = clips[[1, 0, 2, 3]]
+    swapped = R.encode_video(model, C.Video("v", swapped[:, :SPEC.d_img], swapped[:, SPEC.d_img:], has))
     assert not np.allclose(enc.image[0], swapped.image[0])
 
 
