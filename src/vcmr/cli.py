@@ -54,15 +54,31 @@ class RunConfig:
         }
 
 
+# JSON type each field's default asks for: a bool is not an int, an int is a
+# float, and a tuple default takes a list of two ints
+_JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+               tuple: "a list of two integers"}
+
+
+def _fits(default, value):
+    if isinstance(default, tuple):
+        return isinstance(value, list) and len(value) == len(default) and all(type(x) is int for x in value)
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
 def _build_section(cls, raw, section):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config section {section!r} must be a JSON object")
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in raw.items():
-        if key not in fields:
+        if key not in defaults:
             raise ConfigError(f"unknown key {key!r} in config section {section!r}")
-        if key in ("moment_len_range", "token_count_range") and value is not None:
-            value = tuple(value)
-        kwargs[key] = value
+        if not _fits(defaults[key], value):
+            raise ConfigError(f"{section}.{key} must be {_JSON_TYPES[type(defaults[key])]}, got {value!r}")
+        kwargs[key] = tuple(value) if isinstance(value, list) else value
     return cls(**kwargs)
 
 
@@ -76,10 +92,14 @@ def load_run_config(path=None, seed=None):
             raise ConfigError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: malformed JSON ({exc.msg})")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
     known = {"seed", "synthetic", "retriever", "localizer", "train", "inference"}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    if type(raw.get("seed", 0)) is not int:
+        raise ConfigError(f"seed must be an integer, got {raw['seed']!r}")
     cfg = RunConfig(
         seed=raw.get("seed", 0),
         synthetic=_build_section(SyntheticSpec, raw.get("synthetic", {}), "synthetic"),
@@ -100,6 +120,14 @@ def load_run_config(path=None, seed=None):
         cfg.synthetic.validate()
     except (ValueError, CorpusError) as exc:
         raise ConfigError(str(exc))
+    longest = {"clips_per_video": cfg.synthetic.clips_per_video,
+               "token_count_range": cfg.synthetic.token_count_range[1]}
+    for section in ("retriever", "localizer"):
+        limit = getattr(cfg, section).max_positions
+        for key, length in longest.items():
+            if length > limit:
+                raise ConfigError(f"synthetic.{key} allows length {length}, more than "
+                                  f"{section}.max_positions {limit}")
     return cfg
 
 
@@ -146,15 +174,24 @@ def cmd_gen(args):
     return 0
 
 
-def _load_split(corpus_dir, split):
+def _load_split(corpus_dir, split, cfg):
+    """The split's corpus, or None without its directory. Every video and
+    query must fit both models' max_positions."""
     path = os.path.join(corpus_dir, split)
     if not os.path.isdir(path):
         return None
-    return corpus_mod.load(path)
+    corpus = corpus_mod.load(path)
+    limit = min(cfg.retriever.max_positions, cfg.localizer.max_positions)
+    lengths = [(f"video {v.id!r}", len(v)) for v in corpus.videos]
+    lengths += [(f"query {q.id!r}", len(q.tokens)) for q in corpus.queries]
+    for what, length in lengths:
+        if length > limit:
+            raise CorpusError(f"{path}: {what} has length {length}, more than max_positions {limit}")
+    return corpus
 
 
-def _require_split(corpus_dir, split):
-    corpus = _load_split(corpus_dir, split)
+def _require_split(corpus_dir, split, cfg):
+    corpus = _load_split(corpus_dir, split, cfg)
     if corpus is None:
         raise CorpusError(f"missing corpus split directory: {os.path.join(corpus_dir, split)}")
     return corpus
@@ -162,8 +199,8 @@ def _require_split(corpus_dir, split):
 
 def cmd_train(args):
     cfg = load_run_config(args.config, seed=args.seed)
-    train_corpus = _require_split(args.corpus, "train")
-    val_corpus = _load_split(args.corpus, "val")
+    train_corpus = _require_split(args.corpus, "train", cfg)
+    val_corpus = _load_split(args.corpus, "val", cfg)
 
     if args.stage == "retriever":
         model, curve = pipeline.train_retriever(
@@ -196,7 +233,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     cfg = load_run_config(args.config, seed=args.seed)
-    corpus = _require_split(args.corpus, args.split)
+    corpus = _require_split(args.corpus, args.split, cfg)
     try:
         arrays = ckpt_mod.load_checkpoint(args.ckpt)
     except FileNotFoundError:

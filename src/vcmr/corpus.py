@@ -152,6 +152,9 @@ class SyntheticSpec:
         for name in ("video_count", "clips_per_video", "d_img", "d_sub", "d_txt", "queries_per_video"):
             if getattr(self, name) < 1:
                 raise CorpusError(f"{name} must be positive")
+        lo, hi = self.token_count_range
+        if not 1 <= lo <= hi:
+            raise CorpusError(f"token_count_range {self.token_count_range} must satisfy 1 <= lo <= hi")
         lo, hi = self.moment_len_range
         if not (1 <= lo <= hi <= self.clips_per_video):
             raise CorpusError(f"infeasible span lengths: moment_len_range {self.moment_len_range} for {self.clips_per_video} clips")
@@ -314,7 +317,7 @@ def save(corpus: Corpus, path):
 def _parse_jsonl(path, parse):
     """[parse(record, where) for each non-blank line], where = "path:lineno"."""
     out = []
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -324,6 +327,10 @@ def _parse_jsonl(path, parse):
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{where}: malformed JSON ({exc.msg})") from exc
+            except UnicodeDecodeError as exc:
+                raise CorpusError(f"{where}: not UTF-8 text ({exc.reason})") from exc
+            if not isinstance(rec, dict):
+                raise CorpusError(f"{where}: record is not a JSON object")
             try:
                 out.append(parse(rec, where))
             except KeyError as exc:
@@ -331,11 +338,37 @@ def _parse_jsonl(path, parse):
     return out
 
 
-def _vector(value, dim, what):
-    vec = np.asarray(value, dtype=np.float64)
-    if vec.shape != (dim,):
-        raise CorpusError(f"{what} dim {vec.shape} != ({dim},)")
-    return vec
+def _field(rec, key, kind, where):
+    value = rec[key]
+    if not isinstance(value, kind):
+        raise CorpusError(f"{where}: {key!r} must be a JSON {'string' if kind is str else 'list'}")
+    return value
+
+
+def _numbers(value):
+    """float64 array of a (nested) JSON list of finite numbers, else None."""
+    if not isinstance(value, list):
+        return None
+    try:
+        arr = np.array(value)
+    except ValueError:  # ragged nesting
+        return None
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        return None
+    return arr.astype(np.float64, copy=False)
+
+
+def _clip_rows(rows, clip_ids, width, what, where):
+    """[len(rows), width] array of per-clip vectors; a bad row raises CorpusError naming its clip."""
+    arr = _numbers(rows) if rows else np.zeros((0, width))
+    if arr is None or arr.shape != (len(rows), width):  # find the first bad row
+        for ci, row in zip(clip_ids, rows):
+            vec = _numbers(row)
+            if vec is None:
+                raise CorpusError(f"{where}: clip {ci} {what} must be a list of finite numbers")
+            if vec.shape != (width,):
+                raise CorpusError(f"{where}: clip {ci} {what} dim {vec.shape} != ({width},)")
+    return arr
 
 
 def load(path) -> Corpus:
@@ -348,47 +381,63 @@ def load(path) -> Corpus:
         raise CorpusError(f"{meta_path}: missing corpus meta file")
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{meta_path}: malformed JSON ({exc.msg})") from exc
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{meta_path}: not UTF-8 text ({exc.reason})") from exc
     except KeyError as exc:
         raise CorpusError(f"{meta_path}: meta has no key {exc}") from exc
+    except TypeError as exc:
+        raise CorpusError(f"{meta_path}: meta is not a JSON object") from exc
+    if not all(type(d) is int and d >= 1 for d in (d_img, d_sub, d_txt)) or not isinstance(split, str):
+        raise CorpusError(f"{meta_path}: d_img, d_sub and d_txt must be positive integers and split a string")
 
     def parse_video(rec, where):
-        clips = rec["clips"]
+        vid = _field(rec, "id", str, where)
+        clips = _field(rec, "clips", list, where)
         if not clips:
-            raise CorpusError(f"{where}: video {rec['id']!r} has no clips")
-        images = np.zeros((len(clips), d_img))
+            raise CorpusError(f"{where}: video {vid!r} has no clips")
+        for ci, clip in enumerate(clips):
+            if not isinstance(clip, dict):
+                raise CorpusError(f"{where}: clip {ci} is not a JSON object")
+        images = _clip_rows([c["image"] for c in clips], range(len(clips)), d_img, "image", where)
+        has_subtitle = np.array([c.get("subtitle") is not None for c in clips])
+        present = np.flatnonzero(has_subtitle)
         subtitles = np.zeros((len(clips), d_sub))
-        has_subtitle = np.zeros(len(clips), dtype=bool)
-        for ci, c in enumerate(clips):
-            images[ci] = _vector(c["image"], d_img, f"{where}: clip {ci} image")
-            if c.get("subtitle") is not None:
-                subtitles[ci] = _vector(c["subtitle"], d_sub, f"{where}: clip {ci} subtitle")
-                has_subtitle[ci] = True
-        return Video(id=rec["id"], images=images, subtitles=subtitles, has_subtitle=has_subtitle)
+        subtitles[present] = _clip_rows([clips[ci]["subtitle"] for ci in present], present, d_sub, "subtitle", where)
+        return Video(id=vid, images=images, subtitles=subtitles, has_subtitle=has_subtitle)
 
     videos = _parse_jsonl(os.path.join(path, VIDEOS_FILE), parse_video)
     by_id = {v.id: v for v in videos}
 
     def parse_query(rec, where):
-        tokens = np.asarray(rec["tokens"], dtype=np.float64)
+        qid = _field(rec, "id", str, where)
+        tokens = _numbers(rec["tokens"])
+        if tokens is None:
+            raise CorpusError(f"{where}: tokens must be a list of lists of finite numbers")
         if tokens.ndim != 2 or tokens.shape[1] != d_txt:
             raise CorpusError(f"{where}: token dim {tokens.shape} != (*, {d_txt})")
-        vid = rec["video"]
+        vid = _field(rec, "video", str, where)
         if vid not in by_id:
-            raise CorpusError(f"{where}: query {rec['id']!r} references missing video id {vid!r}")
-        st, ed = rec["span"]
+            raise CorpusError(f"{where}: query {qid!r} references missing video id {vid!r}")
+        span = _field(rec, "span", list, where)
+        if len(span) != 2 or not all(type(x) is int for x in span):
+            raise CorpusError(f"{where}: span must be a list of two integers")
+        st, ed = span
         if not (0 <= st <= ed < len(by_id[vid])):
             raise CorpusError(f"{where}: span [{st}, {ed}] out of range for video {vid!r}")
-        return Query(id=rec["id"], tokens=tokens, target_video=vid, span=(int(st), int(ed)))
+        return Query(id=qid, tokens=tokens, target_video=vid, span=(st, ed))
 
     queries = _parse_jsonl(os.path.join(path, QUERIES_FILE), parse_query)
 
     spec = None
     if meta.get("spec"):
-        raw = dict(meta["spec"])
-        for key in ("moment_len_range", "token_count_range"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
-        spec = SyntheticSpec(**raw)
+        try:
+            raw = dict(meta["spec"])
+            for key in ("moment_len_range", "token_count_range"):
+                if key in raw:
+                    raw[key] = tuple(raw[key])
+            spec = SyntheticSpec(**raw)
+        except (TypeError, ValueError) as exc:
+            raise CorpusError(f"{meta_path}: malformed spec ({exc})") from exc
     return Corpus(
         videos=videos,
         queries=queries,

@@ -61,6 +61,8 @@ class InferenceConfig:
             raise ValueError("nms_threshold must lie in (0, 1]")
         if self.top_k_videos < 1 or self.results_per_query < 1:
             raise ValueError("top_k_videos and results_per_query must be positive")
+        if self.score_temperature <= 0:
+            raise ValueError("score_temperature must be positive")
 
 
 @dataclass

@@ -213,3 +213,98 @@ def test_eval_non_finite_forward_is_numerical_failure(tmp_path, tiny_config, cap
                          "--corpus", str(out), "--ckpt", str(ckpt)])
     assert code == cli.EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+def rewrite_record(path, lineno, keys, value):
+    """Set rec[k0][k1]... = value in line `lineno` (1-based) of a JSONL file."""
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[lineno - 1])
+    target = rec
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    lines[lineno - 1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("name, keys, value", [
+    ("videos.jsonl", ("clips",), "abc"),
+    ("videos.jsonl", ("clips",), [1, 2]),
+    ("videos.jsonl", ("clips", 0, "image"), "x"),
+    ("queries.jsonl", ("span",), [1]),
+    ("queries.jsonl", ("span",), ["a", "b"]),
+    ("queries.jsonl", ("tokens",), "abc"),
+    ("queries.jsonl", ("video",), ["v"]),
+])
+def test_mistyped_corpus_field_is_data_error_with_line(tmp_path, tiny_config, capsys, name, keys, value):
+    out = tmp_path / "corpus"
+    cli.main(["gen", "--config", tiny_config, "--out", str(out)])
+    rewrite_record(out / "train" / name, 2, keys, value)
+    code = cli.main(["train", "--stage", "retriever", "--config", tiny_config,
+                     "--corpus", str(out), "--ckpt", str(tmp_path / "m.ckpt")])
+    assert code == cli.EXIT_DATA
+    assert f"{name}:2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("retriever", "hidden", "16"),
+    ("train", "learning_rate", "fast"),
+    ("train", None, [1]),
+    ("synthetic", "moment_len_range", 3),
+    ("inference", "nms_threshold", None),
+    ("inference", "score_temperature", 0),
+    (None, "seed", "x"),
+    ("train", "retriever_epochs", True),
+    ("synthetic", "token_count_range", [5, 2]),
+])
+def test_mistyped_config_value_is_config_error(tmp_path, capsys, section, key, value):
+    raw = {key: value} if section is None else {section: value if key is None else {key: value}}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert cli.main(["gen", "--config", str(bad), "--out", str(tmp_path / "c")]) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+def test_config_accepts_an_int_for_a_float(tmp_path):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"train": {"learning_rate": 1}, "synthetic": {"moment_len_range": [2, 4]}}))
+    cfg = cli.load_run_config(str(good))
+    assert cfg.train.learning_rate == 1 and cfg.synthetic.moment_len_range == (2, 4)
+
+
+@pytest.mark.parametrize("section", ["retriever", "localizer"])
+@pytest.mark.parametrize("key, synthetic", [
+    ("clips_per_video", {"clips_per_video": 10, "token_count_range": [2, 4]}),
+    ("token_count_range", {"token_count_range": [6, 10]}),
+])
+def test_inputs_longer_than_max_positions_are_config_error(tmp_path, section, key, synthetic, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(TINY, synthetic=dict(TINY["synthetic"], **synthetic),
+                                   **{section: dict(TINY[section], max_positions=9)})))
+    assert cli.main(["gen", "--config", str(bad), "--out", str(tmp_path / "c")]) == cli.EXIT_CONFIG
+    assert f"synthetic.{key}" in capsys.readouterr().err
+
+
+def test_stored_video_longer_than_max_positions_is_data_error(tmp_path, tiny_config, capsys):
+    long_cfg = tmp_path / "long.json"
+    long_cfg.write_text(json.dumps(dict(TINY, synthetic=dict(TINY["synthetic"], clips_per_video=72),
+                                        retriever=dict(TINY["retriever"], max_positions=72),
+                                        localizer=dict(TINY["localizer"], max_positions=72))))
+    out = tmp_path / "corpus"
+    assert cli.main(["gen", "--config", str(long_cfg), "--out", str(out)]) == 0
+    ckpt = tmp_path / "model.ckpt"
+    assert cli.main(["train", "--stage", "retriever", "--config", tiny_config,
+                     "--corpus", str(out), "--ckpt", str(ckpt)]) == cli.EXIT_DATA
+    assert "max_positions 64" in capsys.readouterr().err
+    assert not ckpt.exists()
+    untrained_retriever_checkpoint(out, ckpt)
+    assert cli.main(["eval", "--task", "vr", "--config", tiny_config,
+                     "--corpus", str(out), "--ckpt", str(ckpt)]) == cli.EXIT_DATA
+    assert "max_positions 64" in capsys.readouterr().err
+
+
+def test_train_has_no_pooling_override(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["train", "--help"])
+    assert "--pooling" not in capsys.readouterr().out

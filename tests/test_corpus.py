@@ -2,6 +2,7 @@
 and validation errors."""
 
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -140,6 +141,31 @@ def test_save_is_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+# sha256 of the files that `save` writes for PINNED, recorded when videos still
+# stored one object per clip; a mismatch means the file format changed
+PINNED = C.SyntheticSpec(video_count=4, clips_per_video=8, queries_per_video=2,
+                         subtitle_absent_prob=0.6, seed=21)
+PINNED_SHA256 = {
+    "videos.jsonl": "5603ad892a943e4b21b9ff6e8048334e9cca3585e97e79db02c322704b9af991",
+    "queries.jsonl": "9c3f00754082619981ef61f4afab1124bf12bfeb3bab73d5b9f328dcf6ad093a",
+    "corpus.meta.json": "fd3fcd1d733b6360ad91f27980a89db5bb543eb761b98e8905cda19bf8b7b155",
+}
+
+
+def test_saved_bytes_match_the_pinned_format(tmp_path):
+    C.save(C.generate(PINNED), tmp_path / "c")
+    assert b'"subtitle": null' in (tmp_path / "c" / "videos.jsonl").read_bytes()
+    digests = {name: hashlib.sha256((tmp_path / "c" / name).read_bytes()).hexdigest() for name in PINNED_SHA256}
+    assert digests == PINNED_SHA256
+
+
+def test_video_arrays_are_read_only():
+    video = C.generate(SMALL).videos[0]
+    for array in (video.image_matrix(), video.subtitle_matrix(), video.has_subtitle):
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
 def test_load_reports_line_number_on_malformed_json(tmp_path):
     corpus = C.generate(SMALL)
     C.save(corpus, tmp_path / "c")
@@ -148,6 +174,16 @@ def test_load_reports_line_number_on_malformed_json(tmp_path):
     lines[2] = lines[2][:-10]
     qpath.write_text("\n".join(lines) + "\n")
     with pytest.raises(C.CorpusError, match=":3:"):
+        C.load(tmp_path / "c")
+
+
+def test_load_reports_line_number_on_non_utf8_bytes(tmp_path):
+    C.save(C.generate(SMALL), tmp_path / "c")
+    vpath = tmp_path / "c" / "videos.jsonl"
+    lines = vpath.read_bytes().splitlines()
+    lines[1] = lines[1][:20] + b"\xff\xfe" + lines[1][22:]
+    vpath.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(C.CorpusError, match=":2: not UTF-8"):
         C.load(tmp_path / "c")
 
 
