@@ -36,6 +36,9 @@ class ConfigError(ValueError):
 
 @dataclasses.dataclass
 class RunConfig:
+    """One section per component plus the run's only seed, which sets
+    `synthetic.seed` and `train.seed`; the JSON view leaves those two out."""
+
     seed: int = 0
     synthetic: SyntheticSpec = dataclasses.field(default_factory=SyntheticSpec)
     retriever: RetrieverConfig = dataclasses.field(default_factory=RetrieverConfig)
@@ -44,14 +47,13 @@ class RunConfig:
     inference: InferenceConfig = dataclasses.field(default_factory=InferenceConfig)
 
     def to_dict(self):
-        return {
-            "seed": self.seed,
-            "synthetic": dataclasses.asdict(self.synthetic),
-            "retriever": dataclasses.asdict(self.retriever),
-            "localizer": dataclasses.asdict(self.localizer),
-            "train": dataclasses.asdict(self.train),
-            "inference": dataclasses.asdict(self.inference),
-        }
+        out = dataclasses.asdict(self)
+        for f in _SECTIONS:
+            out[f.name].pop("seed", None)
+        return out
+
+
+_SECTIONS = [f for f in dataclasses.fields(RunConfig) if f.name != "seed"]
 
 
 # JSON type each field's default asks for: a bool is not an int, an int is a
@@ -68,13 +70,14 @@ def _fits(default, value):
     return type(value) is type(default)
 
 
-def _build_section(cls, raw, section):
+def _build_section(cls, raw, section, seed):
+    """Section `cls` from its JSON object; a `seed` field takes the run seed."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config section {section!r} must be a JSON object")
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    kwargs = {}
+    kwargs = {"seed": seed} if "seed" in defaults else {}
     for key, value in raw.items():
-        if key not in defaults:
+        if key not in defaults or key == "seed":
             raise ConfigError(f"unknown key {key!r} in config section {section!r}")
         if not _fits(defaults[key], value):
             raise ConfigError(f"{section}.{key} must be {_JSON_TYPES[type(defaults[key])]}, got {value!r}")
@@ -83,6 +86,7 @@ def _build_section(cls, raw, section):
 
 
 def load_run_config(path=None, seed=None):
+    """The config file at `path` (defaults without one); `seed` overrides its top-level seed."""
     raw = {}
     if path is not None:
         try:
@@ -94,32 +98,19 @@ def load_run_config(path=None, seed=None):
             raise ConfigError(f"{path}: malformed JSON ({exc.msg})")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    known = {"seed", "synthetic", "retriever", "localizer", "train", "inference"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in dataclasses.fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     if type(raw.get("seed", 0)) is not int:
         raise ConfigError(f"seed must be an integer, got {raw['seed']!r}")
-    cfg = RunConfig(
-        seed=raw.get("seed", 0),
-        synthetic=_build_section(SyntheticSpec, raw.get("synthetic", {}), "synthetic"),
-        retriever=_build_section(RetrieverConfig, raw.get("retriever", {}), "retriever"),
-        localizer=_build_section(LocalizerConfig, raw.get("localizer", {}), "localizer"),
-        train=_build_section(TrainConfig, raw.get("train", {}), "train"),
-        inference=_build_section(InferenceConfig, raw.get("inference", {}), "inference"),
-    )
-    if seed is not None:
-        cfg.seed = seed
-        cfg.synthetic.seed = seed
-    cfg.train.seed = cfg.seed
-    try:
-        cfg.retriever.validate()
-        cfg.localizer.validate()
-        cfg.train.validate()
-        cfg.inference.validate()
-        cfg.synthetic.validate()
-    except (ValueError, CorpusError) as exc:
-        raise ConfigError(str(exc))
+    cfg = RunConfig(seed=raw.get("seed", 0) if seed is None else seed)
+    for f in _SECTIONS:
+        section = _build_section(f.default_factory, raw.get(f.name, {}), f.name, cfg.seed)
+        try:
+            section.validate()
+        except (ValueError, CorpusError) as exc:
+            raise ConfigError(str(exc))
+        setattr(cfg, f.name, section)
     longest = {"clips_per_video": cfg.synthetic.clips_per_video,
                "token_count_range": cfg.synthetic.token_count_range[1]}
     for section in ("retriever", "localizer"):

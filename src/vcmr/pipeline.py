@@ -33,7 +33,6 @@ class TrainConfig:
     temperature: float = 0.01
     learning_rate: float = 3e-3  # desk-scale default; 1e-4 at full scale
     weight_decay: float = 0.01
-    use_adversarial: bool = True
     seed: int = 0
 
     def validate(self):
@@ -92,15 +91,39 @@ class DivergenceError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
+# training loop shared by both stages
+
+
+def _fit(stage, model, config: TrainConfig, n_queries, epochs, batch, batch_loss, spawn_key, min_batch=1):
+    """AdamW over shuffled batches of query indices from the stage's stream of
+    `config.seed`, skipping batches under `min_batch`; yields (epoch, mean loss)."""
+    opt = AdamW(model.params, lr=config.learning_rate, weight_decay=config.weight_decay)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=spawn_key))
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(n_queries)
+        losses = []
+        for start in range(0, len(order), batch):
+            idx = order[start : start + batch]
+            if len(idx) < min_batch:
+                continue
+            try:
+                with Tape() as tape:
+                    loss = batch_loss(idx)
+                    tape.backward(loss)
+                    grads = {name: tape.grad(t) for name, t in model.params.items()}
+            except ad.NonFiniteError as exc:
+                raise DivergenceError(
+                    f"{stage} loss became non-finite at epoch {epoch}, step {start // batch}") from exc
+            losses.append(loss.item())
+            opt.step(grads)
+        yield epoch, float(np.mean(losses)) if losses else 0.0
+
+
+# ---------------------------------------------------------------------------
 # stage 1: retriever
 
 
-def _param_grads(tape, params):
-    return {name: tape.grad(t) for name, t in params.items()}
-
-
-def train_retriever(corpus, config: TrainConfig, model_config: RetrieverConfig | None = None,
-                    val_corpus=None, epochs=None):
+def train_retriever(corpus, config: TrainConfig, model_config: RetrieverConfig | None = None, val_corpus=None):
     """Train the retriever with in-batch contrastive learning.
 
     Returns (model, loss_curve) where loss_curve is a list of
@@ -110,37 +133,18 @@ def train_retriever(corpus, config: TrainConfig, model_config: RetrieverConfig |
     """
     config.validate()
     model = RetrieverModel(corpus.d_txt, corpus.d_img, corpus.d_sub, model_config, seed=config.seed)
-    opt = AdamW(model.params, lr=config.learning_rate, weight_decay=config.weight_decay)
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
-    n_epochs = config.retriever_epochs if epochs is None else epochs
+
+    def batch_loss(idx):
+        return ret_mod.contrastive_loss(model, ret_mod.make_batch(corpus, idx), temperature=config.temperature,
+                                        lam=config.lam, use_subtitles=corpus.has_subtitles)
+
     curve = []
     best = None  # (r10, state)
-    for epoch in range(1, n_epochs + 1):
-        order = rng.permutation(len(corpus.queries))
-        losses = []
-        for start in range(0, len(order), config.retriever_batch):
-            idx = order[start : start + config.retriever_batch]
-            if len(idx) < 2:
-                continue
-            batch = ret_mod.make_batch(corpus, idx)
-            try:
-                with Tape() as tape:
-                    loss = ret_mod.contrastive_loss(
-                        model, batch, temperature=config.temperature, lam=config.lam,
-                        use_subtitles=corpus.has_subtitles,
-                    )
-                    tape.backward(loss)
-                    grads = _param_grads(tape, model.params)
-            except ad.NonFiniteError as exc:
-                raise DivergenceError(
-                    f"retriever loss became non-finite at epoch {epoch}, step {start // config.retriever_batch}"
-                ) from exc
-            losses.append(loss.item())
-            opt.step(grads)
-        curve.append((epoch, "train", float(np.mean(losses)) if losses else 0.0))
+    for epoch, loss in _fit("retriever", model, config, len(corpus.queries), config.retriever_epochs,
+                            config.retriever_batch, batch_loss, spawn_key=(1,), min_batch=2):
+        curve.append((epoch, "train", loss))
         if val_corpus is not None:
-            report = evaluate_retrieval(model, val_corpus)
-            r10 = report.vr["R@10"]
+            r10 = evaluate_retrieval(model, val_corpus).vr["R@10"]
             curve.append((epoch, "val", r10))
             if best is None or r10 > best[0]:
                 best = (r10, model.params.state_dict())
@@ -154,8 +158,9 @@ def rank_videos(model: RetrieverModel, corpus, query, index=None):
     return ranked
 
 
-def evaluate_retrieval(model: RetrieverModel, corpus, ks=VR_KS):
-    index = ret_mod.encode_corpus(model, corpus)
+def evaluate_retrieval(model: RetrieverModel, corpus, ks=VR_KS, index=None):
+    if index is None:
+        index = ret_mod.encode_corpus(model, corpus)
     rankings = {
         q.id: [vid for vid, _ in rank_videos(model, corpus, q, index=index)] for q in corpus.queries
     }
@@ -209,7 +214,7 @@ def localizer_batch_loss(model: LocalizerModel, corpus, queries, negatives, conf
     plus the adversarial moment-classification loss for one batch."""
     rows, groups, tokens, token_mask, images, subs, clip_mask = _localizer_rows(corpus, queries, negatives)
     r, n = clip_mask.shape
-    with_adv = config.use_adversarial and config.gamma != 0.0
+    with_adv = config.gamma != 0.0
     fwd = model.forward_rows(tokens, token_mask, images, subs, clip_mask=clip_mask, with_adv=with_adv)
     l_st, l_ed = fwd["l_st"], fwd["l_ed"]
 
@@ -257,7 +262,7 @@ def localizer_batch_loss(model: LocalizerModel, corpus, queries, negatives, conf
 
 
 def train_localizer(corpus, retriever_model: RetrieverModel, config: TrainConfig, icfg: InferenceConfig,
-                    model_config: LocalizerConfig | None = None, negatives=None, epochs=None):
+                    model_config: LocalizerConfig | None = None, negatives=None):
     """Second training stage. Hard negatives are mined once from the trained
     retriever and stay fixed across epochs; the adversarial negative moments
     inside each step are re-mined from the current boundary scores."""
@@ -266,26 +271,13 @@ def train_localizer(corpus, retriever_model: RetrieverModel, config: TrainConfig
     if negatives is None:
         negatives = mine_hard_negatives(retriever_model, corpus, config)
     model = LocalizerModel(corpus.d_txt, corpus.d_img, corpus.d_sub, model_config, seed=config.seed + 1)
-    opt = AdamW(model.params, lr=config.learning_rate, weight_decay=config.weight_decay)
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(3,)))
-    curve = []
-    n_epochs = config.localizer_epochs if epochs is None else epochs
-    for epoch in range(1, n_epochs + 1):
-        order = rng.permutation(len(corpus.queries))
-        losses = []
-        for start in range(0, len(order), config.localizer_batch):
-            idx = order[start : start + config.localizer_batch]
-            batch_queries = [corpus.queries[i] for i in idx]
-            try:
-                with Tape() as tape:
-                    loss = localizer_batch_loss(model, corpus, batch_queries, negatives, config, icfg)
-                    tape.backward(loss)
-                    grads = _param_grads(tape, model.params)
-            except ad.NonFiniteError as exc:
-                raise DivergenceError(f"localizer loss became non-finite at epoch {epoch}") from exc
-            losses.append(loss.item())
-            opt.step(grads)
-        curve.append((epoch, "train", float(np.mean(losses)) if losses else 0.0))
+
+    def batch_loss(idx):
+        return localizer_batch_loss(model, corpus, [corpus.queries[i] for i in idx], negatives, config, icfg)
+
+    curve = [(epoch, "train", loss) for epoch, loss in _fit(
+        "localizer", model, config, len(corpus.queries), config.localizer_epochs, config.localizer_batch,
+        batch_loss, spawn_key=(3,))]
     return model, curve, negatives
 
 
@@ -383,10 +375,8 @@ def evaluate(predictions, corpus, task, ks=None, ps=MOMENT_PS) -> MetricsReport:
     report = MetricsReport()
     if task == "vr":
         report.vr = _recall_vr(predictions, corpus, ks or VR_KS)
-    elif task == "svmr":
-        report.svmr = _recall_moments(predictions, corpus, ks or MOMENT_KS, ps)
-    elif task == "vcmr":
-        report.vcmr = _recall_moments(predictions, corpus, ks or MOMENT_KS, ps)
+    elif task in ("svmr", "vcmr"):
+        setattr(report, task, _recall_moments(predictions, corpus, ks or MOMENT_KS, ps))
     else:
         raise ValueError(f"unknown task {task!r}")
     return report
@@ -398,9 +388,7 @@ def evaluate_pipeline(retriever_model, localizer_model, corpus, icfg: InferenceC
     index = ret_mod.encode_corpus(retriever_model, corpus)
     report = MetricsReport()
     if "vr" in tasks:
-        rankings = {q.id: [v for v, _ in rank_videos(retriever_model, corpus, q, index=index)]
-                    for q in corpus.queries}
-        report.vr = evaluate(rankings, corpus, "vr").vr
+        report.vr = evaluate_retrieval(retriever_model, corpus, index=index).vr
     if "svmr" in tasks:
         preds = {q.id: infer_single_video(retriever_model, localizer_model, corpus, q, icfg, index=index)
                  for q in corpus.queries}

@@ -247,10 +247,10 @@ ABLATION_TRAIN = P.TrainConfig(retriever_epochs=8, localizer_epochs=6, negatives
 ABLATION_ICFG = P.InferenceConfig(top_k_videos=5, moment_max_len=8)
 
 
-def ablation_run(seed, pooling="modality_specific", use_gates=True, use_adversarial=True,
+def ablation_run(seed, pooling="modality_specific", use_gates=True, gamma=ABLATION_TRAIN.gamma,
                  shared_norm=True, tasks=("vr",)):
     corpus = C.generate(dataclasses.replace(ABLATION_SPEC, seed=seed))
-    tcfg = dataclasses.replace(ABLATION_TRAIN, seed=seed, use_adversarial=use_adversarial)
+    tcfg = dataclasses.replace(ABLATION_TRAIN, seed=seed, gamma=gamma)
     rcfg = RetrieverConfig(pooling=pooling)
     retr, _ = P.train_retriever(corpus, tcfg, model_config=rcfg)
     if tasks == ("vr",):
@@ -276,7 +276,7 @@ def test_criterion_6_ablation_directions():
         off = ablation_run(seed, use_gates=False, tasks=("svmr",)).svmr["R@1,IoU=0.5"]
         gate_wins += on >= off
         adv_on = ablation_run(seed, tasks=("vcmr",)).vcmr["R@1,IoU=0.5"]
-        adv_off = ablation_run(seed, use_adversarial=False, tasks=("vcmr",)).vcmr["R@1,IoU=0.5"]
+        adv_off = ablation_run(seed, gamma=0.0, tasks=("vcmr",)).vcmr["R@1,IoU=0.5"]
         adv_wins += adv_on >= adv_off
 
     ok = pool_wins >= 3

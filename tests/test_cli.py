@@ -308,3 +308,53 @@ def test_train_has_no_pooling_override(capsys):
     with pytest.raises(SystemExit):
         cli.main(["train", "--help"])
     assert "--pooling" not in capsys.readouterr().out
+
+
+def test_dump_defaults_has_one_seed_and_loads_back(tmp_path, capsys):
+    assert cli.main(["--dump-defaults"]) == 0
+    text = capsys.readouterr().out
+    cfg = json.loads(text)
+    assert cfg["seed"] == 0
+    assert "seed" not in cfg["synthetic"] and "seed" not in cfg["train"]
+    assert "use_adversarial" not in cfg["train"]
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    assert cli.load_run_config(str(path)).to_dict() == cli.load_run_config().to_dict()
+
+
+def test_top_level_seed_sets_corpus_and_training_seed(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(TINY, seed=5)))
+    out = tmp_path / "corpus"
+    assert cli.main(["gen", "--config", str(path), "--out", str(out)]) == 0
+    meta = json.loads((out / "train" / "corpus.meta.json").read_text())
+    assert meta["spec"]["seed"] == 5
+    cfg = cli.load_run_config(str(path))
+    assert cfg.synthetic.seed == cfg.train.seed == 5
+
+
+@pytest.mark.parametrize("section", ["synthetic", "train"])
+def test_section_seed_is_config_error(tmp_path, section, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({section: {"seed": 5}}))
+    assert cli.main(["gen", "--config", str(bad), "--out", str(tmp_path / "c")]) == cli.EXIT_CONFIG
+    assert "'seed'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["retriever", "localizer"])
+def test_divergence_names_stage_epoch_and_step(tmp_path, stage, capsys):
+    # 8 train queries in batches of 4: two steps per epoch, so the second
+    # step runs on the weights the first step blew up
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(TINY, train=dict(TINY["train"], learning_rate=1e300,
+                                                     retriever_batch=4, localizer_batch=4))))
+    out = tmp_path / "corpus"
+    ckpt = tmp_path / "model.ckpt"
+    assert cli.main(["gen", "--config", str(path), "--out", str(out)]) == 0
+    untrained_retriever_checkpoint(out, ckpt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["train", "--stage", stage, "--config", str(path),
+                         "--corpus", str(out), "--ckpt", str(ckpt)])
+    assert code == cli.EXIT_NUMERICAL
+    assert f"{stage} loss became non-finite at epoch 1, step 1" in capsys.readouterr().err
+
