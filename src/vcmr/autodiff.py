@@ -430,9 +430,9 @@ def conv1d(x, kernel, bias=None):
 
     def grad_kernel(g):
         gk = np.zeros_like(kv)
+        g_flat = g.reshape(-1, g.shape[-1])
         for t in range(k):
-            seg = xp[..., t : t + length, :]
-            gk[t] = np.tensordot(seg, g, axes=(tuple(range(seg.ndim - 1)), tuple(range(g.ndim - 1))))
+            gk[t] = xp[..., t : t + length, :].reshape(-1, d_in).T @ g_flat
         return gk
 
     _record(out, (x, kernel), (grad_x, grad_kernel))

@@ -8,6 +8,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -37,9 +38,13 @@ def save_checkpoint(path, arrays):
 
 
 def load_checkpoint(path):
-    """Returns an insertion-ordered dict name -> float64 ndarray."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    """Returns an insertion-ordered dict name -> float64 ndarray. Any file
+    that is not a well-formed archive raises CheckpointError."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}") from exc
     if not blob.startswith(MAGIC):
         raise CheckpointError(f"{path}: bad magic, not a checkpoint archive")
     off = len(MAGIC)
@@ -57,17 +62,22 @@ def load_checkpoint(path):
     out = {}
     for _ in range(count):
         (name_len,) = unpack("<I")
-        name = blob[off : off + name_len].decode("utf-8")
+        try:
+            name = blob[off : off + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: record name is not UTF-8 ({exc.reason})") from exc
         off += name_len
         dtype_tag, ndim = unpack("<BI")
         if dtype_tag != _DTYPE_F64:
             raise CheckpointError(f"{path}: unknown dtype tag {dtype_tag} for {name}")
         shape = unpack(f"<{ndim}I")
-        n = int(np.prod(shape)) if ndim else 1
-        end = off + 8 * n
+        end = off + 8 * math.prod(shape)
         if end > len(blob):
             raise CheckpointError(f"{path}: truncated values for {name}")
-        arr = np.frombuffer(blob[off:end], dtype="<f8").astype(np.float64).reshape(shape)
+        try:
+            arr = np.frombuffer(blob[off:end], dtype="<f8").astype(np.float64).reshape(shape)
+        except ValueError as exc:  # more dimensions than NumPy allows
+            raise CheckpointError(f"{path}: record {name} has {ndim} dimensions") from exc
         off = end
         if name in out:
             raise CheckpointError(f"{path}: duplicate record {name}")

@@ -90,10 +90,12 @@ def load_run_config(path=None, seed=None):
     raw = {}
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}")
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: malformed JSON ({exc.msg})")
     if not isinstance(raw, dict):
@@ -225,10 +227,7 @@ def cmd_train(args):
 def cmd_eval(args):
     cfg = load_run_config(args.config, seed=args.seed)
     corpus = _require_split(args.corpus, args.split, cfg)
-    try:
-        arrays = ckpt_mod.load_checkpoint(args.ckpt)
-    except FileNotFoundError:
-        raise CorpusError(f"checkpoint not found: {args.ckpt}")
+    arrays = ckpt_mod.load_checkpoint(args.ckpt)
     retr_state = ckpt_mod.split_namespace(arrays, "retriever")
     if not retr_state:
         raise CorpusError(f"{args.ckpt} holds no retriever weights")

@@ -83,11 +83,9 @@ class LocalizerModel(nn.EncoderTrunk):
 
     def fuse_with_query(self, fused, token_reps, token_mask=None, clip_mask=None):
         """Contextualize clips with self-attention plus cross-attention to tokens."""
-        b, n, _ = fused.shape
+        n = fused.shape[1]
         self_mask = None if clip_mask is None else nn.self_attention_mask(clip_mask)
-        cross_mask = None
-        if token_mask is not None:
-            cross_mask = np.repeat(np.asarray(token_mask, dtype=np.float64)[:, None, :], n, axis=1)
+        cross_mask = None if token_mask is None else nn.self_attention_mask(token_mask, n)
         x = fused
         for layer in self.fusion:
             x = layer(x, mask=self_mask, kv=token_reps, kv_mask=cross_mask)
@@ -121,9 +119,8 @@ class LocalizerModel(nn.EncoderTrunk):
     def forward_rows(self, tokens, token_mask, images, subs, clip_mask=None, with_adv=True):
         """Full forward over a stack of (query, video) rows.
 
-        tokens/token_mask carry each row's owning query. Returns boundary
-        scores, the fused clip sequence, and (optionally) the adversarial
-        branch outputs.
+        tokens/token_mask carry each row's owning query. Returns the boundary
+        scores and (optionally) the adversarial branch outputs.
         """
         token_reps = self.encode_tokens(tokens, token_mask)
         q_img, q_sub, _ = self.pool_tokens(token_reps, token_mask)
@@ -136,7 +133,7 @@ class LocalizerModel(nn.EncoderTrunk):
         ctx = self.fuse_with_query(fused, token_reps, token_mask=token_mask, clip_mask=clip_mask)
         l_st, l_ed = self.boundary_scores(ctx)
         adv_out = self.adv_encode(fused, clip_mask=clip_mask) if with_adv else None
-        return {"l_st": l_st, "l_ed": l_ed, "fused": fused, "adv_out": adv_out}
+        return {"l_st": l_st, "l_ed": l_ed, "adv_out": adv_out}
 
 
 # ---------------------------------------------------------------------------

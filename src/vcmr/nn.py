@@ -160,7 +160,7 @@ def self_attention_mask(key_valid, query_len=None):
     return np.repeat(kv[:, None, :], lq, axis=1)
 
 
-def pad_pairs(pairs, d_sub):
+def pad_pairs(pairs):
     """Zero-pad (query, video) rows into dense model inputs.
 
     Returns tokens [R, L, d_txt], token_mask [R, L], images [R, N, d_img],
@@ -172,7 +172,7 @@ def pad_pairs(pairs, d_sub):
     tokens = np.zeros((r, max_tok, pairs[0][0].tokens.shape[1]))
     token_mask = np.zeros((r, max_tok))
     images = np.zeros((r, n, pairs[0][1].images.shape[1]))
-    subs = np.zeros((r, n, d_sub))
+    subs = np.zeros((r, n, pairs[0][1].subtitles.shape[1]))
     clip_mask = np.zeros((r, n))
     for i, (q, v) in enumerate(pairs):
         lt, lv = q.tokens.shape[0], len(v)

@@ -205,7 +205,7 @@ def _localizer_rows(corpus, queries, negatives):
         start = len(rows)
         rows.extend((q, corpus.video(v)) for v in vids)
         groups.append(list(range(start, len(rows))))
-    return (rows, groups) + pad_pairs(rows, corpus.d_sub)
+    return (rows, groups) + pad_pairs(rows)
 
 
 def localizer_batch_loss(model: LocalizerModel, corpus, queries, negatives, config: TrainConfig,
@@ -285,9 +285,9 @@ def train_localizer(corpus, retriever_model: RetrieverModel, config: TrainConfig
 # inference
 
 
-def localize_scores(model: LocalizerModel, query, videos, d_sub):
+def localize_scores(model: LocalizerModel, query, videos):
     """Boundary scores for one query over several videos; no gradients."""
-    inputs = pad_pairs([(query, v) for v in videos], d_sub)
+    inputs = pad_pairs([(query, v) for v in videos])
     fwd = model.forward_rows(*inputs, with_adv=False)
     return fwd["l_st"].data, fwd["l_ed"].data
 
@@ -297,7 +297,7 @@ def _rank_moments(localizer_model: LocalizerModel, corpus, query, scored, icfg: 
     every admissible span as retrieval/temperature + start + end, NMS per
     video, then merge, sort and cut to `results_per_query`."""
     videos = [corpus.video(vid) for vid, _ in scored]
-    l_st, l_ed = localize_scores(localizer_model, query, videos, corpus.d_sub)
+    l_st, l_ed = localize_scores(localizer_model, query, videos)
     preds = []
     for i, (vid, score) in enumerate(scored):
         cands = enumerate_spans(len(videos[i]), icfg.moment_min_len, icfg.moment_max_len)

@@ -197,7 +197,7 @@ def make_batch(corpus, query_indices):
     """Pad a set of queries plus their target videos into dense arrays."""
     queries = [corpus.queries[i] for i in query_indices]
     videos = [corpus.video(q.target_video) for q in queries]
-    tokens, token_mask, images, subs, clip_mask = nn.pad_pairs(list(zip(queries, videos)), corpus.d_sub)
+    tokens, token_mask, images, subs, clip_mask = nn.pad_pairs(list(zip(queries, videos)))
     in_span = np.zeros(clip_mask.shape)
     for i, q in enumerate(queries):
         in_span[i, q.span[0] : q.span[1] + 1] = 1.0

@@ -1,9 +1,14 @@
 """Binary checkpoint format: round trips, determinism, namespaces, errors."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcmr.checkpoint import (
+    MAGIC,
     CheckpointError,
     load_checkpoint,
     merge_namespaces,
@@ -58,6 +63,15 @@ def test_truncated_file_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("dims", [(1,) * 65, (2**16,) * 4])
+def test_shape_numpy_cannot_hold_rejected(tmp_path, dims):
+    # 65 dimensions exceed NumPy's limit; 2**64 values wrap to 0 in int64
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(MAGIC + struct.pack(f"<II1sBI{len(dims)}I", 1, 1, b"w", 0, len(dims), *dims) + bytes(8))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
 def test_namespace_split_and_merge():
     retr = {"w": np.ones(2), "b": np.zeros(2)}
     loc = {"w": np.full(2, 3.0)}
@@ -67,3 +81,32 @@ def test_namespace_split_and_merge():
     assert set(back) == {"w", "b"}
     assert np.array_equal(back["w"], retr["w"])
     assert split_namespace(merged, "missing") == {}
+
+
+@pytest.fixture(scope="module")
+def real_blob(tmp_path_factory):
+    """A tiny retriever's checkpoint: many short records, so headers are a
+    large share of its bytes."""
+    from vcmr.retriever import RetrieverConfig, RetrieverModel
+
+    model = RetrieverModel(2, 2, 2, RetrieverConfig(hidden=2, intermediate=2, heads=1, max_positions=2))
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    save_checkpoint(path, merge_namespaces(retriever={n: t.data for n, t in model.params.items()}))
+    return path.read_bytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_corrupted_checkpoint_raises_only_checkpoint_error(real_blob, tmp_path_factory, data):
+    raw = bytearray(real_blob)
+    for _ in range(data.draw(st.integers(0, 3), label="flips")):
+        pos = data.draw(st.integers(0, len(raw) - 1), label="byte")
+        raw[pos] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="kept bytes")]
+    path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+    path.write_bytes(bytes(raw))
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass

@@ -358,3 +358,39 @@ def test_divergence_names_stage_epoch_and_step(tmp_path, stage, capsys):
     assert code == cli.EXIT_NUMERICAL
     assert f"{stage} loss became non-finite at epoch 1, step 1" in capsys.readouterr().err
 
+
+def test_checkpoint_record_name_not_utf8_is_data_error(tmp_path, tiny_config, capsys):
+    from vcmr.checkpoint import MAGIC
+
+    out = tmp_path / "corpus"
+    ckpt = tmp_path / "model.ckpt"
+    cli.main(["gen", "--config", tiny_config, "--out", str(out)])
+    untrained_retriever_checkpoint(out, ckpt)
+    raw = bytearray(ckpt.read_bytes())
+    raw[len(MAGIC) + 8] = 0xFF  # first byte of the first record name
+    ckpt.write_bytes(bytes(raw))
+    code = cli.main(["eval", "--task", "vr", "--config", tiny_config,
+                     "--corpus", str(out), "--ckpt", str(ckpt)])
+    assert code == cli.EXIT_DATA
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["eval", "--task", "vr"], ["train", "--stage", "localizer"]])
+def test_checkpoint_path_that_is_a_directory_is_data_error(tmp_path, tiny_config, command, capsys):
+    out = tmp_path / "corpus"
+    cli.main(["gen", "--config", tiny_config, "--out", str(out)])
+    code = cli.main(command + ["--config", tiny_config, "--corpus", str(out), "--ckpt", str(tmp_path)])
+    assert code == cli.EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+
+
+def test_config_path_that_is_a_directory_is_config_error(tmp_path, capsys):
+    assert cli.main(["gen", "--config", str(tmp_path), "--out", str(tmp_path / "c")]) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"seed": 0, "train": {"\xff": 1}}')
+    assert cli.main(["gen", "--config", str(bad), "--out", str(tmp_path / "c")]) == cli.EXIT_CONFIG
+    assert "not UTF-8" in capsys.readouterr().err

@@ -107,7 +107,7 @@ def brute_force_infer(retr, loc, corpus, query, icfg):
     out = []
     for vid, s_r in scored:
         video = corpus.video(vid)
-        l_st, l_ed = P.localize_scores(loc, query, [video], corpus.d_sub)
+        l_st, l_ed = P.localize_scores(loc, query, [video])
         cands = [
             ((st, ed), s_r / icfg.score_temperature + float(l_st[0, st] + l_ed[0, ed]))
             for st, ed in enumerate_spans(len(video), icfg.moment_min_len, icfg.moment_max_len)

@@ -1,6 +1,7 @@
 """Retriever: pooling semantics, scoring oracles, relevance sampling, and the
 contrastive training objective."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -192,6 +193,21 @@ def test_topk_matches_brute_force_and_late_fusion():
         fresh = R.retrieve_topk(model, corpus, q, k=len(corpus.videos))
         assert got == ref  # brute-force oracle, bit-exact
         assert got == fresh  # precomputed encodings change nothing
+
+
+def test_subtitle_free_corpus_ranks_by_image_score_alone(tmp_path):
+    # the DiDeMo setting: the corpus has no subtitle stream
+    C.save(dataclasses.replace(C.generate(SPEC), has_subtitles=False), str(tmp_path))
+    corpus = C.load(str(tmp_path))
+    assert corpus.has_subtitles is False
+    model = make_model()
+    index = R.encode_corpus(model, corpus)
+    for q in corpus.queries[:4]:
+        reps = R.encode_query(model, q)
+        scores = {v.id: R.score_video(reps, index[v.id]) for v in corpus.videos}
+        ranked = R.retrieve_topk(model, corpus, q, k=len(corpus.videos), index=index)
+        assert dict(ranked) == {vid: s.phi_image for vid, s in scores.items()}
+        assert any(s.score != s.phi_image for s in scores.values())
 
 
 def test_topk_on_singleton_corpus():
