@@ -124,7 +124,11 @@ def load_run_config(path=None, seed=None):
     return cfg
 
 
-def _load_model(cls, corpus, model_cfg, state, seed, ckpt_path):
+def _load_model(cls, namespace, arrays, corpus, model_cfg, seed, ckpt_path):
+    """`cls` built for `corpus` with the `namespace` weights of the checkpoint `arrays`."""
+    state = ckpt_mod.split_namespace(arrays, namespace)
+    if not state:
+        raise CorpusError(f"{ckpt_path} holds no {namespace} weights; run train --stage {namespace} first")
     model = cls(corpus.d_txt, corpus.d_img, corpus.d_sub, model_cfg, seed=seed)
     try:
         model.params.load_state_dict(state)
@@ -207,11 +211,7 @@ def cmd_train(args):
                 f"localizer stage needs a retriever checkpoint at {args.ckpt} for hard-negative mining; "
                 "run --stage retriever first")
         arrays = ckpt_mod.load_checkpoint(args.ckpt)
-        retr_state = ckpt_mod.split_namespace(arrays, "retriever")
-        if not retr_state:
-            raise CorpusError(
-                f"{args.ckpt} holds no retriever weights; hard-negative mining requires a trained retriever")
-        retr = _load_model(RetrieverModel, train_corpus, cfg.retriever, retr_state, cfg.train.seed, args.ckpt)
+        retr = _load_model(RetrieverModel, "retriever", arrays, train_corpus, cfg.retriever, cfg.train.seed, args.ckpt)
         model, curve, _ = pipeline.train_localizer(
             train_corpus, retr, cfg.train, cfg.inference, model_config=cfg.localizer)
         merged = dict(arrays)
@@ -228,16 +228,10 @@ def cmd_eval(args):
     cfg = load_run_config(args.config, seed=args.seed)
     corpus = _require_split(args.corpus, args.split, cfg)
     arrays = ckpt_mod.load_checkpoint(args.ckpt)
-    retr_state = ckpt_mod.split_namespace(arrays, "retriever")
-    if not retr_state:
-        raise CorpusError(f"{args.ckpt} holds no retriever weights")
-    retr = _load_model(RetrieverModel, corpus, cfg.retriever, retr_state, cfg.train.seed, args.ckpt)
+    retr = _load_model(RetrieverModel, "retriever", arrays, corpus, cfg.retriever, cfg.train.seed, args.ckpt)
     loc = None
     if args.task in ("svmr", "vcmr"):
-        loc_state = ckpt_mod.split_namespace(arrays, "localizer")
-        if not loc_state:
-            raise CorpusError(f"{args.ckpt} holds no localizer weights; train --stage localizer first")
-        loc = _load_model(LocalizerModel, corpus, cfg.localizer, loc_state, cfg.train.seed + 1, args.ckpt)
+        loc = _load_model(LocalizerModel, "localizer", arrays, corpus, cfg.localizer, cfg.train.seed + 1, args.ckpt)
 
     report = pipeline.evaluate_pipeline(retr, loc, corpus, cfg.inference, tasks=(args.task,))
     values = getattr(report, args.task)

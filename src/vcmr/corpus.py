@@ -178,11 +178,6 @@ def _projection(rng, d_out, d_in):
     return q if d_out >= d_in else q.T[:d_out]
 
 
-def _unit(v):
-    n = np.linalg.norm(v)
-    return v / n if n > 0 else v
-
-
 def _place_span(rng, length, min_length, n_clips, span_used, reserved):
     """Pick (start, length) so the new span avoids existing spans.
 
@@ -233,7 +228,8 @@ def generate(spec: SyntheticSpec, split="train") -> Corpus:
         sub_planted = np.zeros(n, dtype=bool)
 
         for qi in range(spec.queries_per_video):
-            concept = _unit(rng.normal(size=spec.d_txt))
+            concept = rng.normal(size=spec.d_txt)
+            concept /= np.linalg.norm(concept)
             visual = bool(rng.random() < spec.visual_ratio)
             length = int(rng.integers(len_lo, len_hi + 1))
             start, length = _place_span(rng, length, len_lo, n, span_used, reserved)

@@ -24,7 +24,6 @@ from .nn import MASK_NEG, TransformerLayer, xavier_uniform
 
 @dataclass
 class LocalizerConfig(nn.EncoderConfig):
-    fusion_layers: int = 2
     use_gates: bool = True
     shared_norm: bool = True
 
@@ -40,7 +39,7 @@ class LocalizerModel(nn.EncoderTrunk):
         p.add("fuse.b", np.zeros(d))
         self.fusion = [
             TransformerLayer(p, f"fusion{i}", d, self.config.intermediate, self.config.heads, rng, cross=True)
-            for i in range(self.config.fusion_layers)
+            for i in range(2)
         ]
         for head in ("st", "ed"):
             p.add(f"head.{head}.k1", xavier_uniform(rng, 3 * d, d, shape=(3, d, d)))
@@ -160,6 +159,28 @@ def shared_norm_loss(pos_st, pos_ed, neg_st, neg_ed, gt_span):
     return total
 
 
+def boundary_loss(l_st, l_ed, clip_mask, groups, spans, shared_norm):
+    """`shared_norm_loss` over stacked rows l_st/l_ed [R, N], mean over queries.
+
+    groups[i] lists query i's rows, ground-truth row first, and spans[i] is its
+    span; without shared_norm its softmax covers the ground-truth row alone."""
+    r, n = clip_mask.shape
+    member = np.zeros((len(groups), r * n))
+    for gi, row_ids in enumerate(groups):
+        for ri in row_ids if shared_norm else row_ids[:1]:
+            member[gi, ri * n : (ri + 1) * n] = clip_mask[ri]
+    gt_start = np.array([row_ids[0] * n for row_ids in groups], dtype=np.intp)
+    spans = np.asarray(spans, dtype=np.intp)
+    total = 0.0
+    for scores, pos_idx in ((l_st, gt_start + spans[:, 0]), (l_ed, gt_start + spans[:, 1])):
+        flat = ad.reshape(scores, (r * n,))
+        logits = ad.add(ad.reshape(flat, (1, r * n)), (1.0 - member) * MASK_NEG)
+        lse = ad.logsumexp(logits, axis=1)
+        picked = ad.take(flat, pos_idx)
+        total = ad.add(total, ad.mean(ad.sub(lse, picked)))
+    return total
+
+
 def span_max_features(adv_out, items):
     """Max-pool adversarial representations over span positions.
 
@@ -186,9 +207,7 @@ def adversarial_loss(model: LocalizerModel, adv_out, positives, negatives):
     return ad.mean(ad.bce_with_logits(logits, labels))
 
 
-def total_loss(boundary, adversarial=None, gamma=0.8):
+def total_loss(boundary, adversarial, gamma=0.8):
     """Weighted sum of the boundary loss and the adversarial loss."""
-    if adversarial is None:
-        return boundary
     return ad.add(boundary, ad.mul(adversarial, gamma))
 

@@ -60,9 +60,8 @@ def xavier_uniform(rng, fan_in, fan_out, shape=None):
     return rng.uniform(-limit, limit, size=shape if shape is not None else (fan_in, fan_out))
 
 
-def linear(x, w, b=None):
-    out = ad.matmul(x, w)
-    return out if b is None else ad.add(out, b)
+def linear(x, w, b):
+    return ad.add(ad.matmul(x, w), b)
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):

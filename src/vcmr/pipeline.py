@@ -14,7 +14,7 @@ from . import localizer as loc_mod
 from . import retriever as ret_mod
 from .autodiff import Tape
 from .localizer import LocalizerConfig, LocalizerModel
-from .nn import MASK_NEG, pad_pairs
+from .nn import pad_pairs
 from .optim import AdamW
 from .retriever import RetrieverConfig, RetrieverModel
 from .spans import enumerate_spans, iou, nms, sample_positive_spans, top_spans
@@ -158,28 +158,27 @@ def rank_videos(model: RetrieverModel, corpus, query, index=None):
     return ranked
 
 
-def evaluate_retrieval(model: RetrieverModel, corpus, ks=VR_KS, index=None):
+def evaluate_retrieval(model: RetrieverModel, corpus, index=None):
     if index is None:
         index = ret_mod.encode_corpus(model, corpus)
     rankings = {
         q.id: [vid for vid, _ in rank_videos(model, corpus, q, index=index)] for q in corpus.queries
     }
-    return evaluate(rankings, corpus, task="vr", ks=ks)
+    return evaluate(rankings, corpus, task="vr")
 
 
 # ---------------------------------------------------------------------------
 # hard-negative mining
 
 
-def mine_hard_negatives(model: RetrieverModel, corpus, config: TrainConfig, index=None):
+def mine_hard_negatives(model: RetrieverModel, corpus, config: TrainConfig):
     """Per query: rank the corpus, drop the ground-truth video, then sample
     `negatives_per_query` uniformly without replacement from the top of the
     ranking (pool capped at `mining_pool`). Seed-deterministic."""
     n = config.negatives_per_query
     if len(corpus.videos) < n + 1:
         raise ValueError(f"corpus of {len(corpus.videos)} videos cannot supply {n} negatives per query")
-    if index is None:
-        index = ret_mod.encode_corpus(model, corpus)
+    index = ret_mod.encode_corpus(model, corpus)
     out = {}
     for qi, query in enumerate(corpus.queries):
         ranked = [vid for vid, _ in rank_videos(model, corpus, query, index=index) if vid != query.target_video]
@@ -213,30 +212,12 @@ def localizer_batch_loss(model: LocalizerModel, corpus, queries, negatives, conf
     """Boundary loss (shared-norm across the positive and negative videos)
     plus the adversarial moment-classification loss for one batch."""
     rows, groups, tokens, token_mask, images, subs, clip_mask = _localizer_rows(corpus, queries, negatives)
-    r, n = clip_mask.shape
     with_adv = config.gamma != 0.0
     fwd = model.forward_rows(tokens, token_mask, images, subs, clip_mask=clip_mask, with_adv=with_adv)
     l_st, l_ed = fwd["l_st"], fwd["l_ed"]
 
-    q_count = len(groups)
-    member = np.zeros((q_count, r * n))
-    pos_st_idx = np.zeros(q_count, dtype=np.intp)
-    pos_ed_idx = np.zeros(q_count, dtype=np.intp)
-    for gi, (query, row_ids) in enumerate(zip(queries, groups)):
-        scope = row_ids if model.config.shared_norm else row_ids[:1]
-        for ri in scope:
-            member[gi, ri * n : (ri + 1) * n] = clip_mask[ri]
-        gt_row = row_ids[0]
-        pos_st_idx[gi] = gt_row * n + query.span[0]
-        pos_ed_idx[gi] = gt_row * n + query.span[1]
-
-    boundary = 0.0
-    for scores, pos_idx in ((l_st, pos_st_idx), (l_ed, pos_ed_idx)):
-        flat = ad.reshape(scores, (r * n,))
-        logits = ad.add(ad.reshape(flat, (1, r * n)), (1.0 - member) * MASK_NEG)
-        lse = ad.logsumexp(logits, axis=1)
-        picked = ad.take(flat, pos_idx)
-        boundary = ad.add(boundary, ad.mean(ad.sub(lse, picked)))
+    boundary = loc_mod.boundary_loss(l_st, l_ed, clip_mask, groups, [q.span for q in queries],
+                                     shared_norm=model.config.shared_norm)
 
     if not with_adv:
         return boundary
@@ -313,10 +294,7 @@ def infer(retriever_model: RetrieverModel, localizer_model: LocalizerModel, corp
           icfg: InferenceConfig, index=None):
     """Two-stage inference: retrieve top-K videos, then rank their moments."""
     icfg.validate()
-    ranked = ret_mod.retrieve_topk(
-        retriever_model, corpus, query, k=icfg.top_k_videos, index=index,
-        use_subtitles=corpus.has_subtitles,
-    )
+    ranked = ret_mod.retrieve_topk(retriever_model, corpus, query, k=icfg.top_k_videos, index=index)
     return _rank_moments(localizer_model, corpus, query, ranked, icfg)
 
 
@@ -338,45 +316,45 @@ def infer_single_video(retriever_model: RetrieverModel, localizer_model: Localiz
 # metrics
 
 
-def _recall_vr(rankings, corpus, ks):
-    hits = {k: 0 for k in ks}
+def _recall_vr(rankings, corpus):
+    hits = {k: 0 for k in VR_KS}
     for q in corpus.queries:
         ranked = rankings.get(q.id)
         if not ranked:
             warnings.warn(f"query {q.id} has no ranking; counted as miss")
             continue
-        for k in ks:
+        for k in VR_KS:
             if q.target_video in ranked[:k]:
                 hits[k] += 1
     total = len(corpus.queries)
-    return {f"R@{k}": 100.0 * hits[k] / total for k in ks}
+    return {f"R@{k}": 100.0 * hits[k] / total for k in VR_KS}
 
 
-def _recall_moments(predictions, corpus, ks, ps):
-    hits = {(k, p): 0 for k in ks for p in ps}
+def _recall_moments(predictions, corpus):
+    hits = {(k, p): 0 for k in MOMENT_KS for p in MOMENT_PS}
     for q in corpus.queries:
         preds = predictions.get(q.id)
         if not preds:
             warnings.warn(f"query {q.id} has no predictions; counted as miss")
             continue
-        for k in ks:
+        for k in MOMENT_KS:
             top = preds[:k]
-            for p in ps:
+            for p in MOMENT_PS:
                 if any(m.video_id == q.target_video and iou(m.span, q.span) >= p for m in top):
                     hits[(k, p)] += 1
     total = len(corpus.queries)
-    return {f"R@{k},IoU={p}": 100.0 * hits[(k, p)] / total for k in ks for p in ps}
+    return {f"R@{k},IoU={p}": 100.0 * hits[(k, p)] / total for k in MOMENT_KS for p in MOMENT_PS}
 
 
-def evaluate(predictions, corpus, task, ks=None, ps=MOMENT_PS) -> MetricsReport:
+def evaluate(predictions, corpus, task) -> MetricsReport:
     """task 'vr' expects per-query ranked video-id lists; 'svmr'/'vcmr'
     expect per-query ranked MomentPrediction lists (svmr predictions must
     already be restricted to the ground-truth video)."""
     report = MetricsReport()
     if task == "vr":
-        report.vr = _recall_vr(predictions, corpus, ks or VR_KS)
+        report.vr = _recall_vr(predictions, corpus)
     elif task in ("svmr", "vcmr"):
-        setattr(report, task, _recall_moments(predictions, corpus, ks or MOMENT_KS, ps))
+        setattr(report, task, _recall_moments(predictions, corpus))
     else:
         raise ValueError(f"unknown task {task!r}")
     return report

@@ -21,7 +21,7 @@ from . import nn
 from .autodiff import Tensor
 from .nn import MASK_NEG
 
-POOLING_MODES = ("modality_specific", "mean", "max")
+POOLING_MODES = ("modality_specific", "mean")
 
 
 @dataclass
@@ -72,20 +72,13 @@ class RetrieverModel(nn.EncoderTrunk):
     def encode_query_batch(self, tokens, token_mask):
         """tokens [B, L, d_txt], token_mask [B, L] -> (q_img, q_sub [B, D], alphas [2, B, L])."""
         h = self.encode_tokens(tokens, token_mask)
-        mode = self.config.pooling
-        if mode == "modality_specific":
+        if self.config.pooling == "modality_specific":
             return self.pool_tokens(h, token_mask)
-        b = h.shape[0]
+        # mean pooling: uniform weights over valid tokens, one vector for both modalities
         valid = np.asarray(token_mask, dtype=np.float64)
-        if mode == "mean":
-            weights = valid / valid.sum(axis=1, keepdims=True)
-            q = ad.reshape(ad.matmul(weights[:, None, :], h), (b, self.config.hidden))
-            alpha = Tensor(weights)
-            return q, q, (alpha, alpha)
-        # max pooling: per-dimension max over valid tokens; uniform weights reported
-        masked = ad.add(h, ((1.0 - valid) * MASK_NEG)[:, :, None])
-        q, _ = ad.max_over_axis(masked, axis=1)
-        alpha = Tensor(valid / valid.sum(axis=1, keepdims=True))
+        weights = valid / valid.sum(axis=1, keepdims=True)
+        q = ad.reshape(ad.matmul(weights[:, None, :], h), (h.shape[0], self.config.hidden))
+        alpha = Tensor(weights)
         return q, q, (alpha, alpha)
 
 
@@ -171,19 +164,17 @@ def encode_corpus(model: RetrieverModel, corpus):
     return {v.id: encode_video(model, v) for v in corpus.videos}
 
 
-def retrieve_topk(model: RetrieverModel, corpus, query, k, index=None, use_subtitles=None):
+def retrieve_topk(model: RetrieverModel, corpus, query, k, index=None):
     """Exhaustive ranking of all corpus videos, descending score, ties by id."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not corpus.videos:
         raise ValueError("empty corpus")
-    if use_subtitles is None:
-        use_subtitles = corpus.has_subtitles
     if index is None:
         index = encode_corpus(model, corpus)
     reps = encode_query(model, query)
     scored = [
-        (v.id, score_video(reps, index[v.id], use_subtitles=use_subtitles).score) for v in corpus.videos
+        (v.id, score_video(reps, index[v.id], use_subtitles=corpus.has_subtitles).score) for v in corpus.videos
     ]
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored[:k]

@@ -262,7 +262,6 @@ def test_total_loss_arithmetic():
 def test_total_loss_gamma_zero_equals_boundary():
     boundary = Tensor(np.array(1.25))
     assert L.total_loss(boundary, Tensor(np.array(9.0)), gamma=0.0).item() == 1.25
-    assert L.total_loss(boundary, None).item() == 1.25
 
 
 def test_total_loss_gradient_linearity():
