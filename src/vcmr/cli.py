@@ -151,6 +151,8 @@ def _write_loss_csv(path, curve):
 
 def cmd_gen(args):
     cfg = load_run_config(args.config, seed=args.seed)
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise CorpusError(f"cannot write a corpus to {args.out}: it exists and is not a directory")
     spec = cfg.synthetic
     os.makedirs(args.out, exist_ok=True)
     # val/test reuse the generating process with offset seeds and fewer
@@ -196,6 +198,9 @@ def _require_split(corpus_dir, split, cfg):
 
 def cmd_train(args):
     cfg = load_run_config(args.config, seed=args.seed)
+    for path in filter(None, (args.ckpt, args.loss_csv)):  # outputs, checked before any work
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise CorpusError(f"cannot write {path}: it is a directory or its directory does not exist")
     train_corpus = _require_split(args.corpus, "train", cfg)
     val_corpus = _load_split(args.corpus, "val", cfg)
 
@@ -226,6 +231,8 @@ def cmd_train(args):
 
 def cmd_eval(args):
     cfg = load_run_config(args.config, seed=args.seed)
+    if args.out and (os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or ".")):
+        raise CorpusError(f"cannot write {args.out}: it is a directory or its directory does not exist")
     corpus = _require_split(args.corpus, args.split, cfg)
     arrays = ckpt_mod.load_checkpoint(args.ckpt)
     retr = _load_model(RetrieverModel, "retriever", arrays, corpus, cfg.retriever, cfg.train.seed, args.ckpt)

@@ -385,6 +385,9 @@ def load(path) -> Corpus:
         raise CorpusError(f"{meta_path}: meta is not a JSON object") from exc
     if not all(type(d) is int and d >= 1 for d in (d_img, d_sub, d_txt)) or not isinstance(split, str):
         raise CorpusError(f"{meta_path}: d_img, d_sub and d_txt must be positive integers and split a string")
+    has_subtitles = meta.get("has_subtitles", True)
+    if type(has_subtitles) is not bool:
+        raise CorpusError(f"{meta_path}: has_subtitles must be true or false, got {has_subtitles!r}")
 
     def parse_video(rec, where):
         vid = _field(rec, "id", str, where)
@@ -441,7 +444,7 @@ def load(path) -> Corpus:
         d_img=d_img,
         d_sub=d_sub,
         d_txt=d_txt,
-        has_subtitles=meta.get("has_subtitles", True),
+        has_subtitles=has_subtitles,
         spec=spec,
     )
 

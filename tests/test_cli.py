@@ -1,11 +1,17 @@
 """CLI: config handling, exit codes, and the gen/train/eval workflow."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import vcmr
 from vcmr import cli
+from vcmr import corpus as corpus_mod
+from vcmr import pipeline
 from vcmr.checkpoint import load_checkpoint, split_namespace
 
 
@@ -256,6 +262,8 @@ def test_mistyped_corpus_field_is_data_error_with_line(tmp_path, tiny_config, ca
     (None, "seed", "x"),
     ("train", "retriever_epochs", True),
     ("synthetic", "token_count_range", [5, 2]),
+    ("retriever", "pooling", "max"),
+    ("localizer", "fusion_layers", 2),
 ])
 def test_mistyped_config_value_is_config_error(tmp_path, capsys, section, key, value):
     raw = {key: value} if section is None else {section: value if key is None else {key: value}}
@@ -310,6 +318,25 @@ def test_train_has_no_pooling_override(capsys):
     assert "--pooling" not in capsys.readouterr().out
 
 
+# every value a run config can set; a new knob has to be added here
+SETTABLE_VALUES = [
+    "inference.moment_max_len", "inference.moment_min_len", "inference.nms_threshold",
+    "inference.results_per_query", "inference.score_temperature", "inference.top_k_videos",
+    "localizer.heads", "localizer.hidden", "localizer.intermediate", "localizer.max_positions",
+    "localizer.shared_norm", "localizer.use_gates",
+    "retriever.heads", "retriever.hidden", "retriever.intermediate", "retriever.max_positions",
+    "retriever.pooling",
+    "synthetic.clips_per_video", "synthetic.d_img", "synthetic.d_sub", "synthetic.d_txt",
+    "synthetic.moment_len_range", "synthetic.noise_sigma", "synthetic.queries_per_video",
+    "synthetic.subtitle_absent_prob", "synthetic.token_count_range", "synthetic.video_count",
+    "synthetic.visual_ratio",
+    "train.gamma", "train.lam", "train.learning_rate", "train.localizer_batch", "train.localizer_epochs",
+    "train.mining_pool", "train.negatives_per_query", "train.retriever_batch", "train.retriever_epochs",
+    "train.temperature", "train.weight_decay",
+    "seed",
+]
+
+
 def test_dump_defaults_has_one_seed_and_loads_back(tmp_path, capsys):
     assert cli.main(["--dump-defaults"]) == 0
     text = capsys.readouterr().out
@@ -317,6 +344,9 @@ def test_dump_defaults_has_one_seed_and_loads_back(tmp_path, capsys):
     assert cfg["seed"] == 0
     assert "seed" not in cfg["synthetic"] and "seed" not in cfg["train"]
     assert "use_adversarial" not in cfg["train"]
+    settable = sorted(f"{name}.{key}" for name, section in cfg.items() if isinstance(section, dict)
+                      for key in section) + ["seed"]
+    assert settable == SETTABLE_VALUES
     path = tmp_path / "run.json"
     path.write_text(text)
     assert cli.load_run_config(str(path)).to_dict() == cli.load_run_config().to_dict()
@@ -394,3 +424,64 @@ def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
     bad.write_bytes(b'{"seed": 0, "train": {"\xff": 1}}')
     assert cli.main(["gen", "--config", str(bad), "--out", str(tmp_path / "c")]) == cli.EXIT_CONFIG
     assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--stage", "retriever", "--ckpt", "{tmp}"],
+    ["train", "--stage", "retriever", "--ckpt", "{tmp}/missing/model.ckpt"],
+    ["train", "--stage", "retriever", "--ckpt", "{tmp}/model.ckpt", "--loss-csv", "{tmp}"],
+    ["train", "--stage", "localizer", "--ckpt", "{tmp}/retriever.ckpt", "--loss-csv", "{tmp}"],
+    ["eval", "--task", "vr", "--ckpt", "{tmp}/retriever.ckpt", "--out", "{tmp}"],
+    ["gen", "--out", "{tmp}/config.json"],
+], ids=["ckpt-dir", "ckpt-missing-dir", "loss-csv-dir", "localizer-loss-csv-dir", "eval-out-dir",
+        "gen-out-file"])
+def test_unwritable_output_is_data_error_before_any_work(tmp_path, tiny_config, argv, monkeypatch, capsys):
+    out = tmp_path / "corpus"
+    assert cli.main(["gen", "--config", tiny_config, "--out", str(out)]) == 0
+    untrained_retriever_checkpoint(out, tmp_path / "retriever.ckpt")
+
+    def no_work(*args, **kwargs):
+        pytest.fail("work started before the output paths were checked")
+
+    for owner, name in ((corpus_mod, "generate"), (pipeline, "train_retriever"),
+                        (pipeline, "train_localizer"), (pipeline, "evaluate_pipeline")):
+        monkeypatch.setattr(owner, name, no_work)
+    argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--config", tiny_config]
+    if argv[0] != "gen":
+        argv += ["--corpus", str(out)]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+WORKFLOW = """
+import sys
+from vcmr import cli
+config, run = sys.argv[1:]
+for argv in (["gen", "--out", run + "/corpus"],
+             ["train", "--stage", "retriever", "--corpus", run + "/corpus", "--ckpt", run + "/model.ckpt"],
+             ["train", "--stage", "localizer", "--corpus", run + "/corpus", "--ckpt", run + "/model.ckpt"],
+             ["eval", "--task", "vcmr", "--corpus", run + "/corpus", "--ckpt", run + "/model.ckpt",
+              "--out", run + "/metrics.json"]):
+    assert cli.main(argv + ["--config", config]) == 0
+"""
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # default model sizes, so the conv1d kernel-gradient GEMM is large enough to thread
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "synthetic": {"video_count": 12, "clips_per_video": 16, "queries_per_video": 3},
+        "train": {"retriever_epochs": 1, "localizer_epochs": 1, "negatives_per_query": 4},
+    }))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vcmr.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        run = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.update({name: threads for name in BLAS_THREAD_VARS})
+        subprocess.run([sys.executable, "-c", WORKFLOW, str(config), str(run)], env=env, check=True,
+                       capture_output=True)
+        outputs.append(((run / "model.ckpt").read_bytes(), (run / "metrics.json").read_bytes()))
+    assert outputs[0] == outputs[1]

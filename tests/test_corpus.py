@@ -213,6 +213,17 @@ def test_load_rejects_dimension_mismatch(tmp_path):
         C.load(tmp_path / "c")
 
 
+@pytest.mark.parametrize("value", ["no", 1, None])
+def test_load_rejects_has_subtitles_that_is_not_a_bool(tmp_path, value):
+    C.save(C.generate(SMALL), tmp_path / "c")
+    meta_path = tmp_path / "c" / C.META_FILE
+    meta = json.loads(meta_path.read_text())
+    meta["has_subtitles"] = value
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(C.CorpusError, match="has_subtitles"):
+        C.load(tmp_path / "c")
+
+
 def test_corpus_validation_errors():
     v = C.Video(id="v0", images=np.zeros((4, 4)), subtitles=np.zeros((4, 4)), has_subtitle=np.zeros(4, bool))
     with pytest.raises(C.CorpusError, match="missing video"):
