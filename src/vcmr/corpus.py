@@ -106,7 +106,11 @@ class Corpus:
         self._by_id = {v.id: v for v in self.videos}
         if len(self._by_id) != len(self.videos):
             raise CorpusError("duplicate video ids")
+        query_ids = set()
         for q in self.queries:
+            if q.id in query_ids:
+                raise CorpusError(f"duplicate query id {q.id!r}")
+            query_ids.add(q.id)
             v = self._by_id.get(q.target_video)
             if v is None:
                 raise CorpusError(f"query {q.id} references missing video id {q.target_video!r}")
@@ -367,6 +371,14 @@ def _clip_rows(rows, clip_ids, width, what, where):
     return arr
 
 
+def _claim(seen, what, key, where):
+    """Record that id `key` was read at `where`; a second read of it raises
+    CorpusError naming both places."""
+    if key in seen:
+        raise CorpusError(f"{where}: {what} id {key!r} is already used at {seen[key]}")
+    seen[key] = where
+
+
 def load(path) -> Corpus:
     meta_path = os.path.join(path, META_FILE)
     try:
@@ -389,8 +401,11 @@ def load(path) -> Corpus:
     if type(has_subtitles) is not bool:
         raise CorpusError(f"{meta_path}: has_subtitles must be true or false, got {has_subtitles!r}")
 
+    video_ids, query_ids = {}, {}  # id -> where it was first read
+
     def parse_video(rec, where):
         vid = _field(rec, "id", str, where)
+        _claim(video_ids, "video", vid, where)
         clips = _field(rec, "clips", list, where)
         if not clips:
             raise CorpusError(f"{where}: video {vid!r} has no clips")
@@ -409,6 +424,7 @@ def load(path) -> Corpus:
 
     def parse_query(rec, where):
         qid = _field(rec, "id", str, where)
+        _claim(query_ids, "query", qid, where)
         tokens = _numbers(rec["tokens"])
         if tokens is None:
             raise CorpusError(f"{where}: tokens must be a list of lists of finite numbers")

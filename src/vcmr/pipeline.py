@@ -17,7 +17,7 @@ from .localizer import LocalizerConfig, LocalizerModel
 from .nn import pad_pairs
 from .optim import AdamW
 from .retriever import RetrieverConfig, RetrieverModel
-from .spans import enumerate_spans, iou, nms, sample_positive_spans, top_spans
+from .spans import iou, nms, sample_positive_spans, span_table, suppression_table, top_spans
 
 
 @dataclass
@@ -281,10 +281,10 @@ def _rank_moments(localizer_model: LocalizerModel, corpus, query, scored, icfg: 
     l_st, l_ed = localize_scores(localizer_model, query, videos)
     preds = []
     for i, (vid, score) in enumerate(scored):
-        cands = enumerate_spans(len(videos[i]), icfg.moment_min_len, icfg.moment_max_len)
-        base = score / icfg.score_temperature
-        moments = [(span, base + float(l_st[i, span[0]] + l_ed[i, span[1]])) for span in cands]
-        kept = nms(moments, icfg.nms_threshold, keep=icfg.results_per_query)
+        key = (len(videos[i]), icfg.moment_min_len, icfg.moment_max_len)
+        spans = span_table(*key)
+        scores = score / icfg.score_temperature + (l_st[i, spans[:, 0]] + l_ed[i, spans[:, 1]])
+        kept = nms(spans, scores, suppression_table(*key, icfg.nms_threshold), keep=icfg.results_per_query)
         preds.extend(MomentPrediction(video_id=vid, span=span, score=sc) for span, sc in kept)
     preds.sort(key=lambda m: (-m.score, m.video_id, m.span))
     return preds[: icfg.results_per_query]

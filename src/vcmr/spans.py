@@ -4,9 +4,16 @@ Spans are inclusive clip-index intervals (start, end). IoU counts clips,
 i.e. |A n B| / |A u B| over inclusive indices; this is the reading under
 which extending a 4-clip moment by one clip on either side stays above the
 0.7 positive-sampling threshold.
+
+Ranking works on arrays: `span_table` is the read-only [S, 2] array of the
+admissible spans of one video length, `suppression_table` the read-only
+[S, S] bool matrix `iou >= threshold` over it, and `nms` walks both. Both
+tables are cached per key, so a video length is tabulated once per process.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -23,6 +30,19 @@ def iou(a, b) -> float:
     return inter / union
 
 
+def _iou(a_st, a_ed, b_st, b_ed):
+    """`iou` over broadcast int arrays of valid spans: the same inter / union in float64."""
+    inter = np.minimum(a_ed, b_ed) - np.maximum(a_st, b_st) + 1
+    union = (a_ed - a_st + 1) + (b_ed - b_st + 1) - inter
+    return np.maximum(inter, 0) / union
+
+
+def iou_matrix(spans):
+    """[S, S] float64 IoU between every pair of rows of a [S, 2] span array."""
+    st, ed = spans[:, 0], spans[:, 1]
+    return _iou(st[:, None], ed[:, None], st, ed)
+
+
 def enumerate_spans(n_clips, min_len, max_len):
     """All (st, ed) with st <= ed and length within the limits, clamped to
     the available range; never empty for n_clips >= 1."""
@@ -35,20 +55,43 @@ def enumerate_spans(n_clips, min_len, max_len):
     ]
 
 
+@functools.lru_cache(maxsize=None)
+def span_table(n_clips, min_len, max_len):
+    """`enumerate_spans` as a read-only [S, 2] int64 array, in the same order."""
+    table = np.array(enumerate_spans(n_clips, min_len, max_len), dtype=np.int64).reshape(-1, 2)
+    table.flags.writeable = False
+    return table
+
+
+# Each entry holds S * S bytes (1.6 MB for 64 clips and spans of up to 24
+# clips), so this cache is bounded; eval needs one entry per video length.
+@functools.lru_cache(maxsize=64)
+def suppression_table(n_clips, min_len, max_len, threshold):
+    """Read-only [S, S] bool matrix iou(span_i, span_j) >= threshold over
+    `span_table(n_clips, min_len, max_len)`: row i is what keeping span i
+    suppresses in `nms`."""
+    table = iou_matrix(span_table(n_clips, min_len, max_len)) >= threshold
+    table.flags.writeable = False
+    return table
+
+
 def sample_positive_spans(gt, video_len, threshold=0.7):
-    """All spans in the video with IoU strictly above `threshold` vs `gt`.
+    """All spans in the video with IoU strictly above `threshold` vs `gt`,
+    in ascending (start, end) order.
 
     Depends only on indices, never on video content; always contains gt.
     """
     st, ed = gt
     if not (0 <= st <= ed < video_len):
         raise ValueError(f"ground-truth span {gt} out of range for {video_len} clips")
-    out = []
-    for s in range(video_len):
-        for e in range(s, video_len):
-            if iou((s, e), gt) > threshold:
-                out.append((s, e))
-    return out
+    s, e = np.triu_indices(video_len)
+    hit = _iou(s, e, st, ed) > threshold
+    return list(zip(s[hit].tolist(), e[hit].tolist()))
+
+
+def _ranked(spans, scores):
+    """Indices of `spans` by descending score, ties by (start, end)."""
+    return np.lexsort((spans[:, 1], spans[:, 0], -scores))
 
 
 def top_spans(l_st, l_ed, min_len, max_len, k):
@@ -59,25 +102,28 @@ def top_spans(l_st, l_ed, min_len, max_len, k):
     """
     l_st = np.asarray(l_st, dtype=np.float64)
     l_ed = np.asarray(l_ed, dtype=np.float64)
-    cands = enumerate_spans(len(l_st), min_len, max_len)
-    scored = [(float(l_st[s] + l_ed[e]), (s, e)) for s, e in cands]
-    scored.sort(key=lambda item: (-item[0], item[1]))
-    return [span for _, span in scored[:k]]
+    spans = span_table(len(l_st), min_len, max_len)
+    scores = l_st[spans[:, 0]] + l_ed[spans[:, 1]]
+    return [(st, ed) for st, ed in spans[_ranked(spans, scores)[:k]].tolist()]
 
 
-def nms(moments, threshold, keep=100):
+def nms(spans, scores, suppress, keep=100):
     """Greedy same-video suppression.
 
-    `moments` is a list of (span, score); the best-scored span is kept and
-    any remaining span with IoU >= threshold against a kept span is dropped.
-    Ties break by (start, end) for determinism.
+    `spans` is a [S, 2] span array, `scores` its [S] scores and `suppress`
+    the [S, S] bool matrix iou(spans[i], spans[j]) >= threshold (see
+    `suppression_table`). The best-scored span is kept and every remaining
+    span it suppresses is dropped; ties break by (start, end) for
+    determinism. Returns up to `keep` ((start, end), score) pairs of Python
+    ints and floats.
     """
-    ordered = sorted(moments, key=lambda m: (-m[1], m[0]))
+    dropped = np.zeros(len(spans), dtype=bool)
     kept = []
-    for span, score in ordered:
-        if any(iou(span, k_span) >= threshold for k_span, _ in kept):
+    for i in _ranked(spans, scores).tolist():
+        if dropped[i]:
             continue
-        kept.append((span, score))
+        kept.append(i)
         if len(kept) >= keep:
             break
-    return kept
+        dropped |= suppress[i]
+    return [((st, ed), score) for (st, ed), score in zip(spans[kept].tolist(), scores[kept].tolist())]

@@ -241,6 +241,8 @@ def rewrite_record(path, lineno, keys, value):
     ("queries.jsonl", ("span",), ["a", "b"]),
     ("queries.jsonl", ("tokens",), "abc"),
     ("queries.jsonl", ("video",), ["v"]),
+    ("videos.jsonl", ("id",), "v00000"),  # the id of line 1
+    ("queries.jsonl", ("id",), "q00000_0"),  # the id of line 1
 ])
 def test_mistyped_corpus_field_is_data_error_with_line(tmp_path, tiny_config, capsys, name, keys, value):
     out = tmp_path / "corpus"

@@ -213,6 +213,19 @@ def test_load_rejects_dimension_mismatch(tmp_path):
         C.load(tmp_path / "c")
 
 
+@pytest.mark.parametrize("name, what", [(C.VIDEOS_FILE, "video"), (C.QUERIES_FILE, "query")])
+def test_load_rejects_duplicate_id(tmp_path, name, what):
+    C.save(C.generate(SMALL), tmp_path / "c")
+    path = tmp_path / "c" / name
+    lines = path.read_text().splitlines()
+    first, second = json.loads(lines[0]), json.loads(lines[1])
+    second["id"] = first["id"]
+    lines[1] = json.dumps(second)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(C.CorpusError, match=f"{name}:2: {what} id '{first['id']}' is already used at .*{name}:1"):
+        C.load(tmp_path / "c")
+
+
 @pytest.mark.parametrize("value", ["no", 1, None])
 def test_load_rejects_has_subtitles_that_is_not_a_bool(tmp_path, value):
     C.save(C.generate(SMALL), tmp_path / "c")
@@ -232,6 +245,9 @@ def test_corpus_validation_errors():
         C.Corpus(videos=[v], queries=[C.Query("q", np.zeros((2, 4)), "v0", (2, 7))])
     with pytest.raises(C.CorpusError, match="duplicate"):
         C.Corpus(videos=[v, dataclasses.replace(v)], queries=[])
+    q = C.Query("q", np.zeros((2, 4)), "v0", (0, 1))
+    with pytest.raises(C.CorpusError, match="duplicate query id 'q'"):
+        C.Corpus(videos=[v], queries=[q, dataclasses.replace(q, span=(1, 2))])
 
 
 def test_spec_validation_errors():

@@ -7,7 +7,7 @@ import pytest
 from vcmr import corpus as C
 from vcmr import pipeline as P
 from vcmr import retriever as R
-from vcmr.spans import enumerate_spans, iou, nms
+from vcmr.spans import enumerate_spans, iou, iou_matrix, nms
 
 SPEC = C.SyntheticSpec(video_count=8, clips_per_video=8, queries_per_video=1, seed=2)
 SMALL_TRAIN = P.TrainConfig(seed=0, retriever_epochs=2, localizer_epochs=1,
@@ -43,17 +43,23 @@ def test_config_validation():
 # NMS and span enumeration
 
 
+def nms_inputs(moments, threshold):
+    """(spans, scores, suppress) of `nms` for a list of (span, score)."""
+    spans = np.array([span for span, _ in moments])
+    return spans, np.array([score for _, score in moments]), iou_matrix(spans) >= threshold
+
+
 def test_nms_suppresses_at_threshold_and_keeps_best():
     moments = [((0, 3), 1.0), ((1, 3), 0.9), ((5, 6), 0.8)]
-    kept = nms(moments, threshold=0.7)
+    kept = nms(*nms_inputs(moments, threshold=0.7))
     assert kept == [((0, 3), 1.0), ((5, 6), 0.8)]  # IoU((0,3),(1,3))=0.75 >= 0.7
-    kept_loose = nms(moments, threshold=0.8)
+    kept_loose = nms(*nms_inputs(moments, threshold=0.8))
     assert kept_loose == [((0, 3), 1.0), ((1, 3), 0.9), ((5, 6), 0.8)]
 
 
 def test_nms_keep_cap_and_tie_break():
     moments = [((i, i), 1.0) for i in range(5)]
-    kept = nms(moments, threshold=0.7, keep=3)
+    kept = nms(*nms_inputs(moments, threshold=0.7), keep=3)
     assert kept == [((0, 0), 1.0), ((1, 1), 1.0), ((2, 2), 1.0)]
 
 
