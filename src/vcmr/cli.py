@@ -71,7 +71,7 @@ def _fits(default, value):
 
 
 def _build_section(cls, raw, section, seed):
-    """Section `cls` from its JSON object; a `seed` field takes the run seed."""
+    """Section `cls` from its JSON object, checked when built; a `seed` field takes the run seed."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config section {section!r} must be a JSON object")
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
@@ -82,7 +82,10 @@ def _build_section(cls, raw, section, seed):
         if not _fits(defaults[key], value):
             raise ConfigError(f"{section}.{key} must be {_JSON_TYPES[type(defaults[key])]}, got {value!r}")
         kwargs[key] = tuple(value) if isinstance(value, list) else value
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # CorpusError included
+        raise ConfigError(str(exc))
 
 
 def load_run_config(path=None, seed=None):
@@ -105,14 +108,9 @@ def load_run_config(path=None, seed=None):
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     if type(raw.get("seed", 0)) is not int:
         raise ConfigError(f"seed must be an integer, got {raw['seed']!r}")
-    cfg = RunConfig(seed=raw.get("seed", 0) if seed is None else seed)
-    for f in _SECTIONS:
-        section = _build_section(f.default_factory, raw.get(f.name, {}), f.name, cfg.seed)
-        try:
-            section.validate()
-        except (ValueError, CorpusError) as exc:
-            raise ConfigError(str(exc))
-        setattr(cfg, f.name, section)
+    seed = raw.get("seed", 0) if seed is None else seed
+    cfg = RunConfig(seed=seed, **{f.name: _build_section(f.default_factory, raw.get(f.name, {}), f.name, seed)
+                                  for f in _SECTIONS})
     longest = {"clips_per_video": cfg.synthetic.clips_per_video,
                "token_count_range": cfg.synthetic.token_count_range[1]}
     for section in ("retriever", "localizer"):
@@ -124,12 +122,12 @@ def load_run_config(path=None, seed=None):
     return cfg
 
 
-def _load_model(cls, namespace, arrays, corpus, model_cfg, seed, ckpt_path):
-    """`cls` built for `corpus` with the `namespace` weights of the checkpoint `arrays`."""
+def _load_model(cls, namespace, arrays, corpus, model_cfg, ckpt_path):
+    """`cls` for `corpus`, every parameter loaded from the `namespace` weights of the checkpoint `arrays`."""
     state = ckpt_mod.split_namespace(arrays, namespace)
     if not state:
         raise CorpusError(f"{ckpt_path} holds no {namespace} weights; run train --stage {namespace} first")
-    model = cls(corpus.d_txt, corpus.d_img, corpus.d_sub, model_cfg, seed=seed)
+    model = cls(corpus.d_txt, corpus.d_img, corpus.d_sub, model_cfg)
     try:
         model.params.load_state_dict(state)
     except (KeyError, ValueError) as exc:
@@ -173,13 +171,22 @@ def cmd_gen(args):
     return 0
 
 
+def _check_outputs(*paths):
+    """Output paths, checked before any work: each names a file in an existing directory."""
+    for path in filter(None, paths):
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise CorpusError(f"cannot write {path}: it is a directory or its directory does not exist")
+
+
 def _load_split(corpus_dir, split, cfg):
-    """The split's corpus, or None without its directory. Every video and
-    query must fit both models' max_positions."""
+    """The split's corpus, or None without its directory. It must hold a
+    query, and every video and query must fit both models' max_positions."""
     path = os.path.join(corpus_dir, split)
     if not os.path.isdir(path):
         return None
     corpus = corpus_mod.load(path)
+    if not corpus.queries:
+        raise CorpusError(f"{path}: split has no queries")
     limit = min(cfg.retriever.max_positions, cfg.localizer.max_positions)
     lengths = [(f"video {v.id!r}", len(v)) for v in corpus.videos]
     lengths += [(f"query {q.id!r}", len(q.tokens)) for q in corpus.queries]
@@ -198,25 +205,26 @@ def _require_split(corpus_dir, split, cfg):
 
 def cmd_train(args):
     cfg = load_run_config(args.config, seed=args.seed)
-    for path in filter(None, (args.ckpt, args.loss_csv)):  # outputs, checked before any work
-        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
-            raise CorpusError(f"cannot write {path}: it is a directory or its directory does not exist")
+    _check_outputs(args.ckpt, args.loss_csv)
     train_corpus = _require_split(args.corpus, "train", cfg)
-    val_corpus = _load_split(args.corpus, "val", cfg)
 
     if args.stage == "retriever":
-        model, curve = pipeline.train_retriever(
-            train_corpus, cfg.train, model_config=cfg.retriever, val_corpus=val_corpus)
+        model, curve = pipeline.train_retriever(train_corpus, cfg.train, model_config=cfg.retriever,
+                                                val_corpus=_load_split(args.corpus, "val", cfg))
         arrays = ckpt_mod.merge_namespaces(retriever={n: t.data for n, t in model.params.items()})
         ckpt_mod.save_checkpoint(args.ckpt, arrays)
         print(f"retriever checkpoint written to {args.ckpt}")
     else:
+        n = cfg.train.negatives_per_query
+        if len(train_corpus.videos) < n + 1:
+            raise CorpusError(f"{os.path.join(args.corpus, 'train')}: {len(train_corpus.videos)} videos cannot "
+                              f"supply train.negatives_per_query {n} negatives per query besides its target")
         if not os.path.exists(args.ckpt):
             raise CorpusError(
                 f"localizer stage needs a retriever checkpoint at {args.ckpt} for hard-negative mining; "
                 "run --stage retriever first")
         arrays = ckpt_mod.load_checkpoint(args.ckpt)
-        retr = _load_model(RetrieverModel, "retriever", arrays, train_corpus, cfg.retriever, cfg.train.seed, args.ckpt)
+        retr = _load_model(RetrieverModel, "retriever", arrays, train_corpus, cfg.retriever, args.ckpt)
         model, curve, _ = pipeline.train_localizer(
             train_corpus, retr, cfg.train, cfg.inference, model_config=cfg.localizer)
         merged = dict(arrays)
@@ -231,14 +239,13 @@ def cmd_train(args):
 
 def cmd_eval(args):
     cfg = load_run_config(args.config, seed=args.seed)
-    if args.out and (os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or ".")):
-        raise CorpusError(f"cannot write {args.out}: it is a directory or its directory does not exist")
+    _check_outputs(args.out)
     corpus = _require_split(args.corpus, args.split, cfg)
     arrays = ckpt_mod.load_checkpoint(args.ckpt)
-    retr = _load_model(RetrieverModel, "retriever", arrays, corpus, cfg.retriever, cfg.train.seed, args.ckpt)
+    retr = _load_model(RetrieverModel, "retriever", arrays, corpus, cfg.retriever, args.ckpt)
     loc = None
     if args.task in ("svmr", "vcmr"):
-        loc = _load_model(LocalizerModel, "localizer", arrays, corpus, cfg.localizer, cfg.train.seed + 1, args.ckpt)
+        loc = _load_model(LocalizerModel, "localizer", arrays, corpus, cfg.localizer, args.ckpt)
 
     report = pipeline.evaluate_pipeline(retr, loc, corpus, cfg.inference, tasks=(args.task,))
     values = getattr(report, args.task)

@@ -137,7 +137,7 @@ class Corpus:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec:
     video_count: int = 100
     clips_per_video: int = 16
@@ -152,7 +152,7 @@ class SyntheticSpec:
     subtitle_absent_prob: float = 0.1
     token_count_range: tuple[int, int] = (6, 14)
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("video_count", "clips_per_video", "d_img", "d_sub", "d_txt", "queries_per_video"):
             if getattr(self, name) < 1:
                 raise CorpusError(f"{name} must be positive")
@@ -211,7 +211,6 @@ def _place_span(rng, length, min_length, n_clips, span_used, reserved):
 
 def generate(spec: SyntheticSpec, split="train") -> Corpus:
     """Deterministic synthetic corpus with modality-split planted relevance."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     proj_img = _projection(rng, spec.d_img, spec.d_txt)
     proj_sub = _projection(rng, spec.d_sub, spec.d_txt)
@@ -273,7 +272,7 @@ def generate(spec: SyntheticSpec, split="train") -> Corpus:
         d_img=spec.d_img,
         d_sub=spec.d_sub,
         d_txt=spec.d_txt,
-        spec=dataclasses.replace(spec),
+        spec=spec,
     )
 
 

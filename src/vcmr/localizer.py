@@ -22,7 +22,7 @@ from . import nn
 from .nn import MASK_NEG, TransformerLayer, xavier_uniform
 
 
-@dataclass
+@dataclass(frozen=True)
 class LocalizerConfig(nn.EncoderConfig):
     use_gates: bool = True
     shared_norm: bool = True
@@ -80,14 +80,11 @@ class LocalizerModel(nn.EncoderTrunk):
         both = ad.concat([gated_img, gated_sub], axis=-1)
         return nn.linear(both, self.params["fuse.w"], self.params["fuse.b"])
 
-    def fuse_with_query(self, fused, token_reps, token_mask=None, clip_mask=None):
+    def fuse_with_query(self, fused, token_reps, token_mask, clip_mask):
         """Contextualize clips with self-attention plus cross-attention to tokens."""
-        n = fused.shape[1]
-        self_mask = None if clip_mask is None else nn.self_attention_mask(clip_mask)
-        cross_mask = None if token_mask is None else nn.self_attention_mask(token_mask, n)
         x = fused
         for layer in self.fusion:
-            x = layer(x, mask=self_mask, kv=token_reps, kv_mask=cross_mask)
+            x = layer(x, clip_mask, memory=(token_reps, token_mask))
         return x
 
     def boundary_scores(self, ctx):
@@ -102,10 +99,9 @@ class LocalizerModel(nn.EncoderTrunk):
             out.append(ad.reshape(s, (b, n)))
         return out[0], out[1]
 
-    def adv_encode(self, fused, clip_mask=None):
+    def adv_encode(self, fused, clip_mask):
         """Adversarial-branch transformer over the fused clip sequence."""
-        mask = None if clip_mask is None else nn.self_attention_mask(clip_mask)
-        return self.adv_layer(fused, mask=mask)
+        return self.adv_layer(fused, clip_mask)
 
     def adv_classify(self, features):
         """Three-layer classifier head; features [S, D] -> logits [S]."""
@@ -115,7 +111,7 @@ class LocalizerModel(nn.EncoderTrunk):
         logits = nn.linear(h, p["adv.fc3.w"], p["adv.fc3.b"])
         return ad.reshape(logits, (features.shape[0],))
 
-    def forward_rows(self, tokens, token_mask, images, subs, clip_mask=None, with_adv=True):
+    def forward_rows(self, tokens, token_mask, images, subs, clip_mask, with_adv=True):
         """Full forward over a stack of (query, video) rows.
 
         tokens/token_mask carry each row's owning query. Returns the boundary
@@ -123,15 +119,15 @@ class LocalizerModel(nn.EncoderTrunk):
         """
         token_reps = self.encode_tokens(tokens, token_mask)
         q_img, q_sub, _ = self.pool_tokens(token_reps, token_mask)
-        img_r, sub_r = self.encode_video_batch(images, subs, clip_mask=clip_mask)
+        img_r, sub_r = self.encode_video_batch(images, subs, clip_mask)
         if self.config.use_gates:
             img_g, sub_g = self.apply_gates(img_r, sub_r, q_img, q_sub)
         else:
             img_g, sub_g = img_r, sub_r
         fused = self.fuse_clips(img_g, sub_g)
-        ctx = self.fuse_with_query(fused, token_reps, token_mask=token_mask, clip_mask=clip_mask)
+        ctx = self.fuse_with_query(fused, token_reps, token_mask, clip_mask)
         l_st, l_ed = self.boundary_scores(ctx)
-        adv_out = self.adv_encode(fused, clip_mask=clip_mask) if with_adv else None
+        adv_out = self.adv_encode(fused, clip_mask) if with_adv else None
         return {"l_st": l_st, "l_ed": l_ed, "adv_out": adv_out}
 
 

@@ -1,10 +1,10 @@
 """Model-building blocks on top of the autodiff engine.
 
 Conventions: activations are [batch, length, hidden] everywhere, attention
-masks are float arrays with 1 = attend / 0 = blocked, and blocked logits get
-an additive -1e9 before softmax (exact zero weight after exponentiation at
-float64). Transformer blocks use the post-layer-norm residual layout:
-sublayer -> add -> norm.
+masks are [batch, keys] float arrays with 1 = attend / 0 = blocked, and
+blocked logits get an additive -1e9 before softmax (exact zero weight after
+exponentiation at float64). Transformer blocks use the post-layer-norm
+residual layout: sublayer -> add -> norm.
 """
 
 from __future__ import annotations
@@ -79,11 +79,10 @@ def add_attention_params(params, prefix, d, rng):
         params.add(f"{prefix}.{name}", np.zeros(d))
 
 
-def multi_head_attention(q, k, v, params, prefix, heads, mask=None):
+def multi_head_attention(q, k, v, params, prefix, heads, key_mask):
     """Scaled dot-product attention, [B, L, D] activations.
 
-    mask broadcasts to [B, Lq, Lk]; masked key positions contribute exactly
-    zero weight.
+    key_mask [B, Lk]; masked key positions contribute exactly zero weight.
     """
     d = q.shape[-1]
     if d % heads != 0:
@@ -98,10 +97,7 @@ def multi_head_attention(q, k, v, params, prefix, heads, mask=None):
     kh = split_heads(linear(k, params[f"{prefix}.wk"], params[f"{prefix}.bk"]))
     vh = split_heads(linear(v, params[f"{prefix}.wv"], params[f"{prefix}.bv"]))
     scores = ad.mul(ad.matmul(qh, ad.swapaxes(kh, -1, -2)), 1.0 / math.sqrt(dh))
-    if mask is not None:
-        m = np.asarray(mask, dtype=np.float64)
-        m = np.broadcast_to(m, (q.shape[0], q.shape[1], k.shape[1]))
-        scores = ad.add(scores, ((1.0 - m) * MASK_NEG)[:, None, :, :])
+    scores = ad.add(scores, ((1.0 - np.asarray(key_mask, dtype=np.float64)) * MASK_NEG)[:, None, None, :])
     attn = ad.softmax(scores, axis=-1)
     ctx = ad.matmul(attn, vh)
     b, _, lq, _ = ctx.shape
@@ -138,25 +134,18 @@ class TransformerLayer:
     def _ln(self, tag, x):
         return layer_norm(x, self.params[f"{self.prefix}.{tag}.g"], self.params[f"{self.prefix}.{tag}.b"])
 
-    def __call__(self, x, mask=None, kv=None, kv_mask=None):
+    def __call__(self, x, mask, memory=None):
+        """mask [B, L]; a cross-attention layer also takes memory = (kv [B, Lk, D], kv_mask [B, Lk])."""
         p, pre = self.params, self.prefix
-        att = multi_head_attention(x, x, x, p, f"{pre}.attn", self.heads, mask=mask)
+        att = multi_head_attention(x, x, x, p, f"{pre}.attn", self.heads, mask)
         x = self._ln("ln1", ad.add(x, att))
         if self.cross:
-            if kv is None:
-                raise ValueError("cross-attention layer needs key/value input")
-            xatt = multi_head_attention(x, kv, kv, p, f"{pre}.xattn", self.heads, mask=kv_mask)
+            kv, kv_mask = memory
+            xatt = multi_head_attention(x, kv, kv, p, f"{pre}.xattn", self.heads, kv_mask)
             x = self._ln("lnx", ad.add(x, xatt))
         h = linear(x, p[f"{pre}.ffn.w1"], p[f"{pre}.ffn.b1"])
         h = linear(ad.relu(h), p[f"{pre}.ffn.w2"], p[f"{pre}.ffn.b2"])
         return self._ln("ln2", ad.add(x, h))
-
-
-def self_attention_mask(key_valid, query_len=None):
-    """[B, Lq, Lk] mask from a [B, Lk] key-validity array."""
-    kv = np.asarray(key_valid, dtype=np.float64)
-    lq = kv.shape[1] if query_len is None else query_len
-    return np.repeat(kv[:, None, :], lq, axis=1)
 
 
 def pad_pairs(pairs):
@@ -183,16 +172,17 @@ def pad_pairs(pairs):
     return tokens, token_mask, images, subs, clip_mask
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderConfig:
-    """Sizes of the encoder trunk; each model's config extends these fields."""
+    """Sizes of the encoder trunk; each model's config extends these fields.
+    Configs are immutable and checked when built."""
 
     hidden: int = 32
     intermediate: int = 128
     heads: int = 4
     max_positions: int = 64
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("hidden", "intermediate", "heads", "max_positions"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -211,7 +201,6 @@ class EncoderTrunk:
     """
 
     def __init__(self, d_txt, d_img, d_sub, config: EncoderConfig, rng):
-        config.validate()
         self.config = config
         self.d_txt, self.d_img, self.d_sub = d_txt, d_img, d_sub
         d = config.hidden
@@ -241,7 +230,7 @@ class EncoderTrunk:
         self._check_length("query", length)
         h = linear(tokens, p["q_proj.w"], p["q_proj.b"])
         h = ad.add(h, ad.slice_axis(p["pos_emb"], 0, 0, length))
-        return self.q_layer(h, mask=self_attention_mask(token_mask))
+        return self.q_layer(h, token_mask)
 
     def pool_tokens(self, h, token_mask):
         """Modality-specific pooling of token reps [B, L, D].
@@ -258,8 +247,8 @@ class EncoderTrunk:
             alphas.append(alpha)
         return reps[0], reps[1], (alphas[0], alphas[1])
 
-    def encode_video_batch(self, images, subtitles, clip_mask=None):
-        """images [B, N, d_img], subtitles [B, N, d_sub] -> ([B, N, D], [B, N, D])."""
+    def encode_video_batch(self, images, subtitles, clip_mask):
+        """images [B, N, d_img], subtitles [B, N, d_sub], clip_mask [B, N] -> ([B, N, D], [B, N, D])."""
         p = self.params
         n = images.shape[1]
         self._check_length("video", n)
@@ -269,8 +258,5 @@ class EncoderTrunk:
         h_sub = ad.add(linear(subtitles, p["sub_proj.w"], p["sub_proj.b"]), pos)
         h_sub = ad.add(h_sub, ad.slice_axis(p["mod_emb"], 0, 1, 2))
         seq = ad.concat([h_img, h_sub], axis=1)
-        mask = None
-        if clip_mask is not None:
-            mask = self_attention_mask(np.concatenate([clip_mask, clip_mask], axis=1))
-        out = self.v_layer(seq, mask=mask)
+        out = self.v_layer(seq, np.concatenate([clip_mask, clip_mask], axis=1))
         return ad.slice_axis(out, 1, 0, n), ad.slice_axis(out, 1, n, 2 * n)

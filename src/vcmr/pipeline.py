@@ -20,7 +20,7 @@ from .retriever import RetrieverConfig, RetrieverModel
 from .spans import iou, nms, sample_positive_spans, span_table, suppression_table, top_spans
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     retriever_epochs: int = 30
     retriever_batch: int = 32
@@ -35,16 +35,18 @@ class TrainConfig:
     weight_decay: float = 0.01
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("retriever_epochs", "retriever_batch", "localizer_epochs", "localizer_batch",
                      "negatives_per_query", "mining_pool"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.mining_pool < self.negatives_per_query:
+            raise ValueError(f"mining_pool {self.mining_pool} is below negatives_per_query {self.negatives_per_query}")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class InferenceConfig:
     top_k_videos: int = 10
     moment_min_len: int = 1
@@ -53,7 +55,7 @@ class InferenceConfig:
     results_per_query: int = 100
     score_temperature: float = 0.01  # divisor applied to the retrieval score
 
-    def validate(self):
+    def __post_init__(self):
         if not (1 <= self.moment_min_len <= self.moment_max_len):
             raise ValueError("moment length limits must satisfy 1 <= min <= max")
         if not (0 < self.nms_threshold <= 1):
@@ -131,7 +133,6 @@ def train_retriever(corpus, config: TrainConfig, model_config: RetrieverConfig |
     left at the epoch with the best validation R@10 (or the final epoch when
     no validation corpus is given). Deterministic given config.seed.
     """
-    config.validate()
     model = RetrieverModel(corpus.d_txt, corpus.d_img, corpus.d_sub, model_config, seed=config.seed)
 
     def batch_loss(idx):
@@ -144,7 +145,7 @@ def train_retriever(corpus, config: TrainConfig, model_config: RetrieverConfig |
                             config.retriever_batch, batch_loss, spawn_key=(1,), min_batch=2):
         curve.append((epoch, "train", loss))
         if val_corpus is not None:
-            r10 = evaluate_retrieval(model, val_corpus).vr["R@10"]
+            r10 = evaluate_retrieval(model, val_corpus, ret_mod.encode_corpus(model, val_corpus)).vr["R@10"]
             curve.append((epoch, "val", r10))
             if best is None or r10 > best[0]:
                 best = (r10, model.params.state_dict())
@@ -153,14 +154,11 @@ def train_retriever(corpus, config: TrainConfig, model_config: RetrieverConfig |
     return model, curve
 
 
-def rank_videos(model: RetrieverModel, corpus, query, index=None):
-    ranked = ret_mod.retrieve_topk(model, corpus, query, k=len(corpus.videos), index=index)
-    return ranked
+def rank_videos(model: RetrieverModel, corpus, query, index):
+    return ret_mod.retrieve_topk(model, corpus, query, k=len(corpus.videos), index=index)
 
 
-def evaluate_retrieval(model: RetrieverModel, corpus, index=None):
-    if index is None:
-        index = ret_mod.encode_corpus(model, corpus)
+def evaluate_retrieval(model: RetrieverModel, corpus, index):
     rankings = {
         q.id: [vid for vid, _ in rank_videos(model, corpus, q, index=index)] for q in corpus.queries
     }
@@ -247,8 +245,6 @@ def train_localizer(corpus, retriever_model: RetrieverModel, config: TrainConfig
     """Second training stage. Hard negatives are mined once from the trained
     retriever and stay fixed across epochs; the adversarial negative moments
     inside each step are re-mined from the current boundary scores."""
-    config.validate()
-    icfg.validate()
     if negatives is None:
         negatives = mine_hard_negatives(retriever_model, corpus, config)
     model = LocalizerModel(corpus.d_txt, corpus.d_img, corpus.d_sub, model_config, seed=config.seed + 1)
@@ -291,24 +287,18 @@ def _rank_moments(localizer_model: LocalizerModel, corpus, query, scored, icfg: 
 
 
 def infer(retriever_model: RetrieverModel, localizer_model: LocalizerModel, corpus, query,
-          icfg: InferenceConfig, index=None):
-    """Two-stage inference: retrieve top-K videos, then rank their moments."""
-    icfg.validate()
+          icfg: InferenceConfig, index):
+    """Two-stage inference: retrieve top-K videos by the `encode_corpus` index, then rank their moments."""
     ranked = ret_mod.retrieve_topk(retriever_model, corpus, query, k=icfg.top_k_videos, index=index)
     return _rank_moments(localizer_model, corpus, query, ranked, icfg)
 
 
 def infer_single_video(retriever_model: RetrieverModel, localizer_model: LocalizerModel, corpus, query,
-                       icfg: InferenceConfig, index=None):
+                       icfg: InferenceConfig, index):
     """Moment predictions restricted to the query's ground-truth video."""
-    icfg.validate()
     vid = query.target_video
-    if index is not None and vid in index:
-        enc = index[vid]
-    else:
-        enc = ret_mod.encode_video(retriever_model, corpus.video(vid))
     reps = ret_mod.encode_query(retriever_model, query)
-    score = ret_mod.score_video(reps, enc, use_subtitles=corpus.has_subtitles).score
+    score = ret_mod.score_video(reps, index[vid], use_subtitles=corpus.has_subtitles).score
     return _rank_moments(localizer_model, corpus, query, [(vid, score)], icfg)
 
 

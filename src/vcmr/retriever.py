@@ -24,12 +24,12 @@ from .nn import MASK_NEG
 POOLING_MODES = ("modality_specific", "mean")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RetrieverConfig(nn.EncoderConfig):
     pooling: str = "modality_specific"
 
-    def validate(self):
-        super().validate()
+    def __post_init__(self):
+        super().__post_init__()
         if self.pooling not in POOLING_MODES:
             raise ValueError(f"unknown pooling mode {self.pooling!r}; expected one of {POOLING_MODES}")
 
@@ -103,7 +103,7 @@ def encode_query(model: RetrieverModel, query) -> ModalityQueryReps:
 def encode_video(model: RetrieverModel, video) -> VideoEncoding:
     images = video.image_matrix()[None]
     subs = video.subtitle_matrix()[None]
-    img_r, sub_r = model.encode_video_batch(images, subs)
+    img_r, sub_r = model.encode_video_batch(images, subs, np.ones((1, len(video))))
     return VideoEncoding(image=img_r.data[0].copy(), subtitle=sub_r.data[0].copy())
 
 
@@ -164,14 +164,12 @@ def encode_corpus(model: RetrieverModel, corpus):
     return {v.id: encode_video(model, v) for v in corpus.videos}
 
 
-def retrieve_topk(model: RetrieverModel, corpus, query, k, index=None):
-    """Exhaustive ranking of all corpus videos, descending score, ties by id."""
+def retrieve_topk(model: RetrieverModel, corpus, query, k, index):
+    """Rank every corpus video by its `encode_corpus` index entry: descending score, ties by id."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not corpus.videos:
         raise ValueError("empty corpus")
-    if index is None:
-        index = encode_corpus(model, corpus)
     reps = encode_query(model, query)
     scored = [
         (v.id, score_video(reps, index[v.id], use_subtitles=corpus.has_subtitles).score) for v in corpus.videos
@@ -219,7 +217,7 @@ def contrastive_loss(model: RetrieverModel, batch, temperature=0.01, lam=0.5, us
     d = model.config.hidden
 
     q_img, q_sub, _ = model.encode_query_batch(batch["tokens"], batch["token_mask"])
-    img_r, sub_r = model.encode_video_batch(batch["images"], batch["subs"], clip_mask=batch["clip_mask"])
+    img_r, sub_r = model.encode_video_batch(batch["images"], batch["subs"], batch["clip_mask"])
 
     qi_n = ad.l2_normalize(q_img)
     qs_n = ad.l2_normalize(q_sub)

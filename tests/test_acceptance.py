@@ -134,7 +134,7 @@ def test_criterion_1_gradient_integrity():
         # adversarial BCE through the adversarial transformer + classifier
         fused = r.normal(size=(2, 4, 8))
         worst = max(worst, fd_check_params(
-            lambda: L.adversarial_loss(loc, loc.adv_encode(Tensor(fused)),
+            lambda: L.adversarial_loss(loc, loc.adv_encode(Tensor(fused), np.ones((2, 4))),
                                        [(0, (0, 1))], [(1, (2, 3))]),
             loc.params, sample=1, rng=rng,
             names={n for n in loc.params.names() if n.startswith("adv.")}))
@@ -170,7 +170,7 @@ def test_criterion_2_closed_form_losses():
     _, loc = tiny_models(0)
     loc.params["adv.fc3.w"].data[:] = 0.0
     loc.params["adv.fc3.b"].data[:] = 0.0
-    adv_out = loc.adv_encode(Tensor(np.random.default_rng(0).normal(size=(1, 4, 8))))
+    adv_out = loc.adv_encode(Tensor(np.random.default_rng(0).normal(size=(1, 4, 8))), np.ones((1, 4)))
     bce = L.adversarial_loss(loc, adv_out, [(0, (0, 1))], [(0, (2, 3))]).item()
     err_bce = abs(bce - np.log(2.0))
 
@@ -205,11 +205,11 @@ def test_criterion_4_oracle_equivalence():
             if R.retrieve_topk(retr, corpus, q, len(corpus.videos), index=index) != ref_rank:
                 mismatches.append((i, q.id, "ranking"))
             # moment enumeration + NMS + merge vs independent implementation
-            got = [(m.video_id, m.span, m.score) for m in P.infer(retr, loc, corpus, q, icfg)]
+            got = [(m.video_id, m.span, m.score) for m in P.infer(retr, loc, corpus, q, icfg, index)]
             if got != brute_force_infer(retr, loc, corpus, q, icfg):
                 mismatches.append((i, q.id, "inference"))
         # metric computation vs independent recall counter
-        preds = {q.id: P.infer(retr, loc, corpus, q, icfg) for q in corpus.queries}
+        preds = {q.id: P.infer(retr, loc, corpus, q, icfg, index) for q in corpus.queries}
         rep = P.evaluate(preds, corpus, task="vcmr")
         for k in (1, 10, 100):
             for p in (0.5, 0.7):
@@ -254,7 +254,7 @@ def ablation_run(seed, pooling="modality_specific", use_gates=True, gamma=ABLATI
     rcfg = RetrieverConfig(pooling=pooling)
     retr, _ = P.train_retriever(corpus, tcfg, model_config=rcfg)
     if tasks == ("vr",):
-        return P.evaluate_retrieval(retr, corpus)
+        return P.evaluate_retrieval(retr, corpus, R.encode_corpus(retr, corpus))
     lcfg = LocalizerConfig(use_gates=use_gates, shared_norm=shared_norm)
     loc, _, _ = P.train_localizer(corpus, retr, tcfg, ABLATION_ICFG, model_config=lcfg)
     return P.evaluate_pipeline(retr, loc, corpus, ABLATION_ICFG, tasks=tasks)
@@ -342,7 +342,7 @@ def test_criterion_8_determinism(tmp_path, capsys):
         retr.params.load_state_dict(split_namespace(arrays, "retriever"))
         loc = L.LocalizerModel(corpus.d_txt, corpus.d_img, corpus.d_sub, cfg.localizer, seed=1)
         loc.params.load_state_dict(split_namespace(arrays, "localizer"))
-        preds = P.infer(retr, loc, corpus, corpus.queries[0], cfg.inference)
+        preds = P.infer(retr, loc, corpus, corpus.queries[0], cfg.inference, R.encode_corpus(retr, corpus))
         return (ckpt.read_bytes(), metrics.read_bytes(),
                 [(m.video_id, m.span, m.score) for m in preds])
 

@@ -1,5 +1,6 @@
 """CLI: config handling, exit codes, and the gen/train/eval workflow."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,6 +14,9 @@ from vcmr import cli
 from vcmr import corpus as corpus_mod
 from vcmr import pipeline
 from vcmr.checkpoint import load_checkpoint, split_namespace
+from vcmr.localizer import LocalizerConfig
+from vcmr.nn import EncoderConfig
+from vcmr.retriever import RetrieverConfig
 
 
 TINY = {
@@ -266,6 +270,7 @@ def test_mistyped_corpus_field_is_data_error_with_line(tmp_path, tiny_config, ca
     ("synthetic", "token_count_range", [5, 2]),
     ("retriever", "pooling", "max"),
     ("localizer", "fusion_layers", 2),
+    ("train", "mining_pool", 2),  # below the default negatives_per_query 4
 ])
 def test_mistyped_config_value_is_config_error(tmp_path, capsys, section, key, value):
     raw = {key: value} if section is None else {section: value if key is None else {key: value}}
@@ -426,6 +431,43 @@ def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
     bad.write_bytes(b'{"seed": 0, "train": {"\xff": 1}}')
     assert cli.main(["gen", "--config", str(bad), "--out", str(tmp_path / "c")]) == cli.EXIT_CONFIG
     assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cls", [corpus_mod.SyntheticSpec, EncoderConfig, RetrieverConfig, LocalizerConfig,
+                                 pipeline.TrainConfig, pipeline.InferenceConfig], ids=lambda cls: cls.__name__)
+def test_configs_are_immutable(cls):
+    cfg = cls()
+    name = dataclasses.fields(cfg)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, name, getattr(cfg, name))
+
+
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+def test_split_without_queries_is_data_error(tmp_path, tiny_config, split, capsys):
+    out = tmp_path / "corpus"
+    ckpt = tmp_path / "model.ckpt"
+    assert cli.main(["gen", "--config", tiny_config, "--out", str(out)]) == 0
+    untrained_retriever_checkpoint(out, ckpt)
+    (out / split / "queries.jsonl").write_text("")
+    argv = ["eval", "--task", "vr"] if split == "test" else ["train", "--stage", "retriever"]
+    code = cli.main(argv + ["--config", tiny_config, "--corpus", str(out), "--ckpt", str(ckpt)])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {out / split}: split has no queries\n"
+
+
+def test_train_split_too_small_to_mine_is_data_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(TINY, synthetic=dict(TINY["synthetic"], video_count=4),
+                                      train=dict(TINY["train"], negatives_per_query=4))))
+    out, ckpt = tmp_path / "corpus", tmp_path / "model.ckpt"
+    assert cli.main(["gen", "--config", str(config), "--out", str(out)]) == 0
+    common = ["--config", str(config), "--corpus", str(out), "--ckpt", str(ckpt)]
+    assert cli.main(["train", "--stage", "retriever"] + common) == 0
+    before = ckpt.read_bytes()
+    assert cli.main(["train", "--stage", "localizer"] + common) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "4 videos cannot supply train.negatives_per_query 4" in err
+    assert ckpt.read_bytes() == before
 
 
 @pytest.mark.parametrize("argv", [

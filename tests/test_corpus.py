@@ -252,8 +252,8 @@ def test_corpus_validation_errors():
 
 def test_spec_validation_errors():
     with pytest.raises(C.CorpusError, match="infeasible"):
-        C.SyntheticSpec(moment_len_range=(5, 40)).validate()
+        C.SyntheticSpec(moment_len_range=(5, 40))
     with pytest.raises(C.CorpusError, match="positive"):
-        C.SyntheticSpec(video_count=0).validate()
+        C.SyntheticSpec(video_count=0)
     with pytest.raises(C.CorpusError, match="visual_ratio"):
-        C.SyntheticSpec(visual_ratio=1.5).validate()
+        C.SyntheticSpec(visual_ratio=1.5)

@@ -115,9 +115,9 @@ def test_fuse_with_query_cross_attention_is_live():
     model = make_model()
     fused = rand((1, 1, D), 9)  # degenerate: single clip, single token
     tokens = rand((1, 1, D), 10)
-    out = model.fuse_with_query(Tensor(fused), Tensor(tokens))
+    out = model.fuse_with_query(Tensor(fused), Tensor(tokens), np.ones((1, 1)), np.ones((1, 1)))
     assert np.all(np.isfinite(out.data))
-    out2 = model.fuse_with_query(Tensor(fused), Tensor(np.zeros((1, 1, D))))
+    out2 = model.fuse_with_query(Tensor(fused), Tensor(np.zeros((1, 1, D))), np.ones((1, 1)), np.ones((1, 1)))
     assert not np.allclose(out.data, out2.data)
 
 
@@ -126,7 +126,7 @@ def test_fuse_with_query_grads_reach_both_inputs():
     fused = Tensor(rand((1, 2, D), 11))
     tokens = Tensor(rand((1, 3, D), 12))
     with Tape() as tape:
-        out = model.fuse_with_query(fused, tokens)
+        out = model.fuse_with_query(fused, tokens, np.ones((1, 3)), np.ones((1, 2)))
         tape.backward(ad.sum_(ad.pow_const(out, 2.0)))
         assert np.any(tape.grad(fused) != 0.0)
         assert np.any(tape.grad(tokens) != 0.0)
@@ -218,21 +218,21 @@ def test_adversarial_zeroed_classifier_gives_ln2():
     model = make_model()
     model.params["adv.fc3.w"].data[:] = 0.0
     model.params["adv.fc3.b"].data[:] = 0.0
-    adv_out = model.adv_encode(Tensor(rand((2, 5, D), 17)))
+    adv_out = model.adv_encode(Tensor(rand((2, 5, D), 17)), np.ones((2, 5)))
     loss = L.adversarial_loss(model, adv_out, [(0, (0, 1))], [(1, (2, 4))])
     assert abs(loss.item() - np.log(2.0)) < 1e-9
 
 
 def test_adversarial_duplicate_span_bounded_below_by_ln2():
     model = make_model()
-    adv_out = model.adv_encode(Tensor(rand((1, 4, D), 18)))
+    adv_out = model.adv_encode(Tensor(rand((1, 4, D), 18)), np.ones((1, 4)))
     loss = L.adversarial_loss(model, adv_out, [(0, (1, 2))], [(0, (1, 2))])
     assert loss.item() >= np.log(2.0) - 1e-12
 
 
 def test_adversarial_requires_both_sides():
     model = make_model()
-    adv_out = model.adv_encode(Tensor(rand((1, 4, D), 19)))
+    adv_out = model.adv_encode(Tensor(rand((1, 4, D), 19)), np.ones((1, 4)))
     with pytest.raises(ValueError):
         L.adversarial_loss(model, adv_out, [], [(0, (0, 0))])
 
@@ -242,7 +242,7 @@ def test_adversarial_gradients_match_fd():
     fused = rand((2, 4, D), 20)
 
     def loss_fn():
-        adv_out = model.adv_encode(Tensor(fused))
+        adv_out = model.adv_encode(Tensor(fused), np.ones((2, 4)))
         return L.adversarial_loss(model, adv_out, [(0, (0, 1)), (0, (1, 2))], [(1, (0, 3))])
 
     names = {n for n in model.params.names() if n.startswith("adv.")}

@@ -30,13 +30,13 @@ def small_models(corpus):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        P.TrainConfig(retriever_epochs=0).validate()
+        P.TrainConfig(retriever_epochs=0)
     with pytest.raises(ValueError):
-        P.TrainConfig(temperature=0.0).validate()
+        P.TrainConfig(temperature=0.0)
     with pytest.raises(ValueError):
-        P.InferenceConfig(moment_min_len=3, moment_max_len=2).validate()
+        P.InferenceConfig(moment_min_len=3, moment_max_len=2)
     with pytest.raises(ValueError):
-        P.InferenceConfig(nms_threshold=0.0).validate()
+        P.InferenceConfig(nms_threshold=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +82,13 @@ def test_mined_negatives_are_valid_and_deterministic():
     negs = P.mine_hard_negatives(model, corpus, SMALL_TRAIN)
     again = P.mine_hard_negatives(model, corpus, SMALL_TRAIN)
     assert negs == again
+    index = R.encode_corpus(model, corpus)
     for q in corpus.queries:
         picked = negs[q.id]
         assert len(picked) == SMALL_TRAIN.negatives_per_query
         assert len(set(picked)) == len(picked)
         assert q.target_video not in picked
-        ranked = [v for v, _ in P.rank_videos(model, corpus, q) if v != q.target_video]
+        ranked = [v for v, _ in P.rank_videos(model, corpus, q, index) if v != q.target_video]
         pool = ranked[: SMALL_TRAIN.mining_pool]
         assert all(v in pool for v in picked)
 
@@ -134,8 +135,9 @@ def brute_force_infer(retr, loc, corpus, query, icfg):
 def test_infer_matches_brute_force_bit_exact():
     corpus = C.generate(SPEC)
     retr, loc, _ = small_models(corpus)
+    index = R.encode_corpus(retr, corpus)
     for q in corpus.queries[:4]:
-        got = P.infer(retr, loc, corpus, q, ICFG)
+        got = P.infer(retr, loc, corpus, q, ICFG, index)
         ref = brute_force_infer(retr, loc, corpus, q, ICFG)
         assert [(m.video_id, m.span, m.score) for m in got] == ref
 
@@ -143,8 +145,9 @@ def test_infer_matches_brute_force_bit_exact():
 def test_infer_single_video_stays_on_target():
     corpus = C.generate(SPEC)
     retr, loc, _ = small_models(corpus)
+    index = R.encode_corpus(retr, corpus)
     for q in corpus.queries[:4]:
-        preds = P.infer_single_video(retr, loc, corpus, q, ICFG)
+        preds = P.infer_single_video(retr, loc, corpus, q, ICFG, index)
         assert preds and all(m.video_id == q.target_video for m in preds)
         st, ed = zip(*(m.span for m in preds))
         assert min(st) >= 0 and max(ed) < len(corpus.video(q.target_video))
@@ -168,7 +171,8 @@ def independent_moment_recall(predictions, corpus, k, p):
 def test_metrics_match_independent_implementation():
     corpus = C.generate(SPEC)
     retr, loc, _ = small_models(corpus)
-    preds = {q.id: P.infer(retr, loc, corpus, q, ICFG) for q in corpus.queries}
+    index = R.encode_corpus(retr, corpus)
+    preds = {q.id: P.infer(retr, loc, corpus, q, ICFG, index) for q in corpus.queries}
     report = P.evaluate(preds, corpus, task="vcmr")
     for k in (1, 10, 100):
         for p in (0.5, 0.7):
@@ -223,7 +227,7 @@ def test_training_and_inference_deterministic():
 
     def run():
         retr, loc, negs = small_models(corpus)
-        preds = P.infer(retr, loc, corpus, corpus.queries[0], ICFG)
+        preds = P.infer(retr, loc, corpus, corpus.queries[0], ICFG, R.encode_corpus(retr, corpus))
         return (
             {n: t.data.copy() for n, t in retr.params.items()},
             {n: t.data.copy() for n, t in loc.params.items()},

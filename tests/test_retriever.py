@@ -12,6 +12,7 @@ from conftest import RTOL, fd_check_params
 from vcmr import corpus as C
 from vcmr import retriever as R
 from vcmr.autodiff import Tape
+from vcmr.nn import pad_pairs
 from vcmr.optim import AdamW
 
 SPEC = C.SyntheticSpec(video_count=10, clips_per_video=8, queries_per_video=2, seed=1)
@@ -98,6 +99,41 @@ def test_clip_permutation_changes_encoding():
     swapped = clips[[1, 0, 2, 3]]
     swapped = R.encode_video(model, C.Video("v", swapped[:, :SPEC.d_img], swapped[:, SPEC.d_img:], has))
     assert not np.allclose(enc.image[0], swapped.image[0])
+
+
+def padded_video_batch(seed, lengths=(6, 4)):
+    """Random videos of `lengths` clips, zero-padded into one batch by `pad_pairs`."""
+    r = np.random.default_rng(seed)
+    videos = [C.Video(f"v{i}", r.normal(size=(n, SPEC.d_img)), r.normal(size=(n, SPEC.d_sub)), np.ones(n, bool))
+              for i, n in enumerate(lengths)]
+    query = C.Query("q", np.ones((1, SPEC.d_txt)), "v0", (0, 0))
+    _, _, images, subs, clip_mask = pad_pairs([(query, v) for v in videos])
+    return videos, images, subs, clip_mask
+
+
+def test_padded_clips_do_not_reach_valid_clips():
+    model = make_model()
+    _, images, subs, clip_mask = padded_video_batch(seed=0)
+    img_r, sub_r = model.encode_video_batch(images, subs, clip_mask)
+    r = np.random.default_rng(1)
+    pad = clip_mask == 0.0
+    images[pad] = r.normal(size=images[pad].shape) * 100.0
+    subs[pad] = r.normal(size=subs[pad].shape) * 100.0
+    img_r2, sub_r2 = model.encode_video_batch(images, subs, clip_mask)
+    valid = clip_mask == 1.0
+    assert np.array_equal(img_r.data[valid], img_r2.data[valid])
+    assert np.array_equal(sub_r.data[valid], sub_r2.data[valid])
+    assert not np.allclose(img_r.data[pad], img_r2.data[pad])
+
+
+def test_padded_row_matches_unpadded_encoding():
+    model = make_model()
+    videos, images, subs, clip_mask = padded_video_batch(seed=2)
+    img_r, sub_r = model.encode_video_batch(images, subs, clip_mask)
+    for i, v in enumerate(videos):
+        enc = R.encode_video(model, v)
+        assert np.allclose(img_r.data[i, :len(v)], enc.image, rtol=0.0, atol=1e-12)
+        assert np.allclose(sub_r.data[i, :len(v)], enc.subtitle, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +226,7 @@ def test_topk_matches_brute_force_and_late_fusion():
             key=lambda item: (-item[1], item[0]),
         )
         got = R.retrieve_topk(model, corpus, q, k=len(corpus.videos), index=index)
-        fresh = R.retrieve_topk(model, corpus, q, k=len(corpus.videos))
+        fresh = R.retrieve_topk(model, corpus, q, k=len(corpus.videos), index=R.encode_corpus(model, corpus))
         assert got == ref  # brute-force oracle, bit-exact
         assert got == fresh  # precomputed encodings change nothing
 
@@ -213,7 +249,7 @@ def test_subtitle_free_corpus_ranks_by_image_score_alone(tmp_path):
 def test_topk_on_singleton_corpus():
     corpus = C.generate(C.SyntheticSpec(video_count=1, clips_per_video=8, seed=2))
     model = make_model()
-    ranked = R.retrieve_topk(model, corpus, corpus.queries[0], k=5)
+    ranked = R.retrieve_topk(model, corpus, corpus.queries[0], k=5, index=R.encode_corpus(model, corpus))
     assert len(ranked) == 1 and ranked[0][0] == corpus.videos[0].id
 
 
@@ -221,7 +257,7 @@ def test_retrieve_topk_rejects_bad_args():
     corpus = C.generate(SPEC)
     model = make_model()
     with pytest.raises(ValueError):
-        R.retrieve_topk(model, corpus, corpus.queries[0], k=0)
+        R.retrieve_topk(model, corpus, corpus.queries[0], k=0, index=R.encode_corpus(model, corpus))
 
 
 # ---------------------------------------------------------------------------
