@@ -65,8 +65,7 @@ class Tape:
 
     def __init__(self):
         self._records = []  # (output tensor, [(input tensor, grad_fn), ...])
-        self._grads = {}  # id(tensor) -> ndarray
-        self._live = {}  # id(tensor) -> tensor, keeps ids stable
+        self._grads = {}  # id(tensor) -> ndarray; `_records` keeps each such tensor alive
         self._done = False
 
     def __enter__(self):
@@ -94,7 +93,6 @@ class Tape:
         if grad.shape != t.data.shape:
             raise ShapeError(f"gradient shape {grad.shape} != tensor shape {t.data.shape}")
         key = id(t)
-        self._live[key] = t
         if key in self._grads:
             self._grads[key] = self._grads[key] + grad
         else:

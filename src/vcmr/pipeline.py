@@ -297,9 +297,9 @@ def infer_single_video(retriever_model: RetrieverModel, localizer_model: Localiz
                        icfg: InferenceConfig, index):
     """Moment predictions restricted to the query's ground-truth video."""
     vid = query.target_video
-    reps = ret_mod.encode_query(retriever_model, query)
-    score = ret_mod.score_video(reps, index[vid], use_subtitles=corpus.has_subtitles).score
-    return _rank_moments(localizer_model, corpus, query, [(vid, score)], icfg)
+    scores = ret_mod.score_video(ret_mod.encode_query(retriever_model, query), index,
+                                 use_subtitles=corpus.has_subtitles)
+    return _rank_moments(localizer_model, corpus, query, [(vid, float(scores[index.ids.index(vid)]))], icfg)
 
 
 # ---------------------------------------------------------------------------

@@ -42,19 +42,15 @@ class ModalityQueryReps:
     alpha_subtitle: np.ndarray
 
 
-@dataclass
-class VideoEncoding:
-    image: np.ndarray  # [clips, hidden]
-    subtitle: np.ndarray  # [clips, hidden]
+@dataclass(frozen=True)
+class CorpusIndex:
+    """Read-only clip encodings of a corpus, videos sorted by id: unit rows zero-padded
+    to the longest video, image/subtitle [V, N, D], clip_mask [V, N] (1 = clip)."""
 
-
-@dataclass
-class ScoreResult:
-    phi_image: float
-    phi_subtitle: float
-    score: float
-    argmax_image: int
-    argmax_subtitle: int
+    ids: tuple[str, ...]
+    image: np.ndarray
+    subtitle: np.ndarray
+    clip_mask: np.ndarray
 
 
 @dataclass
@@ -92,90 +88,98 @@ def encode_query(model: RetrieverModel, query) -> ModalityQueryReps:
         raise ValueError("query must have at least one token")
     mask = np.ones((1, tokens.shape[0]))
     q_img, q_sub, (a_img, a_sub) = model.encode_query_batch(tokens[None], mask)
-    return ModalityQueryReps(
-        q_image=q_img.data[0].copy(),
-        q_subtitle=q_sub.data[0].copy(),
-        alpha_image=a_img.data[0].copy(),
-        alpha_subtitle=a_sub.data[0].copy(),
-    )
+    return ModalityQueryReps(*(t.data[0].copy() for t in (q_img, q_sub, a_img, a_sub)))
 
 
-def encode_video(model: RetrieverModel, video) -> VideoEncoding:
+def encode_video(model: RetrieverModel, video):
+    """(image, subtitle) clip encodings of one video, each [clips, hidden]."""
     images = video.image_matrix()[None]
     subs = video.subtitle_matrix()[None]
     img_r, sub_r = model.encode_video_batch(images, subs, np.ones((1, len(video))))
-    return VideoEncoding(image=img_r.data[0].copy(), subtitle=sub_r.data[0].copy())
+    return img_r.data[0].copy(), sub_r.data[0].copy()
 
 
-def _unit_rows(mat):
-    norms = np.linalg.norm(mat, axis=-1, keepdims=True)
-    return mat / np.where(norms > 0.0, norms, 1.0)
+def clip_cosines(qn, clips_n):
+    """Every unit query [Bq, D] against every video's unit clip rows [Bv, N, D] -> [Bq, Bv, N]."""
+    bv, n, d = clips_n.shape
+    flat = ad.reshape(clips_n, (bv * n, d))
+    return ad.reshape(ad.matmul(qn, ad.swapaxes(flat, 0, 1)), (qn.shape[0], bv, n))
 
 
-def _unit(v):
-    n = np.linalg.norm(v)
-    return v / n if n > 0 else v
+def video_cosines(qn, clips_n):
+    """Each unit query [B, D] against its own video's unit clip rows [B, N, D] -> [B, 1, N];
+    one query [1, D] meets every video. One product per video, so its bits do not depend on its position."""
+    return ad.matmul(ad.reshape(qn, (qn.shape[0], 1, qn.shape[1])), ad.swapaxes(clips_n, 1, 2))
 
 
-def clip_similarities(reps: ModalityQueryReps, enc: VideoEncoding):
-    """Per-clip cosine similarities, (image [N], subtitle [N])."""
-    return (
-        _unit_rows(enc.image) @ _unit(reps.q_image),
-        _unit_rows(enc.subtitle) @ _unit(reps.q_subtitle),
-    )
+def best_clips(sims_img, sims_sub, mask, use_subtitles):
+    """Cosine of the best clip under `mask` per modality, averaged over the
+    modalities (image alone without subtitles): [..., N] -> [...]."""
+
+    def best(sims):
+        return ad.max_over_axis(ad.add(sims, (1.0 - mask) * MASK_NEG), axis=-1)[0]
+
+    phi_img = best(sims_img)
+    return phi_img if not use_subtitles else ad.mul(ad.add(phi_img, best(sims_sub)), 0.5)
 
 
-def score_video(reps: ModalityQueryReps, enc: VideoEncoding, use_subtitles=True) -> ScoreResult:
-    sim_img, sim_sub = clip_similarities(reps, enc)
-    ai = int(np.argmax(sim_img))
-    asub = int(np.argmax(sim_sub))
-    phi_i = float(sim_img[ai])
-    phi_s = float(sim_sub[asub])
-    score = phi_i if not use_subtitles else (phi_i + phi_s) / 2.0
-    return ScoreResult(phi_image=phi_i, phi_subtitle=phi_s, score=score, argmax_image=ai, argmax_subtitle=asub)
+def _query_cosines(q, clips_n):
+    return video_cosines((q / np.linalg.norm(q))[None], clips_n)
 
 
-def sample_relevance(reps: ModalityQueryReps, enc: VideoEncoding, span, use_subtitles=True) -> RelevanceSample:
-    n = enc.image.shape[0]
+def score_video(reps: ModalityQueryReps, index: CorpusIndex, use_subtitles=True):
+    """Retrieval score of every index video for one query, [V] in `index.ids` order."""
+    sims_img, sims_sub = _query_cosines(reps.q_image, index.image), _query_cosines(reps.q_subtitle, index.subtitle)
+    return best_clips(sims_img, sims_sub, index.clip_mask[:, None, :], use_subtitles).data[:, 0]
+
+
+def sample_relevance(reps: ModalityQueryReps, image, subtitle, span, use_subtitles=True) -> RelevanceSample:
+    """Best clips of one video's (image, subtitle) encodings inside `span` (strong) and
+    outside it (weak): the per-video statement of the rule `contrastive_loss` batches."""
+    n = image.shape[0]
     st, ed = span
     if not (0 <= st <= ed < n):
         raise ValueError(f"span {span} out of range for {n} clips")
-    sim_img, sim_sub = clip_similarities(reps, enc)
+    sim_img = _query_cosines(reps.q_image, ad.l2_normalize(image[None])).data[0, 0]
+    sim_sub = _query_cosines(reps.q_subtitle, ad.l2_normalize(subtitle[None])).data[0, 0]
     inside = np.zeros(n, dtype=bool)
     inside[st : ed + 1] = True
 
-    def best(sim, region):
-        idx = int(np.flatnonzero(region)[np.argmax(sim[region])])
-        return idx, float(sim[idx])
+    def best(region):  # ((image clip, subtitle clip), score) of the best clips in `region`
+        clips = np.flatnonzero(region)
+        i, s = int(clips[np.argmax(sim_img[region])]), int(clips[np.argmax(sim_sub[region])])
+        return (i, s), float(sim_img[i] if not use_subtitles else (sim_img[i] + sim_sub[s]) / 2.0)
 
-    si, s_img = best(sim_img, inside)
-    ss, s_sub = best(sim_sub, inside)
-    strong_score = s_img if not use_subtitles else (s_img + s_sub) / 2.0
+    strong, strong_score = best(inside)
     if inside.all():
-        return RelevanceSample(strong=(si, ss), weak=None, strong_score=strong_score, weak_score=None)
-    wi, w_img = best(sim_img, ~inside)
-    ws, w_sub = best(sim_sub, ~inside)
-    weak_score = w_img if not use_subtitles else (w_img + w_sub) / 2.0
-    return RelevanceSample(strong=(si, ss), weak=(wi, ws), strong_score=strong_score, weak_score=weak_score)
+        return RelevanceSample(strong, None, strong_score, None)
+    weak, weak_score = best(~inside)
+    return RelevanceSample(strong, weak, strong_score, weak_score)
 
 
-def encode_corpus(model: RetrieverModel, corpus):
-    """Precompute encodings for every video (late-fusion property)."""
-    return {v.id: encode_video(model, v) for v in corpus.videos}
+def encode_corpus(model: RetrieverModel, corpus) -> CorpusIndex:
+    """Precompute the clip encodings of every video once (late-fusion property)."""
+    if not corpus.videos:
+        raise ValueError("empty corpus")
+    videos = sorted(corpus.videos, key=lambda v: v.id)
+    encoded = np.zeros((2, len(videos), max(map(len, videos)), model.config.hidden))  # image, subtitle
+    clip_mask = np.zeros(encoded.shape[1:3])
+    for i, v in enumerate(videos):
+        encoded[:, i, : len(v)] = encode_video(model, v)
+        clip_mask[i, : len(v)] = 1.0
+    unit = ad.l2_normalize(encoded).data
+    unit.flags.writeable = clip_mask.flags.writeable = False
+    return CorpusIndex(tuple(v.id for v in videos), unit[0], unit[1], clip_mask)
 
 
-def retrieve_topk(model: RetrieverModel, corpus, query, k, index):
+def retrieve_topk(model: RetrieverModel, corpus, query, k, index: CorpusIndex):
     """Rank every corpus video by its `encode_corpus` index entry: descending score, ties by id."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not corpus.videos:
-        raise ValueError("empty corpus")
-    reps = encode_query(model, query)
-    scored = [
-        (v.id, score_video(reps, index[v.id], use_subtitles=corpus.has_subtitles).score) for v in corpus.videos
-    ]
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return scored[:k]
+    if list(index.ids) != sorted(v.id for v in corpus.videos):
+        raise ValueError("the index does not hold this corpus's videos; build it with encode_corpus")
+    scores = score_video(encode_query(model, query), index, use_subtitles=corpus.has_subtitles)
+    return [(index.ids[i], float(scores[i])) for i in np.argsort(-scores, kind="stable")[:k]]
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +217,6 @@ def contrastive_loss(model: RetrieverModel, batch, temperature=0.01, lam=0.5, us
     b = batch["tokens"].shape[0]
     if b < 2:
         raise ValueError("contrastive training needs a batch of at least 2 queries")
-    n = batch["images"].shape[1]
-    d = model.config.hidden
 
     q_img, q_sub, _ = model.encode_query_batch(batch["tokens"], batch["token_mask"])
     img_r, sub_r = model.encode_video_batch(batch["images"], batch["subs"], batch["clip_mask"])
@@ -229,31 +231,17 @@ def contrastive_loss(model: RetrieverModel, batch, temperature=0.01, lam=0.5, us
     out_span = valid * (1.0 - in_span)
     has_weak = (out_span.sum(axis=1) > 0).astype(np.float64)
 
-    def own_sims(qn, clips_n):
-        return ad.reshape(ad.matmul(ad.reshape(qn, (b, 1, d)), ad.swapaxes(clips_n, 1, 2)), (b, n))
+    own_i = video_cosines(qi_n, img_n)  # [B, 1, N]
+    own_s = video_cosines(qs_n, sub_n)
+    cross_i = clip_cosines(qi_n, img_n)  # [Bq, Bv, N]
+    cross_s = clip_cosines(qs_n, sub_n)
 
-    def cross_sims(qn, clips_n):
-        flat = ad.reshape(clips_n, (b * n, d))
-        return ad.reshape(ad.matmul(qn, ad.swapaxes(flat, 0, 1)), (b, b, n))
-
-    def masked_max(x, mask):
-        vals, _ = ad.max_over_axis(ad.add(x, (1.0 - mask) * MASK_NEG), axis=x.ndim - 1)
-        return vals
-
-    own_i = own_sims(qi_n, img_n)
-    own_s = own_sims(qs_n, sub_n)
-    cross_i = cross_sims(qi_n, img_n)
-    cross_s = cross_sims(qs_n, sub_n)
-
-    def combine(a, bb):
-        return a if not use_subtitles else ad.mul(ad.add(a, bb), 0.5)
-
-    s_strong = combine(masked_max(own_i, in_span), masked_max(own_s, in_span))  # [B]
+    s_strong = ad.reshape(best_clips(own_i, own_s, in_span[:, None, :], use_subtitles), (b,))
     # rows without any out-of-span clip get a dummy all-ones mask; their weak
     # loss contribution is zeroed below
     weak_mask = np.minimum(out_span + (1.0 - has_weak)[:, None], 1.0)
-    s_weak = combine(masked_max(own_i, weak_mask), masked_max(own_s, weak_mask))
-    s_neg = combine(masked_max(cross_i, valid[None, :, :]), masked_max(cross_s, valid[None, :, :]))  # [Bq, Bv]
+    s_weak = ad.reshape(best_clips(own_i, own_s, weak_mask[:, None, :], use_subtitles), (b,))
+    s_neg = best_clips(cross_i, cross_s, valid, use_subtitles)  # [Bq, Bv]
 
     ids = batch["video_ids"]
     neg_ok = np.array([[1.0 if ids[j] != ids[i] else 0.0 for j in range(b)] for i in range(b)])
@@ -270,9 +258,7 @@ def contrastive_loss(model: RetrieverModel, batch, temperature=0.01, lam=0.5, us
 
     # video-to-query: for video i, candidate queries j scored by their best
     # clips inside video i's annotated moment; positive is the paired query.
-    strong_cross = combine(
-        masked_max(cross_i, in_span[None, :, :]), masked_max(cross_s, in_span[None, :, :])
-    )  # [Bq, Bv]
+    strong_cross = best_clips(cross_i, cross_s, in_span, use_subtitles)  # [Bq, Bv]
     v2q = ad.swapaxes(strong_cross, 0, 1)  # [Bv, Bq]
     q_ok = neg_ok.T.copy()
     np.fill_diagonal(q_ok, 1.0)

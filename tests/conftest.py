@@ -1,4 +1,5 @@
-"""Shared helpers: finite-difference gradient oracles.
+"""Shared helpers: finite-difference gradient oracles and a per-video
+retrieval score oracle.
 
 Central differences with h=1e-5 on float64 give ~1e-10 truncation error for
 smooth graphs, so a 1e-4 relative tolerance cleanly separates correct from
@@ -78,3 +79,16 @@ def fd_check_params(loss_fn, params, h=H, sample=2, rng=None, names=None):
             num = (up - down) / (2.0 * h)
             worst = max(worst, rel_err(num, grads[name].flat[idx]))
     return worst
+
+
+def reference_score(reps, image, subtitle, use_subtitles=True):
+    """One video's retrieval score from its own (image, subtitle) encodings:
+    the best clip cosine per modality, averaged over the modalities. Scores
+    the video on its own, as a loop over videos would."""
+
+    def best(q, clips):
+        norms = np.linalg.norm(clips, axis=-1, keepdims=True)
+        return float(np.max((clips / np.where(norms > 0.0, norms, 1.0)) @ (q / np.linalg.norm(q))))
+
+    phi_image = best(reps.q_image, image)
+    return phi_image if not use_subtitles else (phi_image + best(reps.q_subtitle, subtitle)) / 2.0

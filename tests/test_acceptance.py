@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from conftest import fd_check, fd_check_params
+from conftest import fd_check, fd_check_params, reference_score
 from test_pipeline import brute_force_infer, independent_moment_recall
 from vcmr import autodiff as ad
 from vcmr import cli
@@ -200,7 +200,7 @@ def test_criterion_4_oracle_equivalence():
             # retrieval ranking vs brute-force sort
             reps = R.encode_query(retr, q)
             ref_rank = sorted(
-                ((v.id, R.score_video(reps, index[v.id]).score) for v in corpus.videos),
+                ((v.id, reference_score(reps, *R.encode_video(retr, v))) for v in corpus.videos),
                 key=lambda it: (-it[1], it[0]))
             if R.retrieve_topk(retr, corpus, q, len(corpus.videos), index=index) != ref_rank:
                 mismatches.append((i, q.id, "ranking"))

@@ -4,6 +4,7 @@ NMS semantics, the metric suite, and end-to-end determinism."""
 import numpy as np
 import pytest
 
+from conftest import reference_score
 from vcmr import corpus as C
 from vcmr import pipeline as P
 from vcmr import retriever as R
@@ -108,7 +109,7 @@ def brute_force_infer(retr, loc, corpus, query, icfg):
     """Independent re-derivation of two-stage inference."""
     reps = R.encode_query(retr, query)
     scored = sorted(
-        ((v.id, R.score_video(reps, R.encode_video(retr, v)).score) for v in corpus.videos),
+        ((v.id, reference_score(reps, *R.encode_video(retr, v))) for v in corpus.videos),
         key=lambda it: (-it[1], it[0]),
     )[: icfg.top_k_videos]
     out = []

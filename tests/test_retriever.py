@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import RTOL, fd_check_params
+from conftest import RTOL, fd_check_params, reference_score
 from vcmr import corpus as C
 from vcmr import retriever as R
 from vcmr.autodiff import Tape
@@ -30,6 +30,13 @@ def unit_clip_rows(cosines, d=4):
         rows[i, 0] = c
         rows[i, 1] = np.sqrt(max(0.0, 1.0 - c * c))
     return rows
+
+
+def one_video_index(image_cosines, subtitle_cosines):
+    """Index of one video whose unit clip rows have the given cosines with e0."""
+    n = len(image_cosines)
+    return R.CorpusIndex(("v",), unit_clip_rows(image_cosines)[None], unit_clip_rows(subtitle_cosines)[None],
+                         np.ones((1, n)))
 
 
 def reps_along_e0(d=4):
@@ -85,9 +92,9 @@ def test_modality_specific_pooling_separates_modalities():
 def test_single_clip_zero_subtitle_encodes_finite():
     model = make_model()
     video = C.Video("v", np.ones((1, SPEC.d_img)), np.zeros((1, SPEC.d_sub)), np.zeros(1, bool))
-    enc = R.encode_video(model, video)
-    assert enc.image.shape == (1, model.config.hidden)
-    assert np.all(np.isfinite(enc.subtitle))
+    image, subtitle = R.encode_video(model, video)
+    assert image.shape == (1, model.config.hidden)
+    assert np.all(np.isfinite(subtitle))
 
 
 def test_clip_permutation_changes_encoding():
@@ -95,10 +102,10 @@ def test_clip_permutation_changes_encoding():
     r = np.random.default_rng(4)
     clips = r.normal(size=(4, SPEC.d_img + SPEC.d_sub))  # per clip: image, then subtitle
     has = np.ones(4, bool)
-    enc = R.encode_video(model, C.Video("v", clips[:, :SPEC.d_img], clips[:, SPEC.d_img:], has))
+    image, _ = R.encode_video(model, C.Video("v", clips[:, :SPEC.d_img], clips[:, SPEC.d_img:], has))
     swapped = clips[[1, 0, 2, 3]]
-    swapped = R.encode_video(model, C.Video("v", swapped[:, :SPEC.d_img], swapped[:, SPEC.d_img:], has))
-    assert not np.allclose(enc.image[0], swapped.image[0])
+    swapped, _ = R.encode_video(model, C.Video("v", swapped[:, :SPEC.d_img], swapped[:, SPEC.d_img:], has))
+    assert not np.allclose(image[0], swapped[0])
 
 
 def padded_video_batch(seed, lengths=(6, 4)):
@@ -131,9 +138,9 @@ def test_padded_row_matches_unpadded_encoding():
     videos, images, subs, clip_mask = padded_video_batch(seed=2)
     img_r, sub_r = model.encode_video_batch(images, subs, clip_mask)
     for i, v in enumerate(videos):
-        enc = R.encode_video(model, v)
-        assert np.allclose(img_r.data[i, :len(v)], enc.image, rtol=0.0, atol=1e-12)
-        assert np.allclose(sub_r.data[i, :len(v)], enc.subtitle, rtol=0.0, atol=1e-12)
+        image, subtitle = R.encode_video(model, v)
+        assert np.allclose(img_r.data[i, :len(v)], image, rtol=0.0, atol=1e-12)
+        assert np.allclose(sub_r.data[i, :len(v)], subtitle, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -142,47 +149,43 @@ def test_padded_row_matches_unpadded_encoding():
 
 def test_score_constant_video_tie_breaks_to_zero():
     reps = reps_along_e0()
-    enc = R.VideoEncoding(image=unit_clip_rows([0.5, 0.5, 0.5]),
-                          subtitle=unit_clip_rows([0.2, 0.2, 0.2]))
-    res = R.score_video(reps, enc)
-    assert res.argmax_image == 0 and res.argmax_subtitle == 0
-    assert abs(res.score - (0.5 + 0.2) / 2) < 1e-12
+    index = one_video_index([0.5, 0.5, 0.5], [0.2, 0.2, 0.2])
+    assert abs(R.score_video(reps, index)[0] - (0.5 + 0.2) / 2) < 1e-12
+    assert R.sample_relevance(reps, index.image[0], index.subtitle[0], (0, 2)).strong == (0, 0)
 
 
 def test_score_orthogonal_image_full_subtitle():
     reps = reps_along_e0()
-    enc = R.VideoEncoding(image=unit_clip_rows([0.0, 0.0]), subtitle=unit_clip_rows([1.0, 0.3]))
-    assert abs(R.score_video(reps, enc).score - 0.5) < 1e-12
+    assert abs(R.score_video(reps, one_video_index([0.0, 0.0], [1.0, 0.3]))[0] - 0.5) < 1e-12
 
 
 def test_score_matches_brute_force_double_loop():
     corpus = C.generate(SPEC)
     model = make_model()
+    index = R.encode_corpus(model, corpus)
     r = np.random.default_rng(7)
     for _ in range(50):
         q = corpus.queries[r.integers(len(corpus.queries))]
         v = corpus.videos[r.integers(len(corpus.videos))]
         reps = R.encode_query(model, q)
-        enc = R.encode_video(model, v)
+        image, subtitle = R.encode_video(model, v)
 
         def cos(a, b):
             na, nb = np.linalg.norm(a), np.linalg.norm(b)
             return a @ b / (na * nb) if na > 0 and nb > 0 else 0.0
 
-        phi_i = max(cos(reps.q_image, enc.image[j]) for j in range(len(v)))
-        phi_s = max(cos(reps.q_subtitle, enc.subtitle[j]) for j in range(len(v)))
-        got = R.score_video(reps, enc)
-        assert abs(got.score - (phi_i + phi_s) / 2) < 1e-12
-        assert -1.0 <= got.score <= 1.0
+        phi_i = max(cos(reps.q_image, image[j]) for j in range(len(v)))
+        phi_s = max(cos(reps.q_subtitle, subtitle[j]) for j in range(len(v)))
+        got = R.score_video(reps, index)[index.ids.index(v.id)]
+        assert abs(got - (phi_i + phi_s) / 2) < 1e-12
+        assert -1.0 <= got <= 1.0
 
 
 def test_sample_relevance_hand_case():
     # span [0,0] of a 3-clip video; image sims [0.9, 0.1, 0.2],
     # subtitle sims [0.3, 0.8, 0.1]
     reps = reps_along_e0()
-    enc = R.VideoEncoding(image=unit_clip_rows([0.9, 0.1, 0.2]),
-                          subtitle=unit_clip_rows([0.3, 0.8, 0.1]))
-    sample = R.sample_relevance(reps, enc, (0, 0))
+    sample = R.sample_relevance(reps, unit_clip_rows([0.9, 0.1, 0.2]), unit_clip_rows([0.3, 0.8, 0.1]), (0, 0))
     assert sample.strong == (0, 0)
     assert sample.weak == (2, 1)
     assert abs(sample.strong_score - 0.6) < 1e-12
@@ -191,8 +194,7 @@ def test_sample_relevance_hand_case():
 
 def test_sample_relevance_full_span_has_no_weak():
     reps = reps_along_e0()
-    enc = R.VideoEncoding(image=unit_clip_rows([0.9, 0.1]), subtitle=unit_clip_rows([0.3, 0.8]))
-    sample = R.sample_relevance(reps, enc, (0, 1))
+    sample = R.sample_relevance(reps, unit_clip_rows([0.9, 0.1]), unit_clip_rows([0.3, 0.8]), (0, 1))
     assert sample.weak is None and sample.weak_score is None
 
 
@@ -202,8 +204,8 @@ def test_strong_indices_always_inside_span():
         corpus = C.generate(C.SyntheticSpec(video_count=4, clips_per_video=8,
                                             queries_per_video=2, seed=seed))
         for q in corpus.queries:
-            enc = R.encode_video(model, corpus.video(q.target_video))
-            sample = R.sample_relevance(R.encode_query(model, q), enc, q.span)
+            image, subtitle = R.encode_video(model, corpus.video(q.target_video))
+            sample = R.sample_relevance(R.encode_query(model, q), image, subtitle, q.span)
             st, ed = q.span
             assert st <= sample.strong[0] <= ed and st <= sample.strong[1] <= ed
             if sample.weak is not None:
@@ -219,10 +221,11 @@ def test_topk_matches_brute_force_and_late_fusion():
     corpus = C.generate(SPEC)
     model = make_model()
     index = R.encode_corpus(model, corpus)
+    encodings = {v.id: R.encode_video(model, v) for v in corpus.videos}
     for q in corpus.queries[:8]:
         reps = R.encode_query(model, q)
         ref = sorted(
-            ((v.id, R.score_video(reps, index[v.id]).score) for v in corpus.videos),
+            ((vid, reference_score(reps, *enc)) for vid, enc in encodings.items()),
             key=lambda item: (-item[1], item[0]),
         )
         got = R.retrieve_topk(model, corpus, q, k=len(corpus.videos), index=index)
@@ -238,12 +241,13 @@ def test_subtitle_free_corpus_ranks_by_image_score_alone(tmp_path):
     assert corpus.has_subtitles is False
     model = make_model()
     index = R.encode_corpus(model, corpus)
+    encodings = {v.id: R.encode_video(model, v) for v in corpus.videos}
     for q in corpus.queries[:4]:
         reps = R.encode_query(model, q)
-        scores = {v.id: R.score_video(reps, index[v.id]) for v in corpus.videos}
         ranked = R.retrieve_topk(model, corpus, q, k=len(corpus.videos), index=index)
-        assert dict(ranked) == {vid: s.phi_image for vid, s in scores.items()}
-        assert any(s.score != s.phi_image for s in scores.values())
+        assert dict(ranked) == {vid: reference_score(reps, *enc, use_subtitles=False)
+                                for vid, enc in encodings.items()}
+        assert not np.array_equal(R.score_video(reps, index), R.score_video(reps, index, use_subtitles=False))
 
 
 def test_topk_on_singleton_corpus():
@@ -258,6 +262,56 @@ def test_retrieve_topk_rejects_bad_args():
     model = make_model()
     with pytest.raises(ValueError):
         R.retrieve_topk(model, corpus, corpus.queries[0], k=0, index=R.encode_corpus(model, corpus))
+
+
+def test_retrieve_topk_rejects_a_stale_index():
+    corpus = C.generate(SPEC)
+    model = make_model()
+    dropped = corpus.videos[0].id
+    fewer = dataclasses.replace(corpus, videos=corpus.videos[1:],
+                                queries=[q for q in corpus.queries if q.target_video != dropped])
+    query = fewer.queries[0]
+    with pytest.raises(ValueError, match="index"):  # would rank a video the corpus does not hold
+        R.retrieve_topk(model, fewer, query, k=3, index=R.encode_corpus(model, corpus))
+    with pytest.raises(ValueError, match="index"):  # misses one of the corpus's videos
+        R.retrieve_topk(model, corpus, query, k=3, index=R.encode_corpus(model, fewer))
+    with pytest.raises(ValueError, match="empty corpus"):
+        R.encode_corpus(model, dataclasses.replace(corpus, videos=[], queries=[]))
+
+
+def test_padded_clips_never_win():
+    # the short video's clips all point away from the query; its padded third
+    # row has cosine 0 and must not raise its score
+    image, subtitle = np.zeros((2, 3, 4)), np.zeros((2, 3, 4))
+    image[0], subtitle[0] = unit_clip_rows([0.1, 0.2, 0.3]), unit_clip_rows([0.4, 0.5, 0.6])
+    image[1, :2], subtitle[1, :2] = unit_clip_rows([-0.5, -0.3]), unit_clip_rows([-0.9, -0.2])
+    index = R.CorpusIndex(("long", "short"), image, subtitle, np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]]))
+    scores = R.score_video(reps_along_e0(), index)
+    assert abs(scores[0] - (0.3 + 0.6) / 2) < 1e-12
+    assert abs(scores[1] - (-0.3 - 0.2) / 2) < 1e-12
+    assert abs(R.score_video(reps_along_e0(), index, use_subtitles=False)[1] - -0.3) < 1e-12
+
+
+def test_mixed_length_index_ranks_like_per_video_scores():
+    base = C.generate(SPEC)
+    lengths = [8, 3, 5, 1, 8, 2, 7, 4, 6, 8]
+    videos = [C.Video(v.id, v.images[:n], v.subtitles[:n], v.has_subtitle[:n])
+              for v, n in zip(reversed(base.videos), lengths)]
+    corpus = C.Corpus(videos, [], d_img=base.d_img, d_sub=base.d_sub, d_txt=base.d_txt)
+    model = make_model()
+    index = R.encode_corpus(model, corpus)
+    assert index.ids == tuple(sorted(v.id for v in videos))
+    assert index.clip_mask.sum(axis=1).tolist() == [len(corpus.video(vid)) for vid in index.ids]
+    with pytest.raises(ValueError):
+        index.image[0, 0, 0] = 1.0  # read-only
+    encodings = {v.id: R.encode_video(model, v) for v in videos}
+    for q in base.queries[:8]:
+        reps = R.encode_query(model, q)
+        ref = sorted(((vid, reference_score(reps, *enc)) for vid, enc in encodings.items()),
+                     key=lambda item: (-item[1], item[0]))
+        got = R.retrieve_topk(model, corpus, q, k=len(videos), index=index)
+        assert [vid for vid, _ in got] == [vid for vid, _ in ref]
+        assert np.allclose([s for _, s in got], [s for _, s in ref], rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,14 @@ def test_adamw_decoupled_decay_moves_zero_grad_param():
     assert abs(p["w"].data[0] - (2.0 - 0.1 * 0.1 * 2.0)) < 1e-12
 
 
+def test_adamw_step_needs_every_gradient():
+    p = Params()
+    p.add("w", np.array([1.0]))
+    with pytest.raises(KeyError):
+        AdamW(p).step({})
+    assert p["w"].data[0] == 1.0
+
+
 def test_adamw_converges_on_quadratic():
     p = Params()
     p.add("w", np.array([5.0]))
