@@ -1,11 +1,14 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Everything is small enough at desk scale that each value is a plain numpy
-float64 array and every differentiable operation records, on the active
-tape, one gradient function per tensor input. Operations never mutate their
-inputs, and every forward result is checked for NaN/Inf so numerical
-failures surface at the op that produced them instead of corrupting a
-training run silently.
+float64 array. Operations never mutate their inputs, and each returns
+`_op(value, *pairs)`, each pair an input with the function that maps the
+output's gradient to that input's. `_op` converts `value` to float64, raises
+`NonFiniteError` on NaN/Inf before recording anything (so a numerical failure
+surfaces at the op that produced it instead of corrupting a training run
+silently) and wraps it in a `Tensor`. Only on an active tape does it build a
+record: the pairs whose input is a `Tensor`, in one `Tape.record` call, and
+none when no input is a `Tensor`.
 """
 
 from __future__ import annotations
@@ -40,19 +43,13 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def item(self):
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _scalar_err(self)
+        if self.data.size != 1:
+            raise ShapeError(f"expected a scalar tensor, got shape {self.shape}")
+        return float(self.data.reshape(-1)[0])
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
-
-
-def _scalar_err(t):
-    raise ShapeError(f"expected a scalar tensor, got shape {t.shape}")
 
 
 class Tape:
@@ -123,13 +120,18 @@ def _val(x):
     return np.asarray(x, dtype=np.float64)
 
 
-def _make(data):
-    arr = np.asarray(data, dtype=np.float64)
+def _op(value, *pairs):
+    """`value` as a checked float64 Tensor, recorded with its (input, grad_fn) pairs."""
+    arr = np.asarray(value, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError("operation produced a non-finite value")
-    t = Tensor.__new__(Tensor)
-    t.data = arr
-    return t
+    out = Tensor.__new__(Tensor)
+    out.data = arr
+    if _ACTIVE_TAPE is not None:
+        tracked = [(t, fn) for t, fn in pairs if isinstance(t, Tensor)]
+        if tracked:
+            _ACTIVE_TAPE.record(out, tracked)
+    return out
 
 
 def _unbroadcast(grad, shape):
@@ -145,67 +147,44 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
-def _record(out, inputs, grad_fns):
-    """Record gradient functions for `inputs` (Tensor entries only)."""
-    if _ACTIVE_TAPE is None:
-        return
-    tracked = [(t, fn) for t, fn in zip(inputs, grad_fns) if isinstance(t, Tensor)]
-    if tracked:
-        _ACTIVE_TAPE.record(out, tracked)
-
-
 # ---------------------------------------------------------------------------
 # elementwise / arithmetic
 
 
 def add(a, b):
     av, bv = _val(a), _val(b)
-    out = _make(av + bv)
-    _record(out, (a, b), (lambda g: _unbroadcast(g, av.shape), lambda g: _unbroadcast(g, bv.shape)))
-    return out
+    return _op(av + bv, (a, lambda g: _unbroadcast(g, av.shape)), (b, lambda g: _unbroadcast(g, bv.shape)))
 
 
 def sub(a, b):
     av, bv = _val(a), _val(b)
-    out = _make(av - bv)
-    _record(out, (a, b), (lambda g: _unbroadcast(g, av.shape), lambda g: _unbroadcast(-g, bv.shape)))
-    return out
+    return _op(av - bv, (a, lambda g: _unbroadcast(g, av.shape)), (b, lambda g: _unbroadcast(-g, bv.shape)))
 
 
 def mul(a, b):
     av, bv = _val(a), _val(b)
-    out = _make(av * bv)
-    _record(out, (a, b), (lambda g: _unbroadcast(g * bv, av.shape), lambda g: _unbroadcast(g * av, bv.shape)))
-    return out
+    return _op(av * bv, (a, lambda g: _unbroadcast(g * bv, av.shape)), (b, lambda g: _unbroadcast(g * av, bv.shape)))
 
 
 def pow_const(x, p):
     xv = _val(x)
-    out = _make(xv ** p)
-    _record(out, (x,), (lambda g: g * p * xv ** (p - 1),))
-    return out
+    return _op(xv ** p, (x, lambda g: g * p * xv ** (p - 1)))
 
 
 def relu(x):
     xv = _val(x)
-    out = _make(np.maximum(xv, 0.0))
-    _record(out, (x,), (lambda g: g * (xv > 0.0),))
-    return out
+    return _op(np.maximum(xv, 0.0), (x, lambda g: g * (xv > 0.0)))
 
 
 def exp(x):
     xv = _val(x)
     ev = np.exp(xv)
-    out = _make(ev)
-    _record(out, (x,), (lambda g: g * ev,))
-    return out
+    return _op(ev, (x, lambda g: g * ev))
 
 
 def log(x):
     xv = _val(x)
-    out = _make(np.log(xv))
-    _record(out, (x,), (lambda g: g / xv,))
-    return out
+    return _op(np.log(xv), (x, lambda g: g / xv))
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +197,9 @@ def matmul(a, b):
         raise ShapeError("matmul operands must be at least 2-D")
     if av.shape[-1] != bv.shape[-2]:
         raise ShapeError(f"matmul inner dims disagree: {av.shape} x {bv.shape}")
-    out = _make(np.matmul(av, bv))
-
-    def grad_a(g):
-        return _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape)
-
-    def grad_b(g):
-        return _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape)
-
-    _record(out, (a, b), (grad_a, grad_b))
-    return out
+    return _op(np.matmul(av, bv),
+               (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape)),
+               (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +208,12 @@ def matmul(a, b):
 
 def sum_(x, axis=None, keepdims=False):
     xv = _val(x)
-    out = _make(xv.sum(axis=axis, keepdims=keepdims))
 
-    def grad(g):
-        if axis is None:
-            return np.broadcast_to(g, xv.shape).copy() if keepdims or g.ndim == 0 else np.full(xv.shape, g)
-        gg = g if keepdims else np.expand_dims(g, axis)
+    def grad(g):  # with axis=None, g is 0-d or keepdims
+        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
         return np.broadcast_to(gg, xv.shape).copy()
 
-    _record(out, (x,), (grad,))
-    return out
+    return _op(xv.sum(axis=axis, keepdims=keepdims), (x, grad))
 
 
 def mean(x, axis=None, keepdims=False):
@@ -263,15 +231,13 @@ def max_over_axis(x, axis):
     xv = _val(x)
     idx = np.argmax(xv, axis=axis)
     vals = np.take_along_axis(xv, np.expand_dims(idx, axis), axis=axis).squeeze(axis)
-    out = _make(vals)
 
     def grad(g):
         gx = np.zeros_like(xv)
         np.put_along_axis(gx, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis)
         return gx
 
-    _record(out, (x,), (grad,))
-    return out, idx
+    return _op(vals, (x, grad)), idx
 
 
 def softmax(x, axis=-1):
@@ -279,14 +245,7 @@ def softmax(x, axis=-1):
     shifted = xv - xv.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
-    out = _make(s)
-
-    def grad(g):
-        inner = (g * s).sum(axis=axis, keepdims=True)
-        return s * (g - inner)
-
-    _record(out, (x,), (grad,))
-    return out
+    return _op(s, (x, lambda g: s * (g - (g * s).sum(axis=axis, keepdims=True))))
 
 
 def logsumexp(x, axis=-1, keepdims=False):
@@ -295,15 +254,9 @@ def logsumexp(x, axis=-1, keepdims=False):
     e = np.exp(xv - m)
     se = e.sum(axis=axis, keepdims=True)
     res = m + np.log(se)
-    out = _make(res if keepdims else res.squeeze(axis))
     soft = e / se
-
-    def grad(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return soft * gg
-
-    _record(out, (x,), (grad,))
-    return out
+    return _op(res if keepdims else res.squeeze(axis),
+               (x, lambda g: soft * (g if keepdims else np.expand_dims(g, axis))))
 
 
 # ---------------------------------------------------------------------------
@@ -312,21 +265,16 @@ def logsumexp(x, axis=-1, keepdims=False):
 
 def reshape(x, shape):
     xv = _val(x)
-    out = _make(xv.reshape(shape))
-    _record(out, (x,), (lambda g: g.reshape(xv.shape),))
-    return out
+    return _op(xv.reshape(shape), (x, lambda g: g.reshape(xv.shape)))
 
 
 def swapaxes(x, a, b):
     xv = _val(x)
-    out = _make(np.swapaxes(xv, a, b))
-    _record(out, (x,), (lambda g: np.swapaxes(g, a, b),))
-    return out
+    return _op(np.swapaxes(xv, a, b), (x, lambda g: np.swapaxes(g, a, b)))
 
 
 def concat(parts, axis=0):
     vals = [_val(p) for p in parts]
-    out = _make(np.concatenate(vals, axis=axis))
     offsets = np.cumsum([0] + [v.shape[axis] for v in vals])
 
     def part_grad(lo, hi):
@@ -337,30 +285,27 @@ def concat(parts, axis=0):
 
         return grad
 
-    _record(out, parts, [part_grad(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])])
-    return out
+    return _op(np.concatenate(vals, axis=axis),
+               *[(p, part_grad(lo, hi)) for p, lo, hi in zip(parts, offsets[:-1], offsets[1:])])
 
 
 def slice_axis(x, axis, start, stop):
     xv = _val(x)
     sl = [slice(None)] * xv.ndim
     sl[axis] = slice(start, stop)
-    out = _make(xv[tuple(sl)])
 
     def grad(g):
         gx = np.zeros_like(xv)
         gx[tuple(sl)] = g
         return gx
 
-    _record(out, (x,), (grad,))
-    return out
+    return _op(xv[tuple(sl)], (x, grad))
 
 
 def take(x, indices, axis=0):
     """Index-select along an axis; backward scatter-adds (repeats allowed)."""
     xv = _val(x)
     idx = np.asarray(indices, dtype=np.intp)
-    out = _make(np.take(xv, idx, axis=axis))
 
     def grad(g):
         gx = np.zeros_like(xv)
@@ -368,8 +313,7 @@ def take(x, indices, axis=0):
         np.add.at(moved, idx.reshape(-1), np.moveaxis(g, axis, 0).reshape((-1,) + moved.shape[1:]))
         return gx
 
-    _record(out, (x,), (grad,))
-    return out
+    return _op(np.take(xv, idx, axis=axis), (x, grad))
 
 
 # ---------------------------------------------------------------------------
@@ -381,16 +325,13 @@ def l2_normalize(x, axis=-1):
     xv = _val(x)
     norms = np.sqrt((xv * xv).sum(axis=axis, keepdims=True))
     safe = np.where(norms > 0.0, norms, 1.0)
-    y = xv / safe
-    out = _make(y)
 
     def grad(g):
         inner = (xv * g).sum(axis=axis, keepdims=True)
         gx = g / safe - xv * inner / safe ** 3
         return np.where(norms > 0.0, gx, 0.0)
 
-    _record(out, (x,), (grad,))
-    return out
+    return _op(xv / safe, (x, grad))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +359,6 @@ def conv1d(x, kernel, bias=None):
     res = np.zeros(xv.shape[:-1] + (kv.shape[2],))
     for t in range(k):
         res += np.matmul(xp[..., t : t + length, :], kv[t])
-    out = _make(res)
 
     def grad_x(g):
         gxp = np.zeros_like(xp)
@@ -433,10 +373,8 @@ def conv1d(x, kernel, bias=None):
             gk[t] = xp[..., t : t + length, :].reshape(-1, d_in).T @ g_flat
         return gk
 
-    _record(out, (x, kernel), (grad_x, grad_kernel))
-    if bias is not None:
-        out = add(out, bias)
-    return out
+    out = _op(res, (x, grad_x), (kernel, grad_kernel))
+    return out if bias is None else add(out, bias)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +386,5 @@ def bce_with_logits(logits, labels):
     zv = _val(logits)
     yv = _val(labels)
     loss = np.maximum(zv, 0.0) - zv * yv + np.log1p(np.exp(-np.abs(zv)))
-    out = _make(loss)
     sig = 1.0 / (1.0 + np.exp(-zv))
-    _record(out, (logits,), (lambda g: g * (sig - yv),))
-    return out
+    return _op(loss, (logits, lambda g: g * (sig - yv)))

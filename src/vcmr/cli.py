@@ -56,9 +56,9 @@ class RunConfig:
 _SECTIONS = [f for f in dataclasses.fields(RunConfig) if f.name != "seed"]
 
 
-# JSON type each field's default asks for: a bool is not an int, an int is a
-# float, and a tuple default takes a list of two ints
-_JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+# JSON type each field's default asks for: a bool is not an int, an int is a float, a float is
+# finite (json.load reads NaN and Infinity), and a tuple default takes a list of two ints
+_JSON_TYPES = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string",
                tuple: "a list of two integers"}
 
 
@@ -66,7 +66,8 @@ def _fits(default, value):
     if isinstance(default, tuple):
         return isinstance(value, list) and len(value) == len(default) and all(type(x) is int for x in value)
     if isinstance(default, float):
-        return type(value) in (int, float)
+        # NaN fails the comparison, and so does an int beyond the float range
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
     return type(value) is type(default)
 
 

@@ -295,11 +295,12 @@ def infer(retriever_model: RetrieverModel, localizer_model: LocalizerModel, corp
 
 def infer_single_video(retriever_model: RetrieverModel, localizer_model: LocalizerModel, corpus, query,
                        icfg: InferenceConfig, index):
-    """Moment predictions restricted to the query's ground-truth video."""
-    vid = query.target_video
-    scores = ret_mod.score_video(ret_mod.encode_query(retriever_model, query), index,
+    """Moment predictions restricted to the query's ground-truth video, scored on its index rows alone."""
+    i = index.ids.index(query.target_video)
+    own = ret_mod.CorpusIndex(*(a[i : i + 1] for a in (index.ids, index.image, index.subtitle, index.clip_mask)))
+    scores = ret_mod.score_video(ret_mod.encode_query(retriever_model, query), own,
                                  use_subtitles=corpus.has_subtitles)
-    return _rank_moments(localizer_model, corpus, query, [(vid, float(scores[index.ids.index(vid)]))], icfg)
+    return _rank_moments(localizer_model, corpus, query, [(own.ids[0], float(scores[0]))], icfg)
 
 
 # ---------------------------------------------------------------------------

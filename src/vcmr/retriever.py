@@ -243,8 +243,8 @@ def contrastive_loss(model: RetrieverModel, batch, temperature=0.01, lam=0.5, us
     s_weak = ad.reshape(best_clips(own_i, own_s, weak_mask[:, None, :], use_subtitles), (b,))
     s_neg = best_clips(cross_i, cross_s, valid, use_subtitles)  # [Bq, Bv]
 
-    ids = batch["video_ids"]
-    neg_ok = np.array([[1.0 if ids[j] != ids[i] else 0.0 for j in range(b)] for i in range(b)])
+    ids = np.array(batch["video_ids"])
+    neg_ok = (ids[None, :] != ids[:, None]).astype(np.float64)  # [i, j]: 1 where video j is not query i's
     neg_logits = ad.add(s_neg, (1.0 - neg_ok) * MASK_NEG)
 
     def info_nce(pos):  # pos [B]

@@ -271,6 +271,10 @@ def test_mistyped_corpus_field_is_data_error_with_line(tmp_path, tiny_config, ca
     ("retriever", "pooling", "max"),
     ("localizer", "fusion_layers", 2),
     ("train", "mining_pool", 2),  # below the default negatives_per_query 4
+    ("synthetic", "noise_sigma", float("nan")),  # json.dumps writes NaN, which json.load reads
+    ("train", "learning_rate", float("nan")),
+    ("inference", "score_temperature", float("nan")),
+    pytest.param("synthetic", "noise_sigma", 10 ** 400, id="synthetic-noise_sigma-int_beyond_float"),
 ])
 def test_mistyped_config_value_is_config_error(tmp_path, capsys, section, key, value):
     raw = {key: value} if section is None else {section: value if key is None else {key: value}}

@@ -105,11 +105,11 @@ def test_mining_rejects_too_small_corpus():
 # inference oracles
 
 
-def brute_force_infer(retr, loc, corpus, query, icfg):
-    """Independent re-derivation of two-stage inference."""
+def brute_force_infer(retr, loc, corpus, query, icfg, videos=None):
+    """Independent re-derivation of two-stage inference over `videos` (default: the corpus's)."""
     reps = R.encode_query(retr, query)
     scored = sorted(
-        ((v.id, reference_score(reps, *R.encode_video(retr, v))) for v in corpus.videos),
+        ((v.id, reference_score(reps, *R.encode_video(retr, v))) for v in videos or corpus.videos),
         key=lambda it: (-it[1], it[0]),
     )[: icfg.top_k_videos]
     out = []
@@ -140,6 +140,16 @@ def test_infer_matches_brute_force_bit_exact():
     for q in corpus.queries[:4]:
         got = P.infer(retr, loc, corpus, q, ICFG, index)
         ref = brute_force_infer(retr, loc, corpus, q, ICFG)
+        assert [(m.video_id, m.span, m.score) for m in got] == ref
+
+
+def test_infer_single_video_matches_brute_force_bit_exact():
+    corpus = C.generate(SPEC)
+    retr, loc, _ = small_models(corpus)
+    index = R.encode_corpus(retr, corpus)
+    for q in corpus.queries[:4]:
+        got = P.infer_single_video(retr, loc, corpus, q, ICFG, index)
+        ref = brute_force_infer(retr, loc, corpus, q, ICFG, [corpus.video(q.target_video)])
         assert [(m.video_id, m.span, m.score) for m in got] == ref
 
 

@@ -194,6 +194,82 @@ def test_grad_of_unreached_tensor_is_zeros():
 
 
 # ---------------------------------------------------------------------------
+# op contract: what each public op puts on the tape
+
+_R = rng_for(11)
+_A, _B = _R.normal(size=(2, 3)), _R.normal(size=(2, 3))
+_SEQ, _KERNEL, _BIAS = _R.normal(size=(2, 5, 3)), _R.normal(size=(3, 3, 2)), _R.normal(size=(2,))
+
+# (name, call building its inputs with `v`, tape records it adds on Tensor inputs)
+OP_CALLS = [
+    ("add", lambda v: ad.add(v(_A), v(_B)), 1),
+    ("sub", lambda v: ad.sub(v(_A), v(_B)), 1),
+    ("mul", lambda v: ad.mul(v(_A), v(_B)), 1),
+    ("pow_const", lambda v: ad.pow_const(v(_A), 2.0), 1),
+    ("relu", lambda v: ad.relu(v(_A)), 1),
+    ("exp", lambda v: ad.exp(v(_A)), 1),
+    ("log", lambda v: ad.log(v(np.abs(_A) + 0.5)), 1),
+    ("matmul", lambda v: ad.matmul(v(_A), v(_B.T)), 1),
+    ("sum_", lambda v: ad.sum_(v(_A), axis=1), 1),
+    ("mean", lambda v: ad.mean(v(_A)), 2),  # sum_, then mul
+    ("max_over_axis", lambda v: ad.max_over_axis(v(_A), axis=1), 1),
+    ("softmax", lambda v: ad.softmax(v(_A)), 1),
+    ("logsumexp", lambda v: ad.logsumexp(v(_A)), 1),
+    ("reshape", lambda v: ad.reshape(v(_A), (6,)), 1),
+    ("swapaxes", lambda v: ad.swapaxes(v(_A), 0, 1), 1),
+    ("concat", lambda v: ad.concat([v(_A), v(_B), v(_A)], axis=0), 1),
+    ("slice_axis", lambda v: ad.slice_axis(v(_A), 1, 0, 2), 1),
+    ("take", lambda v: ad.take(v(_A), [2, 0, 2], axis=1), 1),
+    ("l2_normalize", lambda v: ad.l2_normalize(v(_A)), 1),
+    ("conv1d", lambda v: ad.conv1d(v(_SEQ), v(_KERNEL)), 1),
+    ("conv1d", lambda v: ad.conv1d(v(_SEQ), v(_KERNEL), v(_BIAS)), 2),  # conv, then add of the bias
+    ("bce_with_logits", lambda v: ad.bce_with_logits(v(_A), (_B > 0).astype(float)), 1),
+]
+_IDS = [f"{name}-{records}" for name, _, records in OP_CALLS]
+
+
+def test_op_calls_cover_every_public_op():
+    public = {name for name, fn in vars(ad).items()
+              if callable(fn) and not isinstance(fn, type) and not name.startswith("_")
+              and getattr(fn, "__module__", None) == ad.__name__}
+    assert public == {name for name, _, _ in OP_CALLS}
+
+
+@pytest.mark.parametrize("name, call, records", OP_CALLS, ids=_IDS)
+def test_op_adds_its_tape_records(name, call, records):
+    with Tape() as tape:
+        call(Tensor)
+    assert len(tape._records) == records
+
+
+@pytest.mark.parametrize("name, call, records", [c for c in OP_CALLS if c[2] == 1],
+                         ids=[i for i, c in zip(_IDS, OP_CALLS) if c[2] == 1])
+def test_op_on_constants_adds_no_record(name, call, records):
+    # a composite's second step takes the Tensor its first step returned, so it records
+    with Tape() as tape:
+        call(np.asarray)
+    assert tape._records == []
+
+
+def test_op_without_tape_records_nothing(monkeypatch):
+    def fail(*args):
+        raise AssertionError("Tape.record called without an active tape")
+
+    monkeypatch.setattr(Tape, "record", fail)
+    for _, call, _ in OP_CALLS:
+        call(Tensor)
+
+
+def test_non_finite_op_adds_no_record():
+    with Tape() as tape, np.errstate(divide="ignore", over="ignore"):
+        with pytest.raises(NonFiniteError):
+            ad.log(Tensor(np.array([0.0])))
+        with pytest.raises(NonFiniteError):
+            ad.exp(Tensor(np.array([1000.0])))
+    assert tape._records == []
+
+
+# ---------------------------------------------------------------------------
 # optimizer
 
 
