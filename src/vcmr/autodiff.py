@@ -8,7 +8,9 @@ output's gradient to that input's. `_op` converts `value` to float64, raises
 surfaces at the op that produced it instead of corrupting a training run
 silently) and wraps it in a `Tensor`. Only on an active tape does it build a
 record: the pairs whose input is a `Tensor`, in one `Tape.record` call, and
-none when no input is a `Tensor`.
+none when no input is a `Tensor`. The composites `mean` and `conv1d` with a
+bias pass their first step on as a constant when no input is a `Tensor`, so
+they record nothing either.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ def _val(x):
 def _op(value, *pairs):
     """`value` as a checked float64 Tensor, recorded with its (input, grad_fn) pairs."""
     arr = np.asarray(value, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError("operation produced a non-finite value")
     out = Tensor.__new__(Tensor)
     out.data = arr
@@ -219,7 +221,8 @@ def sum_(x, axis=None, keepdims=False):
 def mean(x, axis=None, keepdims=False):
     xv = _val(x)
     n = xv.size if axis is None else xv.shape[axis]
-    return mul(sum_(x, axis=axis, keepdims=keepdims), 1.0 / n)
+    total = sum_(x, axis=axis, keepdims=keepdims)
+    return mul(total if isinstance(x, Tensor) else total.data, 1.0 / n)
 
 
 def max_over_axis(x, axis):
@@ -374,7 +377,9 @@ def conv1d(x, kernel, bias=None):
         return gk
 
     out = _op(res, (x, grad_x), (kernel, grad_kernel))
-    return out if bias is None else add(out, bias)
+    if bias is None:
+        return out
+    return add(out if isinstance(x, Tensor) or isinstance(kernel, Tensor) else out.data, bias)
 
 
 # ---------------------------------------------------------------------------

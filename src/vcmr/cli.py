@@ -56,18 +56,23 @@ class RunConfig:
 _SECTIONS = [f for f in dataclasses.fields(RunConfig) if f.name != "seed"]
 
 
+# Largest value of an integer config field, far past any desk-scale size, count or schedule
+MAX_CONFIG_INT = 10 ** 6
+
 # JSON type each field's default asks for: a bool is not an int, an int is a float, a float is
 # finite (json.load reads NaN and Infinity), and a tuple default takes a list of two ints
-_JSON_TYPES = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string",
-               tuple: "a list of two integers"}
+_JSON_TYPES = {bool: "true or false", int: f"an integer of at most {MAX_CONFIG_INT}", float: "a finite number",
+               str: "a string", tuple: f"a list of two integers of at most {MAX_CONFIG_INT}"}
 
 
 def _fits(default, value):
     if isinstance(default, tuple):
-        return isinstance(value, list) and len(value) == len(default) and all(type(x) is int for x in value)
+        return isinstance(value, list) and len(value) == len(default) and all(map(_fits, default, value))
     if isinstance(default, float):
         # NaN fails the comparison, and so does an int beyond the float range
         return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    if type(default) is int:
+        return type(value) is int and value <= MAX_CONFIG_INT
     return type(value) is type(default)
 
 
@@ -110,6 +115,8 @@ def load_run_config(path=None, seed=None):
     if type(raw.get("seed", 0)) is not int:
         raise ConfigError(f"seed must be an integer, got {raw['seed']!r}")
     seed = raw.get("seed", 0) if seed is None else seed
+    if seed < 0:  # NumPy seeds only from non-negative integers
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     cfg = RunConfig(seed=seed, **{f.name: _build_section(f.default_factory, raw.get(f.name, {}), f.name, seed)
                                   for f in _SECTIONS})
     longest = {"clips_per_video": cfg.synthetic.clips_per_video,

@@ -55,6 +55,7 @@ class LocalizerModel(nn.EncoderTrunk):
         p.add("adv.fc2.b", np.zeros(d))
         p.add("adv.fc3.w", xavier_uniform(rng, d, 1))
         p.add("adv.fc3.b", np.zeros(1))
+        self._memo, self._memo_weights = {}, []  # see `video_clips`
 
     # -- focus-then-fuse ------------------------------------------------------
 
@@ -87,14 +88,20 @@ class LocalizerModel(nn.EncoderTrunk):
             x = layer(x, clip_mask, memory=(token_reps, token_mask))
         return x
 
-    def boundary_scores(self, ctx):
-        """-> (l_st [B, N], l_ed [B, N]); conv -> ReLU -> conv -> linear per head."""
+    def boundary_scores(self, ctx, clip_mask):
+        """-> (l_st [B, N], l_ed [B, N]); conv -> ReLU -> conv -> linear per head.
+
+        Each convolution reads zeros past a row's last clip (clip_mask [B, N]),
+        as past the end of the batch, so a row's scores do not depend on the
+        batch's longest video."""
         p = self.params
         b, n, _ = ctx.shape
+        clips = np.asarray(clip_mask, dtype=np.float64)[:, :, None]
+        ctx = ad.mul(ctx, clips)
         out = []
         for head in ("st", "ed"):
             h = ad.relu(ad.conv1d(ctx, p[f"head.{head}.k1"], p[f"head.{head}.b1"]))
-            h = ad.conv1d(h, p[f"head.{head}.k2"], p[f"head.{head}.b2"])
+            h = ad.conv1d(ad.mul(h, clips), p[f"head.{head}.k2"], p[f"head.{head}.b2"])
             s = nn.linear(h, p[f"head.{head}.w"], p[f"head.{head}.b"])
             out.append(ad.reshape(s, (b, n)))
         return out[0], out[1]
@@ -111,24 +118,49 @@ class LocalizerModel(nn.EncoderTrunk):
         logits = nn.linear(h, p["adv.fc3.w"], p["adv.fc3.b"])
         return ad.reshape(logits, (features.shape[0],))
 
-    def forward_rows(self, tokens, token_mask, images, subs, clip_mask, with_adv=True):
-        """Full forward over a stack of (query, video) rows.
+    def forward_rows(self, token_reps, token_mask, img_r, sub_r, clip_mask, with_adv=True):
+        """Gates, fusion and heads over a stack of encoded (query, video) rows.
 
-        tokens/token_mask carry each row's owning query. Returns the boundary
-        scores and (optionally) the adversarial branch outputs.
+        token_reps [R, L, D] (`encode_tokens`) carry each row's owning query and
+        img_r/sub_r [R, N, D] (`encode_video_batch`) its video. Returns the
+        boundary scores and (optionally) the adversarial branch outputs.
         """
-        token_reps = self.encode_tokens(tokens, token_mask)
         q_img, q_sub, _ = self.pool_tokens(token_reps, token_mask)
-        img_r, sub_r = self.encode_video_batch(images, subs, clip_mask)
         if self.config.use_gates:
             img_g, sub_g = self.apply_gates(img_r, sub_r, q_img, q_sub)
         else:
             img_g, sub_g = img_r, sub_r
         fused = self.fuse_clips(img_g, sub_g)
         ctx = self.fuse_with_query(fused, token_reps, token_mask, clip_mask)
-        l_st, l_ed = self.boundary_scores(ctx)
+        l_st, l_ed = self.boundary_scores(ctx, clip_mask)
         adv_out = self.adv_encode(fused, clip_mask) if with_adv else None
         return {"l_st": l_st, "l_ed": l_ed, "adv_out": adv_out}
+
+    def video_clips(self, videos):
+        """Clip encodings of `videos` for inference, zero-padded to the longest:
+        (img_r [R, N, D], sub_r [R, N, D], clip_mask [R, N]).
+
+        Each video is encoded once, tape-free on a one-row batch of its own
+        length, and memoized as plain arrays per `Video` object, whose arrays
+        are read-only. The memo is dropped as soon as any parameter's `.data`
+        is no longer the array it was encoded with, as after `AdamW.step` or
+        `Params.load_state_dict`; a write into a parameter array in place is
+        not seen.
+        """
+        weights = [t.data for _, t in self.params.items()]
+        if len(weights) != len(self._memo_weights) or any(a is not b for a, b in zip(weights, self._memo_weights)):
+            self._memo, self._memo_weights = {}, weights
+        encoded = np.zeros((2, len(videos), max(map(len, videos)), self.config.hidden))  # image, subtitle
+        clip_mask = np.zeros(encoded.shape[1:3])
+        for i, video in enumerate(videos):
+            entry = self._memo.get(id(video))
+            if entry is None:  # the entry holds the video, so its id is not reused while memoized
+                img_r, sub_r = self.encode_video_batch(video.image_matrix()[None], video.subtitle_matrix()[None],
+                                                       np.ones((1, len(video))))
+                entry = self._memo[id(video)] = (video, img_r.data[0], sub_r.data[0])
+            encoded[:, i, : len(video)] = entry[1:]
+            clip_mask[i, : len(video)] = 1.0
+        return encoded[0], encoded[1], clip_mask
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,9 @@ def localizer_batch_loss(model: LocalizerModel, corpus, queries, negatives, conf
     plus the adversarial moment-classification loss for one batch."""
     rows, groups, tokens, token_mask, images, subs, clip_mask = _localizer_rows(corpus, queries, negatives)
     with_adv = config.gamma != 0.0
-    fwd = model.forward_rows(tokens, token_mask, images, subs, clip_mask=clip_mask, with_adv=with_adv)
+    token_reps = model.encode_tokens(tokens, token_mask)
+    img_r, sub_r = model.encode_video_batch(images, subs, clip_mask)
+    fwd = model.forward_rows(token_reps, token_mask, img_r, sub_r, clip_mask, with_adv=with_adv)
     l_st, l_ed = fwd["l_st"], fwd["l_ed"]
 
     boundary = loc_mod.boundary_loss(l_st, l_ed, clip_mask, groups, [q.span for q in queries],
@@ -263,27 +265,42 @@ def train_localizer(corpus, retriever_model: RetrieverModel, config: TrainConfig
 
 
 def localize_scores(model: LocalizerModel, query, videos):
-    """Boundary scores for one query over several videos; no gradients."""
-    inputs = pad_pairs([(query, v) for v in videos])
-    fwd = model.forward_rows(*inputs, with_adv=False)
+    """Boundary scores [len(videos), N] for one query over several videos; no gradients.
+
+    The query is encoded once and shared by every row; each video's clip
+    encodings come from the model's memo (`LocalizerModel.video_clips`)."""
+    tokens = np.asarray(query.tokens, dtype=np.float64)[None]
+    token_mask = np.ones(tokens.shape[:2])
+    token_reps = model.encode_tokens(tokens, token_mask).data
+    r = len(videos)
+    fwd = model.forward_rows(np.repeat(token_reps, r, axis=0), np.repeat(token_mask, r, axis=0),
+                             *model.video_clips(videos), with_adv=False)
     return fwd["l_st"].data, fwd["l_ed"].data
 
 
 def _rank_moments(localizer_model: LocalizerModel, corpus, query, scored, icfg: InferenceConfig):
     """Localize `query` in each (video id, retrieval score) of `scored`, score
     every admissible span as retrieval/temperature + start + end, NMS per
-    video, then merge, sort and cut to `results_per_query`."""
+    video, then keep the best `results_per_query` of all videos by (-score,
+    video id, start, end)."""
     videos = [corpus.video(vid) for vid, _ in scored]
     l_st, l_ed = localize_scores(localizer_model, query, videos)
-    preds = []
+    spans, scores, rows = [], [], []
     for i, (vid, score) in enumerate(scored):
         key = (len(videos[i]), icfg.moment_min_len, icfg.moment_max_len)
-        spans = span_table(*key)
-        scores = score / icfg.score_temperature + (l_st[i, spans[:, 0]] + l_ed[i, spans[:, 1]])
-        kept = nms(spans, scores, suppression_table(*key, icfg.nms_threshold), keep=icfg.results_per_query)
-        preds.extend(MomentPrediction(video_id=vid, span=span, score=sc) for span, sc in kept)
-    preds.sort(key=lambda m: (-m.score, m.video_id, m.span))
-    return preds[: icfg.results_per_query]
+        table = span_table(*key)
+        span_scores = score / icfg.score_temperature + (l_st[i, table[:, 0]] + l_ed[i, table[:, 1]])
+        kept = nms(table, span_scores, suppression_table(*key, icfg.nms_threshold), keep=icfg.results_per_query)
+        spans.append(table[kept])
+        scores.append(span_scores[kept])
+        rows.append(np.full(len(kept), i))
+    spans, scores, rows = np.concatenate(spans), np.concatenate(scores), np.concatenate(rows)
+    ids = [vid for vid, _ in scored]
+    id_rank = {vid: r for r, vid in enumerate(sorted(ids))}
+    vid_rank = np.array([id_rank[vid] for vid in ids])[rows]
+    top = np.lexsort((spans[:, 1], spans[:, 0], vid_rank, -scores))[: icfg.results_per_query]
+    return [MomentPrediction(video_id=ids[r], span=(st, ed), score=sc)
+            for r, (st, ed), sc in zip(rows[top].tolist(), spans[top].tolist(), scores[top].tolist())]
 
 
 def infer(retriever_model: RetrieverModel, localizer_model: LocalizerModel, corpus, query,

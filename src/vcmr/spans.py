@@ -114,8 +114,8 @@ def nms(spans, scores, suppress, keep=100):
     the [S, S] bool matrix iou(spans[i], spans[j]) >= threshold (see
     `suppression_table`). The best-scored span is kept and every remaining
     span it suppresses is dropped; ties break by (start, end) for
-    determinism. Returns up to `keep` ((start, end), score) pairs of Python
-    ints and floats.
+    determinism. Returns the [K] indices of up to `keep` kept spans, best
+    first.
     """
     dropped = np.zeros(len(spans), dtype=bool)
     kept = []
@@ -126,4 +126,4 @@ def nms(spans, scores, suppress, keep=100):
         if len(kept) >= keep:
             break
         dropped |= suppress[i]
-    return [((st, ed), score) for (st, ed), score in zip(spans[kept].tolist(), scores[kept].tolist())]
+    return np.array(kept, dtype=np.intp)

@@ -60,7 +60,12 @@ def frozen_total_loss(loc, corpus, queries, negatives, gamma):
     rows, groups, tokens, token_mask, images, subs, clip_mask = rows_data
     n = clip_mask.shape[1]
 
-    fwd0 = loc.forward_rows(tokens, token_mask, images, subs, clip_mask=clip_mask, with_adv=False)
+    def forward(with_adv):
+        token_reps = loc.encode_tokens(tokens, token_mask)
+        img_r, sub_r = loc.encode_video_batch(images, subs, clip_mask)
+        return loc.forward_rows(token_reps, token_mask, img_r, sub_r, clip_mask, with_adv=with_adv)
+
+    fwd0 = forward(with_adv=False)
     positives, neg_items = [], []
     for query, row_ids in zip(queries, groups):
         for span in sample_positive_spans(query.span, n):
@@ -70,7 +75,7 @@ def frozen_total_loss(loc, corpus, queries, negatives, gamma):
             neg_items.extend((ri, span) for span in mined)
 
     def loss_fn():
-        fwd = loc.forward_rows(tokens, token_mask, images, subs, clip_mask=clip_mask, with_adv=True)
+        fwd = forward(with_adv=True)
         terms = []
         for query, row_ids in zip(queries, groups):
             row = lambda t, ri: ad.reshape(ad.slice_axis(t, 0, ri, ri + 1), (n,))

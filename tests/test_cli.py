@@ -285,6 +285,27 @@ def test_mistyped_config_value_is_config_error(tmp_path, capsys, section, key, v
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("synthetic", "d_img", 2 ** 70),
+    ("synthetic", "token_count_range", [6, 2 ** 70]),
+    ("train", "localizer_epochs", cli.MAX_CONFIG_INT + 1),
+])
+def test_integer_beyond_bound_is_config_error_naming_the_field(tmp_path, capsys, section, key, value):
+    raw = {"synthetic": {"video_count": 8}}
+    raw.setdefault(section, {})[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert cli.main(["gen", "--config", str(bad), "--out", str(tmp_path / "c")]) == cli.EXIT_CONFIG
+    assert f"{section}.{key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+def test_integer_at_bound_is_accepted(tmp_path):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"train": {"localizer_epochs": cli.MAX_CONFIG_INT}}))
+    assert cli.load_run_config(str(good)).train.localizer_epochs == cli.MAX_CONFIG_INT
+
+
 def test_config_accepts_an_int_for_a_float(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"train": {"learning_rate": 1}, "synthetic": {"moment_len_range": [2, 4]}}))
@@ -380,6 +401,15 @@ def test_section_seed_is_config_error(tmp_path, section, capsys):
     bad.write_text(json.dumps({section: {"seed": 5}}))
     assert cli.main(["gen", "--config", str(bad), "--out", str(tmp_path / "c")]) == cli.EXIT_CONFIG
     assert "'seed'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, args", [({"seed": -3}, []), ({}, ["--seed", "-1"])])
+def test_negative_seed_is_config_error(tmp_path, capsys, config, args):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["gen", "--config", str(cfg), "--out", str(tmp_path / "c")] + args) == cli.EXIT_CONFIG
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
 
 
 @pytest.mark.parametrize("stage", ["retriever", "localizer"])

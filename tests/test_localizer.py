@@ -138,7 +138,7 @@ def test_fuse_with_query_grads_reach_both_inputs():
 
 def test_boundary_scores_single_clip():
     model = make_model()
-    l_st, l_ed = model.boundary_scores(Tensor(rand((1, 1, D), 13)))
+    l_st, l_ed = model.boundary_scores(Tensor(rand((1, 1, D), 13)), np.ones((1, 1)))
     assert l_st.shape == (1, 1) and l_ed.shape == (1, 1)
 
 
@@ -148,8 +148,8 @@ def test_boundary_scores_shift_equivariant_in_interior():
     x = rand((1, n, D), 14)
     shifted = np.zeros_like(x)
     shifted[0, 1:] = x[0, : n - 1]
-    base_st, _ = model.boundary_scores(Tensor(x))
-    shift_st, _ = model.boundary_scores(Tensor(shifted))
+    base_st, _ = model.boundary_scores(Tensor(x), np.ones((1, n)))
+    shift_st, _ = model.boundary_scores(Tensor(shifted), np.ones((1, n)))
     # receptive field is 5 clips; positions clear of both zero-padded borders
     # must shift along with the input
     assert np.allclose(shift_st.data[0, 3:8], base_st.data[0, 2:7], atol=1e-10)
@@ -160,7 +160,7 @@ def test_boundary_head_gradients_match_fd():
     x = rand((1, 4, D), 15)
 
     def loss_fn():
-        l_st, l_ed = model.boundary_scores(Tensor(x))
+        l_st, l_ed = model.boundary_scores(Tensor(x), np.ones((1, 4)))
         return ad.sum_(ad.pow_const(ad.add(l_st, l_ed), 2.0))
 
     names = {n for n in model.params.names() if n.startswith("head.")}

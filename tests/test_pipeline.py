@@ -8,6 +8,9 @@ from conftest import reference_score
 from vcmr import corpus as C
 from vcmr import pipeline as P
 from vcmr import retriever as R
+from vcmr.localizer import LocalizerConfig, LocalizerModel
+from vcmr.nn import pad_pairs
+from vcmr.optim import AdamW
 from vcmr.spans import enumerate_spans, iou, iou_matrix, nms
 
 SPEC = C.SyntheticSpec(video_count=8, clips_per_video=8, queries_per_video=1, seed=2)
@@ -19,7 +22,6 @@ ICFG = P.InferenceConfig(top_k_videos=4, moment_max_len=8, results_per_query=20)
 def small_models(corpus):
     rcfg = R.RetrieverConfig(hidden=16, intermediate=32, heads=2)
     retr, _ = P.train_retriever(corpus, SMALL_TRAIN, model_config=rcfg)
-    from vcmr.localizer import LocalizerConfig
     lcfg = LocalizerConfig(hidden=16, intermediate=32, heads=2)
     loc, _, negs = P.train_localizer(corpus, retr, SMALL_TRAIN, ICFG, model_config=lcfg)
     return retr, loc, negs
@@ -44,23 +46,24 @@ def test_config_validation():
 # NMS and span enumeration
 
 
-def nms_inputs(moments, threshold):
-    """(spans, scores, suppress) of `nms` for a list of (span, score)."""
+def nms_moments(moments, threshold, keep=100):
+    """`nms` over a list of (span, score), its kept rows as a list of (span, score)."""
     spans = np.array([span for span, _ in moments])
-    return spans, np.array([score for _, score in moments]), iou_matrix(spans) >= threshold
+    kept = nms(spans, np.array([score for _, score in moments]), iou_matrix(spans) >= threshold, keep=keep)
+    return [moments[i] for i in kept]
 
 
 def test_nms_suppresses_at_threshold_and_keeps_best():
     moments = [((0, 3), 1.0), ((1, 3), 0.9), ((5, 6), 0.8)]
-    kept = nms(*nms_inputs(moments, threshold=0.7))
+    kept = nms_moments(moments, threshold=0.7)
     assert kept == [((0, 3), 1.0), ((5, 6), 0.8)]  # IoU((0,3),(1,3))=0.75 >= 0.7
-    kept_loose = nms(*nms_inputs(moments, threshold=0.8))
+    kept_loose = nms_moments(moments, threshold=0.8)
     assert kept_loose == [((0, 3), 1.0), ((1, 3), 0.9), ((5, 6), 0.8)]
 
 
 def test_nms_keep_cap_and_tie_break():
     moments = [((i, i), 1.0) for i in range(5)]
-    kept = nms(*nms_inputs(moments, threshold=0.7), keep=3)
+    kept = nms_moments(moments, threshold=0.7, keep=3)
     assert kept == [((0, 0), 1.0), ((1, 1), 1.0), ((2, 2), 1.0)]
 
 
@@ -105,19 +108,34 @@ def test_mining_rejects_too_small_corpus():
 # inference oracles
 
 
-def brute_force_infer(retr, loc, corpus, query, icfg, videos=None):
-    """Independent re-derivation of two-stage inference over `videos` (default: the corpus's)."""
+def localizer_scores(loc, query, videos):
+    """Boundary scores of (query, video) rows zero-padded into one batch by `pad_pairs`, from fresh
+    encoder calls: no memo, no shared query encoding."""
+    tokens, token_mask, images, subs, clip_mask = pad_pairs([(query, v) for v in videos])
+    img_r, sub_r = loc.encode_video_batch(images, subs, clip_mask)
+    fwd = loc.forward_rows(loc.encode_tokens(tokens, token_mask), token_mask, img_r, sub_r, clip_mask, with_adv=False)
+    return fwd["l_st"].data, fwd["l_ed"].data
+
+
+def brute_force_infer(retr, loc, corpus, query, icfg, videos=None, batched=False):
+    """Independent re-derivation of two-stage inference over `videos` (default: the corpus's).
+
+    Each retrieved video is localized on a row of its own, or with `batched`
+    all of them in one padded batch."""
     reps = R.encode_query(retr, query)
     scored = sorted(
         ((v.id, reference_score(reps, *R.encode_video(retr, v))) for v in videos or corpus.videos),
         key=lambda it: (-it[1], it[0]),
     )[: icfg.top_k_videos]
+    retrieved = [corpus.video(vid) for vid, _ in scored]
+    if batched:
+        rows = list(zip(*localizer_scores(loc, query, retrieved)))
+    else:
+        rows = [tuple(a[0] for a in localizer_scores(loc, query, [video])) for video in retrieved]
     out = []
-    for vid, s_r in scored:
-        video = corpus.video(vid)
-        l_st, l_ed = P.localize_scores(loc, query, [video])
+    for (vid, s_r), video, (l_st, l_ed) in zip(scored, retrieved, rows):
         cands = [
-            ((st, ed), s_r / icfg.score_temperature + float(l_st[0, st] + l_ed[0, ed]))
+            ((st, ed), s_r / icfg.score_temperature + float(l_st[st] + l_ed[ed]))
             for st, ed in enumerate_spans(len(video), icfg.moment_min_len, icfg.moment_max_len)
         ]
         # independent greedy NMS
@@ -141,6 +159,7 @@ def test_infer_matches_brute_force_bit_exact():
         got = P.infer(retr, loc, corpus, q, ICFG, index)
         ref = brute_force_infer(retr, loc, corpus, q, ICFG)
         assert [(m.video_id, m.span, m.score) for m in got] == ref
+        assert all(type(st) is int and type(ed) is int and type(m.score) is float for m in got for st, ed in [m.span])
 
 
 def test_infer_single_video_matches_brute_force_bit_exact():
@@ -151,6 +170,50 @@ def test_infer_single_video_matches_brute_force_bit_exact():
         got = P.infer_single_video(retr, loc, corpus, q, ICFG, index)
         ref = brute_force_infer(retr, loc, corpus, q, ICFG, [corpus.video(q.target_video)])
         assert [(m.video_id, m.span, m.score) for m in got] == ref
+
+
+def test_mixed_length_corpus_ranks_like_the_padded_batch():
+    # Memoized clip encodings are unpadded, and the padded batch attends over more
+    # (zero-weight) keys, so scores may move by ulps: 1e-12 is far below any score gap.
+    base = C.generate(SPEC)
+    lengths = [8, 3, 5, 1, 8, 2, 7, 4]
+    videos = [C.Video(v.id, v.images[:n], v.subtitles[:n], v.has_subtitle[:n]) for v, n in zip(base.videos, lengths)]
+    queries = [C.Query(q.id, q.tokens, q.target_video, (0, 0)) for q in base.queries]  # inference reads no span
+    corpus = C.Corpus(videos, queries, d_img=base.d_img, d_sub=base.d_sub, d_txt=base.d_txt)
+    sizes = dict(hidden=16, intermediate=32, heads=2)
+    retr = R.RetrieverModel(corpus.d_txt, corpus.d_img, corpus.d_sub, R.RetrieverConfig(**sizes))
+    loc = LocalizerModel(corpus.d_txt, corpus.d_img, corpus.d_sub, LocalizerConfig(**sizes))
+    index = R.encode_corpus(retr, corpus)
+    for q in queries:
+        got = P.infer(retr, loc, corpus, q, ICFG, index)
+        for batched in (True, False):
+            ref = brute_force_infer(retr, loc, corpus, q, ICFG, batched=batched)
+            assert [(m.video_id, m.span) for m in got] == [(vid, span) for vid, span, _ in ref]
+            assert np.allclose([m.score for m in got], [score for _, _, score in ref], rtol=0.0, atol=1e-12)
+
+
+def test_infer_after_weight_updates_matches_a_fresh_model():
+    corpus = C.generate(SPEC)
+    retr, loc, _ = small_models(corpus)
+    index = R.encode_corpus(retr, corpus)
+
+    def predictions(model):
+        return [[(m.video_id, m.span, m.score) for m in P.infer(retr, model, corpus, q, ICFG, index)]
+                for q in corpus.queries[:3]]
+
+    def fresh():
+        model = LocalizerModel(corpus.d_txt, corpus.d_img, corpus.d_sub, loc.config, seed=5)
+        model.params.load_state_dict(loc.params.state_dict())
+        return model
+
+    before = predictions(loc)  # fills the memo
+    loc.params.load_state_dict(LocalizerModel(corpus.d_txt, corpus.d_img, corpus.d_sub, loc.config, seed=9)
+                               .params.state_dict())
+    loaded = predictions(loc)
+    assert loaded != before and loaded == predictions(fresh())
+    AdamW(loc.params, lr=1e-2).step({name: np.ones_like(t.data) for name, t in loc.params.items()})
+    stepped = predictions(loc)
+    assert stepped != loaded and stepped == predictions(fresh())
 
 
 def test_infer_single_video_stays_on_target():
