@@ -8,9 +8,7 @@ output's gradient to that input's. `_op` converts `value` to float64, raises
 surfaces at the op that produced it instead of corrupting a training run
 silently) and wraps it in a `Tensor`. Only on an active tape does it build a
 record: the pairs whose input is a `Tensor`, in one `Tape.record` call, and
-none when no input is a `Tensor`. The composites `mean` and `conv1d` with a
-bias pass their first step on as a constant when no input is a `Tensor`, so
-they record nothing either.
+none when no input is a `Tensor`. So every op adds at most one record.
 """
 
 from __future__ import annotations
@@ -208,21 +206,22 @@ def matmul(a, b):
 # reductions
 
 
+def _spread(g, shape, axis, keepdims):
+    """Gradient of a reduction over `axis` to an input of `shape`; with axis=None, g is 0-d or keepdims."""
+    gg = g if keepdims or axis is None else np.expand_dims(g, axis)
+    return np.broadcast_to(gg, shape).copy()
+
+
 def sum_(x, axis=None, keepdims=False):
     xv = _val(x)
-
-    def grad(g):  # with axis=None, g is 0-d or keepdims
-        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
-        return np.broadcast_to(gg, xv.shape).copy()
-
-    return _op(xv.sum(axis=axis, keepdims=keepdims), (x, grad))
+    return _op(xv.sum(axis=axis, keepdims=keepdims), (x, lambda g: _spread(g, xv.shape, axis, keepdims)))
 
 
 def mean(x, axis=None, keepdims=False):
     xv = _val(x)
-    n = xv.size if axis is None else xv.shape[axis]
-    total = sum_(x, axis=axis, keepdims=keepdims)
-    return mul(total if isinstance(x, Tensor) else total.data, 1.0 / n)
+    scale = 1.0 / (xv.size if axis is None else xv.shape[axis])
+    return _op(xv.sum(axis=axis, keepdims=keepdims) * scale,
+               (x, lambda g: _spread(g * scale, xv.shape, axis, keepdims)))
 
 
 def max_over_axis(x, axis):
@@ -376,10 +375,12 @@ def conv1d(x, kernel, bias=None):
             gk[t] = xp[..., t : t + length, :].reshape(-1, d_in).T @ g_flat
         return gk
 
-    out = _op(res, (x, grad_x), (kernel, grad_kernel))
-    if bias is None:
-        return out
-    return add(out if isinstance(x, Tensor) or isinstance(kernel, Tensor) else out.data, bias)
+    pairs = [(x, grad_x), (kernel, grad_kernel)]
+    if bias is not None:
+        bv = _val(bias)
+        res += bv
+        pairs.append((bias, lambda g: _unbroadcast(g, bv.shape)))
+    return _op(res, *pairs)
 
 
 # ---------------------------------------------------------------------------

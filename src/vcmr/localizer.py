@@ -106,10 +106,6 @@ class LocalizerModel(nn.EncoderTrunk):
             out.append(ad.reshape(s, (b, n)))
         return out[0], out[1]
 
-    def adv_encode(self, fused, clip_mask):
-        """Adversarial-branch transformer over the fused clip sequence."""
-        return self.adv_layer(fused, clip_mask)
-
     def adv_classify(self, features):
         """Three-layer classifier head; features [S, D] -> logits [S]."""
         p = self.params
@@ -118,12 +114,13 @@ class LocalizerModel(nn.EncoderTrunk):
         logits = nn.linear(h, p["adv.fc3.w"], p["adv.fc3.b"])
         return ad.reshape(logits, (features.shape[0],))
 
-    def forward_rows(self, token_reps, token_mask, img_r, sub_r, clip_mask, with_adv=True):
+    def forward_rows(self, token_reps, token_mask, img_r, sub_r, clip_mask):
         """Gates, fusion and heads over a stack of encoded (query, video) rows.
 
         token_reps [R, L, D] (`encode_tokens`) carry each row's owning query and
         img_r/sub_r [R, N, D] (`encode_video_batch`) its video. Returns the
-        boundary scores and (optionally) the adversarial branch outputs.
+        boundary scores l_st, l_ed [R, N] and the fused clips [R, N, D] that
+        the adversarial branch (`adv_layer`) reads in training.
         """
         q_img, q_sub, _ = self.pool_tokens(token_reps, token_mask)
         if self.config.use_gates:
@@ -133,65 +130,41 @@ class LocalizerModel(nn.EncoderTrunk):
         fused = self.fuse_clips(img_g, sub_g)
         ctx = self.fuse_with_query(fused, token_reps, token_mask, clip_mask)
         l_st, l_ed = self.boundary_scores(ctx, clip_mask)
-        adv_out = self.adv_encode(fused, clip_mask) if with_adv else None
-        return {"l_st": l_st, "l_ed": l_ed, "adv_out": adv_out}
+        return l_st, l_ed, fused
 
     def video_clips(self, videos):
         """Clip encodings of `videos` for inference, zero-padded to the longest:
         (img_r [R, N, D], sub_r [R, N, D], clip_mask [R, N]).
 
-        Each video is encoded once, tape-free on a one-row batch of its own
-        length, and memoized as plain arrays per `Video` object, whose arrays
-        are read-only. The memo is dropped as soon as any parameter's `.data`
-        is no longer the array it was encoded with, as after `AdamW.step` or
-        `Params.load_state_dict`; a write into a parameter array in place is
-        not seen.
+        Each video is encoded once by `encode_video` and memoized per `Video`
+        object, whose arrays are read-only. The memo is dropped as soon as any
+        parameter's `.data` is no longer the array it was encoded with, as
+        after `AdamW.step` or `Params.load_state_dict`; a write into a
+        parameter array in place is not seen.
         """
         weights = [t.data for _, t in self.params.items()]
         if len(weights) != len(self._memo_weights) or any(a is not b for a, b in zip(weights, self._memo_weights)):
             self._memo, self._memo_weights = {}, weights
-        encoded = np.zeros((2, len(videos), max(map(len, videos)), self.config.hidden))  # image, subtitle
-        clip_mask = np.zeros(encoded.shape[1:3])
-        for i, video in enumerate(videos):
+        entries = []
+        for video in videos:
             entry = self._memo.get(id(video))
             if entry is None:  # the entry holds the video, so its id is not reused while memoized
-                img_r, sub_r = self.encode_video_batch(video.image_matrix()[None], video.subtitle_matrix()[None],
-                                                       np.ones((1, len(video))))
-                entry = self._memo[id(video)] = (video, img_r.data[0], sub_r.data[0])
-            encoded[:, i, : len(video)] = entry[1:]
-            clip_mask[i, : len(video)] = 1.0
-        return encoded[0], encoded[1], clip_mask
+                entry = self._memo[id(video)] = (video, *self.encode_video(video))
+            entries.append(entry)
+        img_r, clip_mask = nn.pad_rows([img for _, img, _ in entries])
+        sub_r, _ = nn.pad_rows([sub for _, _, sub in entries])
+        return img_r, sub_r, clip_mask
 
 
 # ---------------------------------------------------------------------------
 # losses
 
 
-def shared_norm_loss(pos_st, pos_ed, neg_st, neg_ed, gt_span):
-    """Boundary cross-entropy normalized over the positive video's clips and
-    all negative videos' clips jointly.
-
-    pos_st/pos_ed: Tensor [N] for the ground-truth video; neg_st/neg_ed:
-    lists of Tensors (one per negative video). Returns L_st + L_ed.
-    """
-    n = pos_st.shape[0]
-    st, ed = gt_span
-    if not (0 <= st <= ed < n):
-        raise ValueError(f"ground-truth span {gt_span} out of range for {n} clips")
-    total = 0.0
-    for pos, negs, target in ((pos_st, neg_st, st), (pos_ed, neg_ed, ed)):
-        flat = ad.concat([pos] + list(negs), axis=0) if negs else pos
-        lse = ad.logsumexp(ad.reshape(flat, (1, flat.shape[0])), axis=1)
-        picked = ad.take(pos, np.array([target]))
-        total = ad.add(total, ad.sum_(ad.sub(lse, picked)))
-    return total
-
-
 def boundary_loss(l_st, l_ed, clip_mask, groups, spans, shared_norm):
-    """`shared_norm_loss` over stacked rows l_st/l_ed [R, N], mean over queries.
+    """Boundary cross-entropy over stacked rows l_st/l_ed [R, N], mean over queries.
 
-    groups[i] lists query i's rows, ground-truth row first, and spans[i] is its
-    span; without shared_norm its softmax covers the ground-truth row alone."""
+    groups[i] lists query i's rows, ground-truth row first, and spans[i] is its span; its
+    softmax covers the real clips of all its rows, or without shared_norm the ground-truth row's."""
     r, n = clip_mask.shape
     member = np.zeros((len(groups), r * n))
     for gi, row_ids in enumerate(groups):

@@ -148,27 +148,25 @@ class TransformerLayer:
         return self._ln("ln2", ad.add(x, h))
 
 
+def pad_rows(rows):
+    """Zero-pad arrays [n_i, d] to the longest: (padded [R, max n, d], mask [R, max n])."""
+    padded = np.zeros((len(rows), max(map(len, rows)), rows[0].shape[1]))
+    mask = np.zeros(padded.shape[:2])
+    for i, row in enumerate(rows):
+        padded[i, : len(row)] = row
+        mask[i, : len(row)] = 1.0
+    return padded, mask
+
+
 def pad_pairs(pairs):
     """Zero-pad (query, video) rows into dense model inputs.
 
     Returns tokens [R, L, d_txt], token_mask [R, L], images [R, N, d_img],
     subs [R, N, d_sub] and clip_mask [R, N]; absent subtitles are zeros.
     """
-    r = len(pairs)
-    max_tok = max(q.tokens.shape[0] for q, _ in pairs)
-    n = max(len(v) for _, v in pairs)
-    tokens = np.zeros((r, max_tok, pairs[0][0].tokens.shape[1]))
-    token_mask = np.zeros((r, max_tok))
-    images = np.zeros((r, n, pairs[0][1].images.shape[1]))
-    subs = np.zeros((r, n, pairs[0][1].subtitles.shape[1]))
-    clip_mask = np.zeros((r, n))
-    for i, (q, v) in enumerate(pairs):
-        lt, lv = q.tokens.shape[0], len(v)
-        tokens[i, :lt] = q.tokens
-        token_mask[i, :lt] = 1.0
-        images[i, :lv] = v.image_matrix()
-        subs[i, :lv] = v.subtitle_matrix()
-        clip_mask[i, :lv] = 1.0
+    tokens, token_mask = pad_rows([q.tokens for q, _ in pairs])
+    images, clip_mask = pad_rows([v.image_matrix() for _, v in pairs])
+    subs, _ = pad_rows([v.subtitle_matrix() for _, v in pairs])
     return tokens, token_mask, images, subs, clip_mask
 
 
@@ -260,3 +258,10 @@ class EncoderTrunk:
         seq = ad.concat([h_img, h_sub], axis=1)
         out = self.v_layer(seq, np.concatenate([clip_mask, clip_mask], axis=1))
         return ad.slice_axis(out, 1, 0, n), ad.slice_axis(out, 1, n, 2 * n)
+
+    def encode_video(self, video):
+        """(image, subtitle) clip encodings of one video as plain arrays, each [clips, D], encoded
+        on a one-row batch of its own length, so they do not depend on any other video."""
+        img_r, sub_r = self.encode_video_batch(video.image_matrix()[None], video.subtitle_matrix()[None],
+                                               np.ones((1, len(video))))
+        return img_r.data[0], sub_r.data[0]

@@ -210,16 +210,14 @@ def localizer_batch_loss(model: LocalizerModel, corpus, queries, negatives, conf
     """Boundary loss (shared-norm across the positive and negative videos)
     plus the adversarial moment-classification loss for one batch."""
     rows, groups, tokens, token_mask, images, subs, clip_mask = _localizer_rows(corpus, queries, negatives)
-    with_adv = config.gamma != 0.0
     token_reps = model.encode_tokens(tokens, token_mask)
     img_r, sub_r = model.encode_video_batch(images, subs, clip_mask)
-    fwd = model.forward_rows(token_reps, token_mask, img_r, sub_r, clip_mask, with_adv=with_adv)
-    l_st, l_ed = fwd["l_st"], fwd["l_ed"]
+    l_st, l_ed, fused = model.forward_rows(token_reps, token_mask, img_r, sub_r, clip_mask)
 
     boundary = loc_mod.boundary_loss(l_st, l_ed, clip_mask, groups, [q.span for q in queries],
                                      shared_norm=model.config.shared_norm)
 
-    if not with_adv:
+    if config.gamma == 0.0:
         return boundary
 
     positives = []
@@ -238,7 +236,7 @@ def localizer_batch_loss(model: LocalizerModel, corpus, queries, negatives, conf
             negatives_items.extend((ri, span) for span in mined)
     if not negatives_items:
         return boundary
-    adv = loc_mod.adversarial_loss(model, fwd["adv_out"], positives, negatives_items)
+    adv = loc_mod.adversarial_loss(model, model.adv_layer(fused, clip_mask), positives, negatives_items)
     return loc_mod.total_loss(boundary, adv, gamma=config.gamma)
 
 
@@ -273,9 +271,9 @@ def localize_scores(model: LocalizerModel, query, videos):
     token_mask = np.ones(tokens.shape[:2])
     token_reps = model.encode_tokens(tokens, token_mask).data
     r = len(videos)
-    fwd = model.forward_rows(np.repeat(token_reps, r, axis=0), np.repeat(token_mask, r, axis=0),
-                             *model.video_clips(videos), with_adv=False)
-    return fwd["l_st"].data, fwd["l_ed"].data
+    l_st, l_ed, _ = model.forward_rows(np.repeat(token_reps, r, axis=0), np.repeat(token_mask, r, axis=0),
+                                       *model.video_clips(videos))
+    return l_st.data, l_ed.data
 
 
 def _rank_moments(localizer_model: LocalizerModel, corpus, query, scored, icfg: InferenceConfig):

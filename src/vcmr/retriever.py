@@ -53,14 +53,6 @@ class CorpusIndex:
     clip_mask: np.ndarray
 
 
-@dataclass
-class RelevanceSample:
-    strong: tuple[int, int]  # (image clip, subtitle clip) inside the span
-    weak: tuple[int, int] | None  # best clips outside the span, if any
-    strong_score: float
-    weak_score: float | None
-
-
 class RetrieverModel(nn.EncoderTrunk):
     def __init__(self, d_txt, d_img, d_sub, config: RetrieverConfig | None = None, seed=0):
         super().__init__(d_txt, d_img, d_sub, config or RetrieverConfig(), np.random.default_rng(seed))
@@ -93,10 +85,7 @@ def encode_query(model: RetrieverModel, query) -> ModalityQueryReps:
 
 def encode_video(model: RetrieverModel, video):
     """(image, subtitle) clip encodings of one video, each [clips, hidden]."""
-    images = video.image_matrix()[None]
-    subs = video.subtitle_matrix()[None]
-    img_r, sub_r = model.encode_video_batch(images, subs, np.ones((1, len(video))))
-    return img_r.data[0].copy(), sub_r.data[0].copy()
+    return model.encode_video(video)
 
 
 def clip_cosines(qn, clips_n):
@@ -133,43 +122,17 @@ def score_video(reps: ModalityQueryReps, index: CorpusIndex, use_subtitles=True)
     return best_clips(sims_img, sims_sub, index.clip_mask[:, None, :], use_subtitles).data[:, 0]
 
 
-def sample_relevance(reps: ModalityQueryReps, image, subtitle, span, use_subtitles=True) -> RelevanceSample:
-    """Best clips of one video's (image, subtitle) encodings inside `span` (strong) and
-    outside it (weak): the per-video statement of the rule `contrastive_loss` batches."""
-    n = image.shape[0]
-    st, ed = span
-    if not (0 <= st <= ed < n):
-        raise ValueError(f"span {span} out of range for {n} clips")
-    sim_img = _query_cosines(reps.q_image, ad.l2_normalize(image[None])).data[0, 0]
-    sim_sub = _query_cosines(reps.q_subtitle, ad.l2_normalize(subtitle[None])).data[0, 0]
-    inside = np.zeros(n, dtype=bool)
-    inside[st : ed + 1] = True
-
-    def best(region):  # ((image clip, subtitle clip), score) of the best clips in `region`
-        clips = np.flatnonzero(region)
-        i, s = int(clips[np.argmax(sim_img[region])]), int(clips[np.argmax(sim_sub[region])])
-        return (i, s), float(sim_img[i] if not use_subtitles else (sim_img[i] + sim_sub[s]) / 2.0)
-
-    strong, strong_score = best(inside)
-    if inside.all():
-        return RelevanceSample(strong, None, strong_score, None)
-    weak, weak_score = best(~inside)
-    return RelevanceSample(strong, weak, strong_score, weak_score)
-
-
 def encode_corpus(model: RetrieverModel, corpus) -> CorpusIndex:
     """Precompute the clip encodings of every video once (late-fusion property)."""
     if not corpus.videos:
         raise ValueError("empty corpus")
     videos = sorted(corpus.videos, key=lambda v: v.id)
-    encoded = np.zeros((2, len(videos), max(map(len, videos)), model.config.hidden))  # image, subtitle
-    clip_mask = np.zeros(encoded.shape[1:3])
-    for i, v in enumerate(videos):
-        encoded[:, i, : len(v)] = encode_video(model, v)
-        clip_mask[i, : len(v)] = 1.0
-    unit = ad.l2_normalize(encoded).data
-    unit.flags.writeable = clip_mask.flags.writeable = False
-    return CorpusIndex(tuple(v.id for v in videos), unit[0], unit[1], clip_mask)
+    encoded = [encode_video(model, v) for v in videos]
+    image, clip_mask = nn.pad_rows([img for img, _ in encoded])
+    subtitle, _ = nn.pad_rows([sub for _, sub in encoded])
+    image, subtitle = (ad.l2_normalize(x).data for x in (image, subtitle))
+    image.flags.writeable = subtitle.flags.writeable = clip_mask.flags.writeable = False
+    return CorpusIndex(tuple(v.id for v in videos), image, subtitle, clip_mask)
 
 
 def retrieve_topk(model: RetrieverModel, corpus, query, k, index: CorpusIndex):

@@ -1,14 +1,20 @@
-"""Shared helpers: finite-difference gradient oracles and a per-video
-retrieval score oracle.
+"""Shared helpers: finite-difference gradient oracles, a per-video
+retrieval score oracle, and the per-query and per-video statements of the
+batched localizer and retriever losses (`shared_norm_loss`,
+`sample_relevance`).
 
 Central differences with h=1e-5 on float64 give ~1e-10 truncation error for
 smooth graphs, so a 1e-4 relative tolerance cleanly separates correct from
 broken adjoints.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from vcmr import autodiff as ad
 from vcmr.autodiff import Tape, Tensor
+from vcmr.retriever import ModalityQueryReps, _query_cosines
 
 H = 1e-5
 RTOL = 1e-4
@@ -92,3 +98,55 @@ def reference_score(reps, image, subtitle, use_subtitles=True):
 
     phi_image = best(reps.q_image, image)
     return phi_image if not use_subtitles else (phi_image + best(reps.q_subtitle, subtitle)) / 2.0
+
+
+def shared_norm_loss(pos_st, pos_ed, neg_st, neg_ed, gt_span):
+    """Boundary cross-entropy normalized over the positive video's clips and
+    all negative videos' clips jointly.
+
+    pos_st/pos_ed: Tensor [N] for the ground-truth video; neg_st/neg_ed:
+    lists of Tensors (one per negative video). Returns L_st + L_ed.
+    """
+    n = pos_st.shape[0]
+    st, ed = gt_span
+    if not (0 <= st <= ed < n):
+        raise ValueError(f"ground-truth span {gt_span} out of range for {n} clips")
+    total = 0.0
+    for pos, negs, target in ((pos_st, neg_st, st), (pos_ed, neg_ed, ed)):
+        flat = ad.concat([pos] + list(negs), axis=0) if negs else pos
+        lse = ad.logsumexp(ad.reshape(flat, (1, flat.shape[0])), axis=1)
+        picked = ad.take(pos, np.array([target]))
+        total = ad.add(total, ad.sum_(ad.sub(lse, picked)))
+    return total
+
+
+@dataclass
+class RelevanceSample:
+    strong: tuple[int, int]  # (image clip, subtitle clip) inside the span
+    weak: tuple[int, int] | None  # best clips outside the span, if any
+    strong_score: float
+    weak_score: float | None
+
+
+def sample_relevance(reps: ModalityQueryReps, image, subtitle, span, use_subtitles=True) -> RelevanceSample:
+    """Best clips of one video's (image, subtitle) encodings inside `span` (strong) and
+    outside it (weak): the per-video statement of the rule `contrastive_loss` batches."""
+    n = image.shape[0]
+    st, ed = span
+    if not (0 <= st <= ed < n):
+        raise ValueError(f"span {span} out of range for {n} clips")
+    sim_img = _query_cosines(reps.q_image, ad.l2_normalize(image[None])).data[0, 0]
+    sim_sub = _query_cosines(reps.q_subtitle, ad.l2_normalize(subtitle[None])).data[0, 0]
+    inside = np.zeros(n, dtype=bool)
+    inside[st : ed + 1] = True
+
+    def best(region):  # ((image clip, subtitle clip), score) of the best clips in `region`
+        clips = np.flatnonzero(region)
+        i, s = int(clips[np.argmax(sim_img[region])]), int(clips[np.argmax(sim_sub[region])])
+        return (i, s), float(sim_img[i] if not use_subtitles else (sim_img[i] + sim_sub[s]) / 2.0)
+
+    strong, strong_score = best(inside)
+    if inside.all():
+        return RelevanceSample(strong, None, strong_score, None)
+    weak, weak_score = best(~inside)
+    return RelevanceSample(strong, weak, strong_score, weak_score)

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from conftest import fd_check, fd_check_params, reference_score
+from conftest import fd_check, fd_check_params, reference_score, shared_norm_loss
 from test_pipeline import brute_force_infer, independent_moment_recall
 from vcmr import autodiff as ad
 from vcmr import cli
@@ -60,32 +60,32 @@ def frozen_total_loss(loc, corpus, queries, negatives, gamma):
     rows, groups, tokens, token_mask, images, subs, clip_mask = rows_data
     n = clip_mask.shape[1]
 
-    def forward(with_adv):
+    def forward():
         token_reps = loc.encode_tokens(tokens, token_mask)
         img_r, sub_r = loc.encode_video_batch(images, subs, clip_mask)
-        return loc.forward_rows(token_reps, token_mask, img_r, sub_r, clip_mask, with_adv=with_adv)
+        return loc.forward_rows(token_reps, token_mask, img_r, sub_r, clip_mask)
 
-    fwd0 = forward(with_adv=False)
+    l_st0, l_ed0, _ = forward()
     positives, neg_items = [], []
     for query, row_ids in zip(queries, groups):
         for span in sample_positive_spans(query.span, n):
             positives.append((row_ids[0], span))
         for ri in row_ids[1:]:
-            mined = top_spans(fwd0["l_st"].data[ri], fwd0["l_ed"].data[ri], 1, n, k=2)
+            mined = top_spans(l_st0.data[ri], l_ed0.data[ri], 1, n, k=2)
             neg_items.extend((ri, span) for span in mined)
 
     def loss_fn():
-        fwd = forward(with_adv=True)
+        l_st, l_ed, fused = forward()
         terms = []
         for query, row_ids in zip(queries, groups):
             row = lambda t, ri: ad.reshape(ad.slice_axis(t, 0, ri, ri + 1), (n,))
-            terms.append(L.shared_norm_loss(
-                row(fwd["l_st"], row_ids[0]), row(fwd["l_ed"], row_ids[0]),
-                [row(fwd["l_st"], ri) for ri in row_ids[1:]],
-                [row(fwd["l_ed"], ri) for ri in row_ids[1:]],
+            terms.append(shared_norm_loss(
+                row(l_st, row_ids[0]), row(l_ed, row_ids[0]),
+                [row(l_st, ri) for ri in row_ids[1:]],
+                [row(l_ed, ri) for ri in row_ids[1:]],
                 query.span))
         boundary = ad.mul(ad.sum_(ad.concat([ad.reshape(t, (1,)) for t in terms])), 1.0 / len(terms))
-        adv = L.adversarial_loss(loc, fwd["adv_out"], positives, neg_items)
+        adv = L.adversarial_loss(loc, loc.adv_layer(fused, clip_mask), positives, neg_items)
         return L.total_loss(boundary, adv, gamma=gamma)
 
     return loss_fn
@@ -133,13 +133,13 @@ def test_criterion_1_gradient_integrity():
         pos_st, pos_ed = r.normal(size=4), r.normal(size=4)
         neg = r.normal(size=(2, 3))
         worst = max(worst, fd_check(
-            lambda ps, pe, n0, n1: L.shared_norm_loss(ps, pe, [n0], [n1], (1, 2)),
+            lambda ps, pe, n0, n1: shared_norm_loss(ps, pe, [n0], [n1], (1, 2)),
             [pos_st, pos_ed, neg[0], neg[1]]))
 
         # adversarial BCE through the adversarial transformer + classifier
         fused = r.normal(size=(2, 4, 8))
         worst = max(worst, fd_check_params(
-            lambda: L.adversarial_loss(loc, loc.adv_encode(Tensor(fused), np.ones((2, 4))),
+            lambda: L.adversarial_loss(loc, loc.adv_layer(Tensor(fused), np.ones((2, 4))),
                                        [(0, (0, 1))], [(1, (2, 3))]),
             loc.params, sample=1, rng=rng,
             names={n for n in loc.params.names() if n.startswith("adv.")}))
@@ -169,13 +169,13 @@ def test_criterion_2_closed_form_losses():
     err_nce = abs(info_nce - np.log(2.0))
 
     # single-clip shared-norm loss, no negatives
-    sn = L.shared_norm_loss(Tensor([2.3]), Tensor([-1.1]), [], [], (0, 0)).item()
+    sn = shared_norm_loss(Tensor([2.3]), Tensor([-1.1]), [], [], (0, 0)).item()
 
     # zeroed classifier BCE
     _, loc = tiny_models(0)
     loc.params["adv.fc3.w"].data[:] = 0.0
     loc.params["adv.fc3.b"].data[:] = 0.0
-    adv_out = loc.adv_encode(Tensor(np.random.default_rng(0).normal(size=(1, 4, 8))), np.ones((1, 4)))
+    adv_out = loc.adv_layer(Tensor(np.random.default_rng(0).normal(size=(1, 4, 8))), np.ones((1, 4)))
     bce = L.adversarial_loss(loc, adv_out, [(0, (0, 1))], [(0, (2, 3))]).item()
     err_bce = abs(bce - np.log(2.0))
 

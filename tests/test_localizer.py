@@ -4,7 +4,7 @@ losses, span utilities, and negative-moment mining."""
 import numpy as np
 import pytest
 
-from conftest import RTOL, fd_check_params
+from conftest import RTOL, fd_check_params, shared_norm_loss
 from vcmr import autodiff as ad
 from vcmr import localizer as L
 from vcmr.autodiff import Tape, Tensor
@@ -172,12 +172,12 @@ def test_boundary_head_gradients_match_fd():
 
 
 def test_shared_norm_single_clip_no_negatives_is_zero():
-    loss = L.shared_norm_loss(Tensor([1.7]), Tensor([-0.3]), [], [], (0, 0))
+    loss = shared_norm_loss(Tensor([1.7]), Tensor([-0.3]), [], [], (0, 0))
     assert abs(loss.item()) < 1e-12
 
 
 def test_shared_norm_uniform_two_clips_is_2ln2():
-    loss = L.shared_norm_loss(Tensor([0.4, 0.4]), Tensor([0.4, 0.4]), [], [], (0, 1))
+    loss = shared_norm_loss(Tensor([0.4, 0.4]), Tensor([0.4, 0.4]), [], [], (0, 1))
     assert abs(loss.item() - 2 * np.log(2.0)) < 1e-12
 
 
@@ -187,7 +187,7 @@ def test_shared_norm_matches_direct_formula_with_negatives():
     negs_st = [r.normal(size=3), r.normal(size=5)]
     negs_ed = [r.normal(size=3), r.normal(size=5)]
     gt = (1, 2)
-    loss = L.shared_norm_loss(
+    loss = shared_norm_loss(
         Tensor(pos_st), Tensor(pos_ed),
         [Tensor(a) for a in negs_st], [Tensor(a) for a in negs_ed], gt,
     )
@@ -207,7 +207,7 @@ def test_shared_norm_matches_direct_formula_with_negatives():
 
 def test_shared_norm_rejects_bad_span():
     with pytest.raises(ValueError):
-        L.shared_norm_loss(Tensor([0.0, 0.0]), Tensor([0.0, 0.0]), [], [], (0, 5))
+        shared_norm_loss(Tensor([0.0, 0.0]), Tensor([0.0, 0.0]), [], [], (0, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -218,21 +218,21 @@ def test_adversarial_zeroed_classifier_gives_ln2():
     model = make_model()
     model.params["adv.fc3.w"].data[:] = 0.0
     model.params["adv.fc3.b"].data[:] = 0.0
-    adv_out = model.adv_encode(Tensor(rand((2, 5, D), 17)), np.ones((2, 5)))
+    adv_out = model.adv_layer(Tensor(rand((2, 5, D), 17)), np.ones((2, 5)))
     loss = L.adversarial_loss(model, adv_out, [(0, (0, 1))], [(1, (2, 4))])
     assert abs(loss.item() - np.log(2.0)) < 1e-9
 
 
 def test_adversarial_duplicate_span_bounded_below_by_ln2():
     model = make_model()
-    adv_out = model.adv_encode(Tensor(rand((1, 4, D), 18)), np.ones((1, 4)))
+    adv_out = model.adv_layer(Tensor(rand((1, 4, D), 18)), np.ones((1, 4)))
     loss = L.adversarial_loss(model, adv_out, [(0, (1, 2))], [(0, (1, 2))])
     assert loss.item() >= np.log(2.0) - 1e-12
 
 
 def test_adversarial_requires_both_sides():
     model = make_model()
-    adv_out = model.adv_encode(Tensor(rand((1, 4, D), 19)), np.ones((1, 4)))
+    adv_out = model.adv_layer(Tensor(rand((1, 4, D), 19)), np.ones((1, 4)))
     with pytest.raises(ValueError):
         L.adversarial_loss(model, adv_out, [], [(0, (0, 0))])
 
@@ -242,7 +242,7 @@ def test_adversarial_gradients_match_fd():
     fused = rand((2, 4, D), 20)
 
     def loss_fn():
-        adv_out = model.adv_encode(Tensor(fused), np.ones((2, 4)))
+        adv_out = model.adv_layer(Tensor(fused), np.ones((2, 4)))
         return L.adversarial_loss(model, adv_out, [(0, (0, 1)), (0, (1, 2))], [(1, (0, 3))])
 
     names = {n for n in model.params.names() if n.startswith("adv.")}

@@ -113,8 +113,8 @@ def localizer_scores(loc, query, videos):
     encoder calls: no memo, no shared query encoding."""
     tokens, token_mask, images, subs, clip_mask = pad_pairs([(query, v) for v in videos])
     img_r, sub_r = loc.encode_video_batch(images, subs, clip_mask)
-    fwd = loc.forward_rows(loc.encode_tokens(tokens, token_mask), token_mask, img_r, sub_r, clip_mask, with_adv=False)
-    return fwd["l_st"].data, fwd["l_ed"].data
+    l_st, l_ed, _ = loc.forward_rows(loc.encode_tokens(tokens, token_mask), token_mask, img_r, sub_r, clip_mask)
+    return l_st.data, l_ed.data
 
 
 def brute_force_infer(retr, loc, corpus, query, icfg, videos=None, batched=False):

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import RTOL, fd_check_params, reference_score
+from conftest import RTOL, fd_check_params, reference_score, sample_relevance
 from vcmr import corpus as C
 from vcmr import retriever as R
 from vcmr.autodiff import Tape
@@ -151,7 +151,7 @@ def test_score_constant_video_tie_breaks_to_zero():
     reps = reps_along_e0()
     index = one_video_index([0.5, 0.5, 0.5], [0.2, 0.2, 0.2])
     assert abs(R.score_video(reps, index)[0] - (0.5 + 0.2) / 2) < 1e-12
-    assert R.sample_relevance(reps, index.image[0], index.subtitle[0], (0, 2)).strong == (0, 0)
+    assert sample_relevance(reps, index.image[0], index.subtitle[0], (0, 2)).strong == (0, 0)
 
 
 def test_score_orthogonal_image_full_subtitle():
@@ -185,7 +185,7 @@ def test_sample_relevance_hand_case():
     # span [0,0] of a 3-clip video; image sims [0.9, 0.1, 0.2],
     # subtitle sims [0.3, 0.8, 0.1]
     reps = reps_along_e0()
-    sample = R.sample_relevance(reps, unit_clip_rows([0.9, 0.1, 0.2]), unit_clip_rows([0.3, 0.8, 0.1]), (0, 0))
+    sample = sample_relevance(reps, unit_clip_rows([0.9, 0.1, 0.2]), unit_clip_rows([0.3, 0.8, 0.1]), (0, 0))
     assert sample.strong == (0, 0)
     assert sample.weak == (2, 1)
     assert abs(sample.strong_score - 0.6) < 1e-12
@@ -194,7 +194,7 @@ def test_sample_relevance_hand_case():
 
 def test_sample_relevance_full_span_has_no_weak():
     reps = reps_along_e0()
-    sample = R.sample_relevance(reps, unit_clip_rows([0.9, 0.1]), unit_clip_rows([0.3, 0.8]), (0, 1))
+    sample = sample_relevance(reps, unit_clip_rows([0.9, 0.1]), unit_clip_rows([0.3, 0.8]), (0, 1))
     assert sample.weak is None and sample.weak_score is None
 
 
@@ -205,7 +205,7 @@ def test_strong_indices_always_inside_span():
                                             queries_per_video=2, seed=seed))
         for q in corpus.queries:
             image, subtitle = R.encode_video(model, corpus.video(q.target_video))
-            sample = R.sample_relevance(R.encode_query(model, q), image, subtitle, q.span)
+            sample = sample_relevance(R.encode_query(model, q), image, subtitle, q.span)
             st, ed = q.span
             assert st <= sample.strong[0] <= ed and st <= sample.strong[1] <= ed
             if sample.weak is not None:
