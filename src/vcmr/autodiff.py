@@ -9,9 +9,19 @@ surfaces at the op that produced it instead of corrupting a training run
 silently) and wraps it in a `Tensor`. Only on an active tape does it build a
 record: the pairs whose input is a `Tensor`, in one `Tape.record` call, and
 none when no input is a `Tensor`. So every op adds at most one record.
+
+`linear`, `layer_norm` and `attention` are fused ops: one record each for a
+chain of the ops above. Each evaluates, forward and backward, the same NumPy
+expressions on the same views in the same order as that chain, so its values
+and gradients have the same bits; a forward may reuse one buffer through
+in-place operators, which round alike. They keep fewer intermediates alive
+and recompute what backward needs from those. The pairs of one fused op
+share their common backward work through `_shared`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -25,6 +35,9 @@ class ShapeError(ValueError):
 
 
 _ACTIVE_TAPE = None
+
+# Additive logit of a blocked attention key: an exact zero weight after softmax at float64.
+MASK_NEG = -1e9
 
 
 class Tensor:
@@ -134,6 +147,25 @@ def _op(value, *pairs):
     return out
 
 
+def _shared(fn, readers):
+    """`fn(g)` for the `readers` pair functions of one fused op that call this with the
+    same `g` (`Tape.backward` passes one gradient to every pair of a record): computed
+    by the first reader and dropped by the last, so it does not outlive the record's
+    turn. `readers` counts only the pairs whose input is a `Tensor`."""
+    memo = {}
+
+    def get(g):
+        entry = memo.get(id(g))
+        if entry is None:
+            entry = memo[id(g)] = [fn(g), readers]
+        entry[1] -= 1
+        if not entry[1]:
+            del memo[id(g)]
+        return entry[0]
+
+    return get
+
+
 def _unbroadcast(grad, shape):
     """Reduce a broadcasted gradient back to the original operand shape."""
     if grad.shape == shape:
@@ -191,15 +223,29 @@ def log(x):
 # linear algebra
 
 
-def matmul(a, b):
-    av, bv = _val(a), _val(b)
+def _matmul_pairs(a, b, av, bv):
+    """The (input, grad_fn) pairs of `a @ b`, after checking the operand shapes."""
     if av.ndim < 2 or bv.ndim < 2:
         raise ShapeError("matmul operands must be at least 2-D")
     if av.shape[-1] != bv.shape[-2]:
         raise ShapeError(f"matmul inner dims disagree: {av.shape} x {bv.shape}")
-    return _op(np.matmul(av, bv),
-               (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape)),
-               (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape)))
+    return ((a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape)),
+            (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape)))
+
+
+def matmul(a, b):
+    av, bv = _val(a), _val(b)
+    pairs = _matmul_pairs(a, b, av, bv)
+    return _op(np.matmul(av, bv), *pairs)
+
+
+def linear(x, w, b):
+    """Affine map `x @ w + b`; `b` broadcasts over the rows of the product."""
+    xv, wv, bv = _val(x), _val(w), _val(b)
+    pairs = _matmul_pairs(x, w, xv, wv)
+    out = np.matmul(xv, wv)
+    out += bv
+    return _op(out, *pairs, (b, lambda g: _unbroadcast(g, bv.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +380,91 @@ def l2_normalize(x, axis=-1):
         return np.where(norms > 0.0, gx, 0.0)
 
     return _op(xv / safe, (x, grad))
+
+
+def layer_norm(x, gamma, beta, eps=1e-5):
+    """`(x - mean) / sqrt(var + eps) * gamma + beta` over the last axis: the chain
+    mean, sub, mul, mean, add, pow_const, mul, mul, add as one record."""
+    xv, gv, bv = _val(x), _val(gamma), _val(beta)
+    scale = 1.0 / xv.shape[-1]
+    xc = xv - xv.sum(axis=-1, keepdims=True) * scale
+    ve = (xc * xc).sum(axis=-1, keepdims=True) * scale + eps
+    p = -0.5
+    inv = ve ** p
+    out = xc * inv
+    out *= gv
+    out += bv
+    shape, mu_shape = xv.shape, ve.shape
+
+    def d_xc(g):  # the gradient the chain accumulated for xc: (g_n * inv + g_sq * xc) + g_sq * xc
+        g_n = g * gv
+        g_inv = _unbroadcast(g_n * xc, inv.shape)
+        g_sq_xc = (g_inv * p * ve ** (p - 1) * scale) * xc
+        return (g_n * inv + g_sq_xc) + g_sq_xc
+
+    g_xc = _shared(d_xc, 2 if isinstance(x, Tensor) else 0)
+    return _op(out,
+               (x, lambda g: _unbroadcast(g_xc(g), shape)),
+               (x, lambda g: _spread(_unbroadcast(-g_xc(g), mu_shape) * scale, shape, -1, True)),
+               (gamma, lambda g: _unbroadcast(g * (xc * inv), gv.shape)),
+               (beta, lambda g: _unbroadcast(g, bv.shape)))
+
+
+# ---------------------------------------------------------------------------
+# attention
+
+
+def attention(q, k, v, heads, key_mask):
+    """Multi-head scaled dot-product attention core, `softmax(Q Kᵀ / √dh + mask) V`.
+
+    q [B, Lq, D], k and v [B, Lk, D] are the projected inputs; they are split
+    into `heads` heads of width dh = D / heads and the heads are merged back,
+    so the output is [B, Lq, D]. key_mask [B, Lk] holds 1 = attend, 0 =
+    blocked; a blocked key gets an additive `MASK_NEG` and so exactly zero
+    weight. The record keeps the head views of q, k and v and the
+    probabilities, and backward recomputes the rest from them.
+    """
+    qv, kv, vv = _val(q), _val(k), _val(v)
+    if qv.ndim != 3 or kv.shape != vv.shape or kv.shape[:1] + kv.shape[2:] != qv.shape[:1] + qv.shape[2:]:
+        raise ShapeError(f"attention needs q [B, Lq, D] and k, v [B, Lk, D]; got {qv.shape}, {kv.shape}, "
+                         f"{vv.shape}")
+    b, lq, d = qv.shape
+    if d % heads != 0:
+        raise ShapeError(f"hidden size {d} not divisible by {heads} heads")
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(xv):  # [B, L, D] -> a [B, heads, L, dh] view
+        return np.swapaxes(xv.reshape(b, xv.shape[1], heads, dh), 1, 2)
+
+    def merge(gh, shape):  # [B, heads, L, dh] -> [B, L, D]
+        return np.swapaxes(gh, 1, 2).reshape(shape)
+
+    qh, kh, vh = split(qv), split(kv), split(vv)
+    probs = np.matmul(qh, np.swapaxes(kh, -1, -2))
+    probs *= scale
+    probs += ((1.0 - np.asarray(key_mask, dtype=np.float64)) * MASK_NEG)[:, None, None, :]
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+
+    def d_ctx(g):
+        return np.swapaxes(g.reshape(b, lq, heads, dh), 1, 2)
+
+    def d_logits(g):  # gradient of Q Kᵀ through softmax and the scale
+        dl = np.matmul(d_ctx(g), np.swapaxes(vh, -1, -2))
+        dl -= (dl * probs).sum(axis=-1, keepdims=True)
+        dl *= probs
+        dl *= scale
+        return dl
+
+    g_logits = _shared(d_logits, isinstance(q, Tensor) + isinstance(k, Tensor))
+    # v, k, q: the order in which the unfused chain reached them
+    return _op(merge(np.matmul(probs, vh), qv.shape),
+               (v, lambda g: merge(np.matmul(np.swapaxes(probs, -1, -2), d_ctx(g)), vv.shape)),
+               (k, lambda g: merge(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), g_logits(g)), -1, -2),
+                                   kv.shape)),
+               (q, lambda g: merge(np.matmul(g_logits(g), kh), qv.shape)))
 
 
 # ---------------------------------------------------------------------------

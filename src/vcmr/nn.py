@@ -5,6 +5,11 @@ masks are [batch, keys] float arrays with 1 = attend / 0 = blocked, and
 blocked logits get an additive -1e9 before softmax (exact zero weight after
 exponentiation at float64). Transformer blocks use the post-layer-norm
 residual layout: sublayer -> add -> norm.
+
+`linear`, `layer_norm` and `multi_head_attention` call the fused autodiff ops
+`ad.linear`, `ad.layer_norm` and `ad.attention`, one tape record each, which
+evaluate the same NumPy expressions in the same order as the chains of
+elementary ops they replace, so values and gradients keep their bits.
 """
 
 from __future__ import annotations
@@ -15,9 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
-
-MASK_NEG = -1e9
+from .autodiff import MASK_NEG, Tensor
 
 
 class Params:
@@ -61,15 +64,13 @@ def xavier_uniform(rng, fan_in, fan_out, shape=None):
 
 
 def linear(x, w, b):
-    return ad.add(ad.matmul(x, w), b)
+    """x @ w + b."""
+    return ad.linear(x, w, b)
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
-    mu = ad.mean(x, axis=-1, keepdims=True)
-    xc = ad.sub(x, mu)
-    var = ad.mean(ad.mul(xc, xc), axis=-1, keepdims=True)
-    inv = ad.pow_const(ad.add(var, eps), -0.5)
-    return ad.add(ad.mul(ad.mul(xc, inv), gamma), beta)
+    """Layer norm over the last axis, scaled by gamma and shifted by beta."""
+    return ad.layer_norm(x, gamma, beta, eps)
 
 
 def add_attention_params(params, prefix, d, rng):
@@ -84,25 +85,10 @@ def multi_head_attention(q, k, v, params, prefix, heads, key_mask):
 
     key_mask [B, Lk]; masked key positions contribute exactly zero weight.
     """
-    d = q.shape[-1]
-    if d % heads != 0:
-        raise ad.ShapeError(f"hidden size {d} not divisible by {heads} heads")
-    dh = d // heads
-
-    def split_heads(x):
-        b, length, _ = x.shape
-        return ad.swapaxes(ad.reshape(x, (b, length, heads, dh)), 1, 2)
-
-    qh = split_heads(linear(q, params[f"{prefix}.wq"], params[f"{prefix}.bq"]))
-    kh = split_heads(linear(k, params[f"{prefix}.wk"], params[f"{prefix}.bk"]))
-    vh = split_heads(linear(v, params[f"{prefix}.wv"], params[f"{prefix}.bv"]))
-    scores = ad.mul(ad.matmul(qh, ad.swapaxes(kh, -1, -2)), 1.0 / math.sqrt(dh))
-    scores = ad.add(scores, ((1.0 - np.asarray(key_mask, dtype=np.float64)) * MASK_NEG)[:, None, None, :])
-    attn = ad.softmax(scores, axis=-1)
-    ctx = ad.matmul(attn, vh)
-    b, _, lq, _ = ctx.shape
-    merged = ad.reshape(ad.swapaxes(ctx, 1, 2), (b, lq, d))
-    return linear(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+    ctx = ad.attention(linear(q, params[f"{prefix}.wq"], params[f"{prefix}.bq"]),
+                       linear(k, params[f"{prefix}.wk"], params[f"{prefix}.bk"]),
+                       linear(v, params[f"{prefix}.wv"], params[f"{prefix}.bv"]), heads, key_mask)
+    return linear(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
 class TransformerLayer:

@@ -17,7 +17,7 @@ from .localizer import LocalizerConfig, LocalizerModel
 from .nn import pad_pairs
 from .optim import AdamW
 from .retriever import RetrieverConfig, RetrieverModel
-from .spans import iou, nms, sample_positive_spans, span_table, suppression_table, top_spans
+from .spans import _iou, nms, sample_positive_spans, span_table, suppression_table, top_spans
 
 
 @dataclass(frozen=True)
@@ -343,10 +343,17 @@ def _recall_moments(predictions, corpus):
         if not preds:
             warnings.warn(f"query {q.id} has no predictions; counted as miss")
             continue
+        top = preds[: max(MOMENT_KS)]
+        st, ed = np.array([m.span for m in top], dtype=np.int64).T
+        on_target = np.array([m.video_id == q.target_video for m in top])
+        if (st[on_target] > ed[on_target]).any():
+            raise ValueError(f"query {q.id}: invalid predicted span")
+        # IoU with the ground truth on the target video, -1 elsewhere
+        overlap = np.where(on_target, _iou(st, ed, *q.span), -1.0)
         for k in MOMENT_KS:
-            top = preds[:k]
+            best = overlap[:k].max()
             for p in MOMENT_PS:
-                if any(m.video_id == q.target_video and iou(m.span, q.span) >= p for m in top):
+                if best >= p:
                     hits[(k, p)] += 1
     total = len(corpus.queries)
     return {f"R@{k},IoU={p}": 100.0 * hits[(k, p)] / total for k in MOMENT_KS for p in MOMENT_PS}

@@ -1,19 +1,21 @@
 """Shared helpers: finite-difference gradient oracles, a per-video
-retrieval score oracle, and the per-query and per-video statements of the
+retrieval score oracle, the per-query and per-video statements of the
 batched localizer and retriever losses (`shared_norm_loss`,
-`sample_relevance`).
+`sample_relevance`), and the chains of elementary ops that the fused
+`linear`, `layer_norm` and `attention` ops replace (`chain_*`).
 
 Central differences with h=1e-5 on float64 give ~1e-10 truncation error for
 smooth graphs, so a 1e-4 relative tolerance cleanly separates correct from
 broken adjoints.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from vcmr import autodiff as ad
-from vcmr.autodiff import Tape, Tensor
+from vcmr.autodiff import MASK_NEG, Tape, Tensor
 from vcmr.retriever import ModalityQueryReps, _query_cosines
 
 H = 1e-5
@@ -150,3 +152,32 @@ def sample_relevance(reps: ModalityQueryReps, image, subtitle, span, use_subtitl
         return RelevanceSample(strong, None, strong_score, None)
     weak, weak_score = best(~inside)
     return RelevanceSample(strong, weak, strong_score, weak_score)
+
+
+def chain_linear(x, w, b):
+    """`ad.linear` as the matmul and add it fuses."""
+    return ad.add(ad.matmul(x, w), b)
+
+
+def chain_layer_norm(x, gamma, beta, eps=1e-5):
+    """`ad.layer_norm` as the nine elementary ops it fuses."""
+    mu = ad.mean(x, axis=-1, keepdims=True)
+    xc = ad.sub(x, mu)
+    var = ad.mean(ad.mul(xc, xc), axis=-1, keepdims=True)
+    inv = ad.pow_const(ad.add(var, eps), -0.5)
+    return ad.add(ad.mul(ad.mul(xc, inv), gamma), beta)
+
+
+def chain_attention(q, k, v, heads, key_mask):
+    """`ad.attention` as the head split, scores, mask, softmax, context and head merge it fuses."""
+    b, lq, d = q.shape
+    dh = d // heads
+
+    def split_heads(x):
+        return ad.swapaxes(ad.reshape(x, (b, x.shape[1], heads, dh)), 1, 2)
+
+    qh, kh, vh = split_heads(q), split_heads(k), split_heads(v)
+    scores = ad.mul(ad.matmul(qh, ad.swapaxes(kh, -1, -2)), 1.0 / math.sqrt(dh))
+    scores = ad.add(scores, ((1.0 - np.asarray(key_mask, dtype=np.float64)) * MASK_NEG)[:, None, None, :])
+    ctx = ad.matmul(ad.softmax(scores, axis=-1), vh)
+    return ad.reshape(ad.swapaxes(ctx, 1, 2), (b, lq, d))

@@ -63,6 +63,9 @@ def test_tracer_wraps_every_name_and_sees_one_infer_per_query(bench):
     assert totals["retriever.score_video.calls"] == 3 * n  # one per VR, SVMR and VCMR retrieval
     assert totals["retriever.encode_video.calls"] == len(corpus.videos)  # one index, one call per video
     assert totals["autodiff.Tape.record.calls"] == 0  # inference builds no graph
+    # the per-layer nn.* metrics count these names only when callers go through nn
+    for name in ("multi_head_attention", "layer_norm", "linear"):
+        assert totals[f"nn.{name}.calls"] > 0
 
 
 def test_clock_install_resolves_its_names(bench):

@@ -8,6 +8,7 @@ from conftest import reference_score
 from vcmr import corpus as C
 from vcmr import pipeline as P
 from vcmr import retriever as R
+from vcmr.autodiff import Tape
 from vcmr.localizer import LocalizerConfig, LocalizerModel
 from vcmr.nn import pad_pairs
 from vcmr.optim import AdamW
@@ -325,6 +326,25 @@ def test_loss_curves_record_both_stages():
     assert splits == {"train", "val"}
     epochs = [e for e, s, _ in curve if s == "train"]
     assert epochs == [1, 2]
+
+
+def test_default_training_steps_stay_within_their_tape_record_budgets():
+    # default model and train configs, one full batch per stage; the unfused
+    # attention, layer norm and linear chains made 199 and 391 records
+    corpus = C.generate(C.SyntheticSpec(video_count=12, seed=0))
+    cfg = P.TrainConfig()
+    retr = R.RetrieverModel(corpus.d_txt, corpus.d_img, corpus.d_sub)
+    with Tape() as tape:
+        R.contrastive_loss(retr, R.make_batch(corpus, np.arange(cfg.retriever_batch)),
+                           temperature=cfg.temperature, lam=cfg.lam, use_subtitles=corpus.has_subtitles)
+    assert len(tape._records) <= 130
+    loc = LocalizerModel(corpus.d_txt, corpus.d_img, corpus.d_sub)
+    queries = corpus.queries[: cfg.localizer_batch]
+    negatives = {q.id: [v.id for v in corpus.videos if v.id != q.target_video][: cfg.negatives_per_query]
+                 for q in queries}
+    with Tape() as tape:
+        P.localizer_batch_loss(loc, corpus, queries, negatives, cfg, P.InferenceConfig())
+    assert len(tape._records) <= 160
 
 
 def test_localizer_loss_decreases_over_epochs():

@@ -1,10 +1,10 @@
-"""Autodiff engine: per-op gradient oracles, closed forms, tape semantics,
-and the AdamW update rule."""
+"""Autodiff engine: per-op gradient oracles, fused ops against the chains
+they replace, closed forms, tape semantics, and the AdamW update rule."""
 
 import numpy as np
 import pytest
 
-from conftest import RTOL, fd_check
+from conftest import RTOL, chain_attention, chain_layer_norm, chain_linear, fd_check
 from vcmr import autodiff as ad
 from vcmr.autodiff import NonFiniteError, ShapeError, Tape, Tensor
 from vcmr.optim import AdamW
@@ -115,6 +115,71 @@ def test_composite_graph_matches_fd():
 
 
 # ---------------------------------------------------------------------------
+# fused ops: the same bits as the chains they replace, and their FD oracles
+
+_KEYS = np.ones((2, 7))
+_KEYS[0, 4:] = 0.0  # a padded row: its last three keys are blocked
+_QUERY_KEYS = np.ones((2, 3))
+_QUERY_KEYS[1, 2:] = 0.0
+
+# (fused op, its chain of elementary ops, input shapes)
+FUSED = {
+    "linear": (ad.linear, chain_linear, [(2, 5, 6), (6, 4), (4,)]),
+    "linear-2d": (ad.linear, chain_linear, [(5, 6), (6, 1), (1,)]),
+    "layer_norm": (ad.layer_norm, chain_layer_norm, [(2, 5, 6), (6,), (6,)]),
+    "self-attention": (lambda x: ad.attention(x, x, x, 2, _KEYS),
+                       lambda x: chain_attention(x, x, x, 2, _KEYS), [(2, 7, 8)]),
+    "cross-attention": (lambda q, k, v: ad.attention(q, k, v, 4, _KEYS),
+                        lambda q, k, v: chain_attention(q, k, v, 4, _KEYS), [(2, 3, 8), (2, 7, 8), (2, 7, 8)]),
+    "one-head": (lambda q, k, v: ad.attention(q, k, v, 1, _QUERY_KEYS),
+                 lambda q, k, v: chain_attention(q, k, v, 1, _QUERY_KEYS), [(2, 5, 4), (2, 3, 4), (2, 3, 4)]),
+}
+
+
+def _value_and_grads(op, arrays, seed):
+    """op's value and the gradients of its inputs under a random linear loss that
+    also reaches every input by a second path, so each gradient accumulates."""
+    r = rng_for(seed)
+    tensors = [Tensor(a) for a in arrays]
+    with Tape() as tape:
+        out = op(*tensors)
+        loss = ad.sum_(ad.mul(out, r.normal(size=out.shape)))
+        for t in tensors:
+            loss = ad.add(loss, ad.sum_(ad.mul(t, r.normal(size=t.shape))))
+        tape.backward(loss)
+    return out.data, [tape.grad(t) for t in tensors]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", FUSED)
+def test_fused_op_matches_its_chain_bit_exact(name, seed):
+    fused, chain, shapes = FUSED[name]
+    arrays = [rng_for(seed).normal(size=shape) for shape in shapes]
+    value, grads = _value_and_grads(fused, arrays, seed)
+    want_value, want_grads = _value_and_grads(chain, arrays, seed)
+    assert np.array_equal(value, want_value)
+    assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", FUSED)
+def test_fused_op_matches_fd(name, seed):
+    fused, _, shapes = FUSED[name]
+    r = rng_for(seed)
+    arrays = [r.normal(size=shape) for shape in shapes]
+    weight = r.normal(size=fused(*arrays).shape)
+    assert fd_check(lambda *ts: ad.sum_(ad.pow_const(ad.add(fused(*ts), weight), 2.0)), arrays) < RTOL
+
+
+def test_attention_rejects_bad_shapes():
+    x = np.zeros((2, 3, 6))
+    with pytest.raises(ShapeError):
+        ad.attention(x, x, x, 4, np.ones((2, 3)))  # 6 is not divisible by 4
+    with pytest.raises(ShapeError):
+        ad.attention(x, x[:, :, :4], x[:, :, :4], 2, np.ones((2, 3)))
+
+
+# ---------------------------------------------------------------------------
 # closed forms and tape semantics
 
 
@@ -200,6 +265,7 @@ def test_grad_of_unreached_tensor_is_zeros():
 _R = rng_for(11)
 _A, _B = _R.normal(size=(2, 3)), _R.normal(size=(2, 3))
 _SEQ, _KERNEL, _BIAS = _R.normal(size=(2, 5, 3)), _R.normal(size=(3, 3, 2)), _R.normal(size=(2,))
+_MASK = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
 
 # (op name, "+bias" for conv1d with a bias; call building its inputs with `v`; tape records it adds on
 # Tensor inputs)
@@ -212,6 +278,7 @@ OP_CALLS = [
     ("exp", lambda v: ad.exp(v(_A)), 1),
     ("log", lambda v: ad.log(v(np.abs(_A) + 0.5)), 1),
     ("matmul", lambda v: ad.matmul(v(_A), v(_B.T)), 1),
+    ("linear", lambda v: ad.linear(v(_SEQ), v(_KERNEL[0]), v(_BIAS)), 1),
     ("sum_", lambda v: ad.sum_(v(_A), axis=1), 1),
     ("mean", lambda v: ad.mean(v(_A)), 1),
     ("max_over_axis", lambda v: ad.max_over_axis(v(_A), axis=1), 1),
@@ -223,6 +290,8 @@ OP_CALLS = [
     ("slice_axis", lambda v: ad.slice_axis(v(_A), 1, 0, 2), 1),
     ("take", lambda v: ad.take(v(_A), [2, 0, 2], axis=1), 1),
     ("l2_normalize", lambda v: ad.l2_normalize(v(_A)), 1),
+    ("layer_norm", lambda v: ad.layer_norm(v(_SEQ), v(_A[0]), v(_B[0])), 1),
+    ("attention", lambda v: ad.attention(v(_SEQ), v(_SEQ[:, 1:]), v(_SEQ[:, :4]), 3, _MASK), 1),
     ("conv1d", lambda v: ad.conv1d(v(_SEQ), v(_KERNEL)), 1),
     ("conv1d+bias", lambda v: ad.conv1d(v(_SEQ), v(_KERNEL), v(_BIAS)), 1),
     ("bce_with_logits", lambda v: ad.bce_with_logits(v(_A), (_B > 0).astype(float)), 1),
@@ -266,6 +335,27 @@ def test_non_finite_op_adds_no_record():
             ad.log(Tensor(np.array([0.0])))
         with pytest.raises(NonFiniteError):
             ad.exp(Tensor(np.array([1000.0])))
+    assert tape._records == []
+
+
+# a NaN in one input of each fused op
+NON_FINITE_FUSED = {
+    "linear": lambda nan: ad.linear(Tensor(_SEQ), Tensor(_KERNEL[0]), Tensor(nan(_BIAS))),
+    "layer_norm": lambda nan: ad.layer_norm(Tensor(nan(_SEQ)), Tensor(_A[0]), Tensor(_B[0])),
+    "attention": lambda nan: ad.attention(Tensor(_SEQ), Tensor(nan(_SEQ[:, 1:])), Tensor(_SEQ[:, :4]), 3, _MASK),
+}
+
+
+@pytest.mark.parametrize("name", NON_FINITE_FUSED)
+def test_fused_op_on_non_finite_input_raises_and_adds_no_record(name):
+    def nan(a):
+        out = a.copy()
+        out.flat[0] = np.nan
+        return out
+
+    with Tape() as tape, np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteError):
+            NON_FINITE_FUSED[name](nan)
     assert tape._records == []
 
 
