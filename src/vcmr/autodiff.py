@@ -3,20 +3,23 @@
 Everything is small enough at desk scale that each value is a plain numpy
 float64 array. Operations never mutate their inputs, and each returns
 `_op(value, *pairs)`, each pair an input with the function that maps the
-output's gradient to that input's. `_op` converts `value` to float64, raises
-`NonFiniteError` on NaN/Inf before recording anything (so a numerical failure
-surfaces at the op that produced it instead of corrupting a training run
-silently) and wraps it in a `Tensor`. Only on an active tape does it build a
-record: the pairs whose input is a `Tensor`, in one `Tape.record` call, and
-none when no input is a `Tensor`. So every op adds at most one record.
+output's gradient to that input's. The input of a pair may be a tuple of
+inputs; its function then returns one gradient per input, in tuple order.
+`_op` converts `value` to float64, raises `NonFiniteError` on NaN/Inf before
+recording anything (so a numerical failure surfaces at the op that produced
+it instead of corrupting a training run silently) and wraps it in a
+`Tensor`. Only on an active tape does it build a record: the pairs with a
+`Tensor` among their inputs, in one `Tape.record` call, and none when no
+input is a `Tensor`. So every op adds at most one record.
 
 `linear`, `layer_norm` and `attention` are fused ops: one record each for a
 chain of the ops above. Each evaluates, forward and backward, the same NumPy
 expressions on the same views in the same order as that chain, so its values
 and gradients have the same bits; a forward may reuse one buffer through
 in-place operators, which round alike. They keep fewer intermediates alive
-and recompute what backward needs from those. The pairs of one fused op
-share their common backward work through `_shared`.
+and recompute what backward needs from those. Inputs that share backward
+work (layer norm's two paths to `x`, attention's `k` and `q`) share one
+pair, whose function computes that work once.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._records = []  # (output tensor, [(input tensor, grad_fn), ...])
+        self._records = []  # (output tensor, [(input tensor or tuple of inputs, grad_fn), ...])
         self._grads = {}  # id(tensor) -> ndarray; `_records` keeps each such tensor alive
         self._done = False
 
@@ -91,8 +94,9 @@ class Tape:
         return False
 
     def record(self, out, pairs):
-        """Record `out` with its (input tensor, grad_fn) pairs; `grad_fn(g)`
-        maps the gradient of `out` to the gradient of that input.
+        """Record `out` with its (input, grad_fn) pairs; `grad_fn(g)` maps the
+        gradient of `out` to the gradient of that input, or, when the input is
+        a tuple of inputs, to one gradient per input (see `accumulate`).
 
         The functions close over forward values only, never over the tape, so
         a finished tape is freed by reference counting alone.
@@ -100,6 +104,15 @@ class Tape:
         self._records.append((out, pairs))
 
     def accumulate(self, t, grad):
+        """Add `grad` to the gradient of `t`. For a tuple of inputs, `grad` holds
+        one gradient per input, added in order; inputs that are not a `Tensor`
+        are skipped. The loop runs here, not in `backward`, so no loop variable
+        keeps a gradient alive once this call returns."""
+        if isinstance(t, tuple):
+            for ti, gi in zip(t, grad, strict=True):
+                if isinstance(ti, Tensor):
+                    self.accumulate(ti, gi)
+            return
         if grad.shape != t.data.shape:
             raise ShapeError(f"gradient shape {grad.shape} != tensor shape {t.data.shape}")
         key = id(t)
@@ -141,29 +154,11 @@ def _op(value, *pairs):
     out = Tensor.__new__(Tensor)
     out.data = arr
     if _ACTIVE_TAPE is not None:
-        tracked = [(t, fn) for t, fn in pairs if isinstance(t, Tensor)]
+        tracked = [(t, fn) for t, fn in pairs
+                   if isinstance(t, Tensor) or isinstance(t, tuple) and any(isinstance(u, Tensor) for u in t)]
         if tracked:
             _ACTIVE_TAPE.record(out, tracked)
     return out
-
-
-def _shared(fn, readers):
-    """`fn(g)` for the `readers` pair functions of one fused op that call this with the
-    same `g` (`Tape.backward` passes one gradient to every pair of a record): computed
-    by the first reader and dropped by the last, so it does not outlive the record's
-    turn. `readers` counts only the pairs whose input is a `Tensor`."""
-    memo = {}
-
-    def get(g):
-        entry = memo.get(id(g))
-        if entry is None:
-            entry = memo[id(g)] = [fn(g), readers]
-        entry[1] -= 1
-        if not entry[1]:
-            del memo[id(g)]
-        return entry[0]
-
-    return get
 
 
 def _unbroadcast(grad, shape):
@@ -273,8 +268,9 @@ def mean(x, axis=None, keepdims=False):
 def max_over_axis(x, axis):
     """Max along one axis; returns (values, argmax indices).
 
-    Ties break toward the lowest index (numpy argmax), which keeps
-    relevant-clip sampling deterministic.
+    Ties break toward the lowest index (numpy argmax), as in the
+    relevant-clip sampling oracle of `tests/conftest.py`, so the clip that
+    `retriever.best_clips` scores and the clip the oracle picks agree.
     """
     xv = _val(x)
     idx = np.argmax(xv, axis=axis)
@@ -323,18 +319,8 @@ def swapaxes(x, a, b):
 
 def concat(parts, axis=0):
     vals = [_val(p) for p in parts]
-    offsets = np.cumsum([0] + [v.shape[axis] for v in vals])
-
-    def part_grad(lo, hi):
-        def grad(g):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            return g[tuple(sl)]
-
-        return grad
-
-    return _op(np.concatenate(vals, axis=axis),
-               *[(p, part_grad(lo, hi)) for p, lo, hi in zip(parts, offsets[:-1], offsets[1:])])
+    ends = np.cumsum([v.shape[axis] for v in vals[:-1]])
+    return _op(np.concatenate(vals, axis=axis), (tuple(parts), lambda g: np.split(g, ends, axis=axis)))
 
 
 def slice_axis(x, axis, start, stop):
@@ -402,10 +388,11 @@ def layer_norm(x, gamma, beta, eps=1e-5):
         g_sq_xc = (g_inv * p * ve ** (p - 1) * scale) * xc
         return (g_n * inv + g_sq_xc) + g_sq_xc
 
-    g_xc = _shared(d_xc, 2 if isinstance(x, Tensor) else 0)
-    return _op(out,
-               (x, lambda g: _unbroadcast(g_xc(g), shape)),
-               (x, lambda g: _spread(_unbroadcast(-g_xc(g), mu_shape) * scale, shape, -1, True)),
+    def d_x(g):  # x's gradient through xc, then through the mean, as the chain reached x
+        g_xc = d_xc(g)
+        return g_xc, _spread(_unbroadcast(-g_xc, mu_shape) * scale, shape, -1, True)
+
+    return _op(out, ((x, x), d_x),
                (gamma, lambda g: _unbroadcast(g * (xc * inv), gv.shape)),
                (beta, lambda g: _unbroadcast(g, bv.shape)))
 
@@ -451,20 +438,19 @@ def attention(q, k, v, heads, key_mask):
     def d_ctx(g):
         return np.swapaxes(g.reshape(b, lq, heads, dh), 1, 2)
 
-    def d_logits(g):  # gradient of Q Kᵀ through softmax and the scale
+    def d_kq(g):  # the logit gradient, through softmax and the scale, to k and q
         dl = np.matmul(d_ctx(g), np.swapaxes(vh, -1, -2))
         dl -= (dl * probs).sum(axis=-1, keepdims=True)
         dl *= probs
         dl *= scale
-        return dl
+        gk, gq = np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), dl), -1, -2), np.matmul(dl, kh)
+        del dl  # [B, heads, Lq, Lk]: free it before the merges copy
+        return merge(gk, kv.shape), merge(gq, qv.shape)
 
-    g_logits = _shared(d_logits, isinstance(q, Tensor) + isinstance(k, Tensor))
     # v, k, q: the order in which the unfused chain reached them
     return _op(merge(np.matmul(probs, vh), qv.shape),
                (v, lambda g: merge(np.matmul(np.swapaxes(probs, -1, -2), d_ctx(g)), vv.shape)),
-               (k, lambda g: merge(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), g_logits(g)), -1, -2),
-                                   kv.shape)),
-               (q, lambda g: merge(np.matmul(g_logits(g), kh), qv.shape)))
+               ((k, q), d_kq))
 
 
 # ---------------------------------------------------------------------------

@@ -157,10 +157,15 @@ def _write_loss_csv(path, curve):
 
 def cmd_gen(args):
     cfg = load_run_config(args.config, seed=args.seed)
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
-        raise CorpusError(f"cannot write a corpus to {args.out}: it exists and is not a directory")
+    split_dirs = [os.path.join(args.out, split) for split in SPLITS]
+    for path in split_dirs:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            raise CorpusError(f"cannot write a corpus to {args.out}: {path}: {exc.strerror}") from exc
+    _check_outputs(*(os.path.join(path, name) for path in split_dirs
+                     for name in (corpus_mod.VIDEOS_FILE, corpus_mod.QUERIES_FILE, corpus_mod.META_FILE)))
     spec = cfg.synthetic
-    os.makedirs(args.out, exist_ok=True)
     # val/test reuse the generating process with offset seeds and fewer
     # queries per video; dimensions and corpus size stay identical
     variants = {
@@ -168,9 +173,9 @@ def cmd_gen(args):
         "val": dataclasses.replace(spec, seed=spec.seed + 1001, queries_per_video=min(2, spec.queries_per_video)),
         "test": dataclasses.replace(spec, seed=spec.seed + 2002, queries_per_video=min(2, spec.queries_per_video)),
     }
-    for split in SPLITS:
+    for split, path in zip(SPLITS, split_dirs):
         corpus = corpus_mod.generate(variants[split], split=split)
-        corpus_mod.save(corpus, os.path.join(args.out, split))
+        corpus_mod.save(corpus, path)
         if split == "train":
             ratio = corpus_mod.span_ratio(corpus)
             print(f"generated {len(corpus.videos)} videos x {spec.clips_per_video} clips, "

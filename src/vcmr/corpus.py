@@ -313,10 +313,18 @@ def save(corpus: Corpus, path):
         fh.write("\n")
 
 
+def _open(path, mode="r"):
+    """`open(path, mode)`; a file that cannot be opened raises CorpusError naming it."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise CorpusError(f"{path}: cannot read corpus file ({exc.strerror})") from exc
+
+
 def _parse_jsonl(path, parse):
     """[parse(record, where) for each non-blank line], where = "path:lineno"."""
     out = []
-    with open(path, "rb") as fh:
+    with _open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -381,11 +389,9 @@ def _claim(seen, what, key, where):
 def load(path) -> Corpus:
     meta_path = os.path.join(path, META_FILE)
     try:
-        with open(meta_path) as fh:
+        with _open(meta_path) as fh:
             meta = json.load(fh)
         d_img, d_sub, d_txt, split = meta["d_img"], meta["d_sub"], meta["d_txt"], meta["split"]
-    except FileNotFoundError:
-        raise CorpusError(f"{meta_path}: missing corpus meta file")
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{meta_path}: malformed JSON ({exc.msg})") from exc
     except UnicodeDecodeError as exc:

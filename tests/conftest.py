@@ -1,8 +1,9 @@
 """Shared helpers: finite-difference gradient oracles, a per-video
 retrieval score oracle, the per-query and per-video statements of the
 batched localizer and retriever losses (`shared_norm_loss`,
-`sample_relevance`), and the chains of elementary ops that the fused
-`linear`, `layer_norm` and `attention` ops replace (`chain_*`).
+`sample_relevance`), the chains of elementary ops that the fused
+`linear`, `layer_norm` and `attention` ops replace (`chain_*`), and
+`concat` with one tape pair per part (`chain_concat`).
 
 Central differences with h=1e-5 on float64 give ~1e-10 truncation error for
 smooth graphs, so a 1e-4 relative tolerance cleanly separates correct from
@@ -181,3 +182,15 @@ def chain_attention(q, k, v, heads, key_mask):
     scores = ad.add(scores, ((1.0 - np.asarray(key_mask, dtype=np.float64)) * MASK_NEG)[:, None, None, :])
     ctx = ad.matmul(ad.softmax(scores, axis=-1), vh)
     return ad.reshape(ad.swapaxes(ctx, 1, 2), (b, lq, d))
+
+
+def chain_concat(parts, axis=0):
+    """`ad.concat` with one (input, grad_fn) pair per part, each taking its own slice of the gradient."""
+    vals = [ad._val(p) for p in parts]
+    offsets = np.cumsum([0] + [v.shape[axis] for v in vals])
+
+    def part_grad(lo, hi):
+        return lambda g: g[(slice(None),) * (axis % g.ndim) + (slice(lo, hi),)]
+
+    return ad._op(np.concatenate(vals, axis=axis),
+                  *[(p, part_grad(lo, hi)) for p, lo, hi in zip(parts, offsets[:-1], offsets[1:])])

@@ -12,6 +12,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from conftest import fd_check, fd_check_params, reference_score, shared_norm_loss
 from test_pipeline import brute_force_infer, independent_moment_recall
@@ -225,6 +226,7 @@ def test_criterion_4_oracle_equivalence():
                   f"20 instances bit-exact" if ok else f"mismatches: {mismatches[:5]}")
 
 
+@pytest.mark.slow
 def test_criterion_5_end_to_end_quality():
     t0 = time.monotonic()
     vr5, svmr1, vcmr1 = [], [], []
@@ -265,6 +267,7 @@ def ablation_run(seed, pooling="modality_specific", use_gates=True, gamma=ABLATI
     return P.evaluate_pipeline(retr, loc, corpus, ABLATION_ICFG, tasks=tasks)
 
 
+@pytest.mark.slow
 def test_criterion_6_ablation_directions():
     # blocking: modality-specific pooling beats mean pooling on VR R@1
     pool_wins = 0
@@ -290,6 +293,7 @@ def test_criterion_6_ablation_directions():
                   f"gates {gate_wins}/{trend_seeds}, adversarial {adv_wins}/{trend_seeds}")
 
 
+@pytest.mark.slow
 def test_criterion_7_shared_norm_necessity():
     # Shared-Norm trains cross-video comparability of the boundary scores, so
     # the probe ranks moments by boundary scores alone: at desk scale the

@@ -187,6 +187,18 @@ def test_corpus_record_missing_key_is_data_error(tmp_path, tiny_config, capsys):
     assert "videos.jsonl:2" in err and "clips" in err
 
 
+@pytest.mark.parametrize("name", ["corpus.meta.json", "videos.jsonl", "queries.jsonl"])
+def test_corpus_file_that_is_a_directory_is_data_error(tmp_path, tiny_config, capsys, name):
+    out = tmp_path / "corpus"
+    cli.main(["gen", "--config", tiny_config, "--out", str(out)])
+    (out / "train" / name).unlink()
+    (out / "train" / name).mkdir()
+    code = cli.main(["train", "--stage", "retriever", "--config", tiny_config,
+                     "--corpus", str(out), "--ckpt", str(tmp_path / "m.ckpt")])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"data error: {out / 'train' / name}: cannot read corpus file")
+
+
 def untrained_retriever_checkpoint(corpus_dir, path, scale=1.0):
     """Save an untrained retriever built from TINY, img_proj.w scaled by `scale`."""
     from vcmr.checkpoint import save_checkpoint
@@ -511,12 +523,18 @@ def test_train_split_too_small_to_mine_is_data_error(tmp_path, capsys):
     ["train", "--stage", "localizer", "--ckpt", "{tmp}/retriever.ckpt", "--loss-csv", "{tmp}"],
     ["eval", "--task", "vr", "--ckpt", "{tmp}/retriever.ckpt", "--out", "{tmp}"],
     ["gen", "--out", "{tmp}/config.json"],
+    ["gen", "--out", "{tmp}/config.json/corpus"],
+    ["gen", "--out", "{tmp}/blocked-split"],
+    ["gen", "--out", "{tmp}/blocked-file"],
 ], ids=["ckpt-dir", "ckpt-missing-dir", "loss-csv-dir", "localizer-loss-csv-dir", "eval-out-dir",
-        "gen-out-file"])
+        "gen-out-file", "gen-out-under-file", "gen-split-dir-file", "gen-split-file-dir"])
 def test_unwritable_output_is_data_error_before_any_work(tmp_path, tiny_config, argv, monkeypatch, capsys):
     out = tmp_path / "corpus"
     assert cli.main(["gen", "--config", tiny_config, "--out", str(out)]) == 0
     untrained_retriever_checkpoint(out, tmp_path / "retriever.ckpt")
+    (tmp_path / "blocked-split").mkdir()
+    (tmp_path / "blocked-split" / "test").write_text("")  # a split directory that is a file
+    (tmp_path / "blocked-file" / "train" / "videos.jsonl").mkdir(parents=True)  # a split file that is a directory
 
     def no_work(*args, **kwargs):
         pytest.fail("work started before the output paths were checked")

@@ -4,7 +4,7 @@ they replace, closed forms, tape semantics, and the AdamW update rule."""
 import numpy as np
 import pytest
 
-from conftest import RTOL, chain_attention, chain_layer_norm, chain_linear, fd_check
+from conftest import RTOL, chain_attention, chain_concat, chain_layer_norm, chain_linear, fd_check
 from vcmr import autodiff as ad
 from vcmr.autodiff import NonFiniteError, ShapeError, Tape, Tensor
 from vcmr.optim import AdamW
@@ -122,7 +122,12 @@ _KEYS[0, 4:] = 0.0  # a padded row: its last three keys are blocked
 _QUERY_KEYS = np.ones((2, 3))
 _QUERY_KEYS[1, 2:] = 0.0
 
-# (fused op, its chain of elementary ops, input shapes)
+
+class Const(tuple):
+    """The shape of an input passed as a plain array, not a Tensor."""
+
+
+# (fused op, its chain of elementary ops, input shapes; a `Const` shape's input is a constant)
 FUSED = {
     "linear": (ad.linear, chain_linear, [(2, 5, 6), (6, 4), (4,)]),
     "linear-2d": (ad.linear, chain_linear, [(5, 6), (6, 1), (1,)]),
@@ -133,7 +138,31 @@ FUSED = {
                         lambda q, k, v: chain_attention(q, k, v, 4, _KEYS), [(2, 3, 8), (2, 7, 8), (2, 7, 8)]),
     "one-head": (lambda q, k, v: ad.attention(q, k, v, 1, _QUERY_KEYS),
                  lambda q, k, v: chain_attention(q, k, v, 1, _QUERY_KEYS), [(2, 5, 4), (2, 3, 4), (2, 3, 4)]),
+    "layer_norm-constant-affine": (ad.layer_norm, chain_layer_norm, [(2, 5, 6), Const((6,)), Const((6,))]),
+    "attention-constant-k": (lambda q, k, v: ad.attention(q, k, v, 4, _KEYS),
+                             lambda q, k, v: chain_attention(q, k, v, 4, _KEYS),
+                             [(2, 3, 8), Const((2, 7, 8)), (2, 7, 8)]),
+    "attention-constant-q": (lambda q, k, v: ad.attention(q, k, v, 4, _KEYS),
+                             lambda q, k, v: chain_attention(q, k, v, 4, _KEYS),
+                             [Const((2, 3, 8)), (2, 7, 8), (2, 7, 8)]),
+    # x's gradient is its two slices, accumulated in part order
+    "concat-constant": (lambda x, c: ad.concat([x, c, x], axis=1), lambda x, c: chain_concat([x, c, x], axis=1),
+                        [(2, 3, 4), Const((2, 2, 4))]),
 }
+
+
+def _bind_constants(op, shapes, arrays):
+    """`op` as a function of its Tensor inputs alone, its `Const` inputs bound to
+    their arrays, and the arrays of those Tensor inputs."""
+    free = [i for i, shape in enumerate(shapes) if not isinstance(shape, Const)]
+
+    def bound(*tensors):
+        args = list(arrays)
+        for i, t in zip(free, tensors):
+            args[i] = t
+        return op(*args)
+
+    return bound, [arrays[i] for i in free]
 
 
 def _value_and_grads(op, arrays, seed):
@@ -155,8 +184,10 @@ def _value_and_grads(op, arrays, seed):
 def test_fused_op_matches_its_chain_bit_exact(name, seed):
     fused, chain, shapes = FUSED[name]
     arrays = [rng_for(seed).normal(size=shape) for shape in shapes]
-    value, grads = _value_and_grads(fused, arrays, seed)
-    want_value, want_grads = _value_and_grads(chain, arrays, seed)
+    fused, free = _bind_constants(fused, shapes, arrays)
+    chain, _ = _bind_constants(chain, shapes, arrays)
+    value, grads = _value_and_grads(fused, free, seed)
+    want_value, want_grads = _value_and_grads(chain, free, seed)
     assert np.array_equal(value, want_value)
     assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
 
@@ -167,8 +198,9 @@ def test_fused_op_matches_fd(name, seed):
     fused, _, shapes = FUSED[name]
     r = rng_for(seed)
     arrays = [r.normal(size=shape) for shape in shapes]
-    weight = r.normal(size=fused(*arrays).shape)
-    assert fd_check(lambda *ts: ad.sum_(ad.pow_const(ad.add(fused(*ts), weight), 2.0)), arrays) < RTOL
+    fused, free = _bind_constants(fused, shapes, arrays)
+    weight = r.normal(size=fused(*free).shape)
+    assert fd_check(lambda *ts: ad.sum_(ad.pow_const(ad.add(fused(*ts), weight), 2.0)), free) < RTOL
 
 
 def test_attention_rejects_bad_shapes():
