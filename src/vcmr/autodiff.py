@@ -71,14 +71,15 @@ class Tensor:
 class Tape:
     """Ordered record of operations plus accumulated gradients.
 
-    Backward walks the records in reverse creation order exactly once;
+    Backward pops the records in reverse creation order exactly once;
     since every op's inputs exist before its output, that order is a valid
-    topological order of the computation graph.
+    topological order of the computation graph. Each record, and its
+    output's gradient, is freed once its pairs have run.
     """
 
     def __init__(self):
         self._records = []  # (output tensor, [(input tensor or tuple of inputs, grad_fn), ...])
-        self._grads = {}  # id(tensor) -> ndarray; `_records` keeps each such tensor alive
+        self._grads = {}  # tensor -> ndarray; a key keeps its tensor alive once backward frees its records
         self._done = False
 
     def __enter__(self):
@@ -115,15 +116,16 @@ class Tape:
             return
         if grad.shape != t.data.shape:
             raise ShapeError(f"gradient shape {grad.shape} != tensor shape {t.data.shape}")
-        key = id(t)
-        if key in self._grads:
-            self._grads[key] = self._grads[key] + grad
+        if t in self._grads:
+            self._grads[t] = self._grads[t] + grad
         else:
-            self._grads[key] = grad
+            self._grads[t] = grad
 
     def grad(self, t):
-        """Accumulated gradient of `t`; zeros if `t` was unreachable."""
-        return self._grads.get(id(t), np.zeros_like(t.data))
+        """Accumulated gradient of `t`; zeros if `t` was unreachable. After
+        backward the tape holds the gradients of leaves only, tensors that no
+        recorded op produced, so an op's output reads zeros."""
+        return self._grads.get(t, np.zeros_like(t.data))
 
     def backward(self, loss):
         if loss.data.size != 1:
@@ -132,8 +134,9 @@ class Tape:
             raise RuntimeError("backward was already run on this tape")
         self._done = True
         self.accumulate(loss, np.ones_like(loss.data))
-        for out, pairs in reversed(self._records):
-            g = self._grads.get(id(out))
+        while self._records:
+            out, pairs = self._records.pop()
+            g = self._grads.pop(out, None)
             if g is not None:
                 for t, fn in pairs:
                     self.accumulate(t, fn(g))

@@ -87,7 +87,7 @@ def _build_section(cls, raw, section, seed):
             raise ConfigError(f"unknown key {key!r} in config section {section!r}")
         if not _fits(defaults[key], value):
             raise ConfigError(f"{section}.{key} must be {_JSON_TYPES[type(defaults[key])]}, got {value!r}")
-        kwargs[key] = tuple(value) if isinstance(value, list) else value
+        kwargs[key] = value
     try:
         return cls(**kwargs)
     except ValueError as exc:  # CorpusError included
@@ -155,16 +155,19 @@ def _write_loss_csv(path, curve):
 # commands
 
 
-def cmd_gen(args):
-    cfg = load_run_config(args.config, seed=args.seed)
+def cmd_gen(args, cfg):
     split_dirs = [os.path.join(args.out, split) for split in SPLITS]
+    # every split path is checked before the first directory is made, so a refusal leaves nothing behind
+    for path in split_dirs:
+        if os.path.lexists(path) and not os.path.isdir(path):
+            raise CorpusError(f"cannot write a corpus to {args.out}: {path} is not a directory")
+    _check_outputs(*(os.path.join(path, name) for path in split_dirs if os.path.isdir(path)
+                     for name in (corpus_mod.VIDEOS_FILE, corpus_mod.QUERIES_FILE, corpus_mod.META_FILE)))
     for path in split_dirs:
         try:
             os.makedirs(path, exist_ok=True)
         except OSError as exc:
             raise CorpusError(f"cannot write a corpus to {args.out}: {path}: {exc.strerror}") from exc
-    _check_outputs(*(os.path.join(path, name) for path in split_dirs
-                     for name in (corpus_mod.VIDEOS_FILE, corpus_mod.QUERIES_FILE, corpus_mod.META_FILE)))
     spec = cfg.synthetic
     # val/test reuse the generating process with offset seeds and fewer
     # queries per video; dimensions and corpus size stay identical
@@ -216,8 +219,7 @@ def _require_split(corpus_dir, split, cfg):
     return corpus
 
 
-def cmd_train(args):
-    cfg = load_run_config(args.config, seed=args.seed)
+def cmd_train(args, cfg):
     _check_outputs(args.ckpt, args.loss_csv)
     train_corpus = _require_split(args.corpus, "train", cfg)
 
@@ -250,8 +252,7 @@ def cmd_train(args):
     return 0
 
 
-def cmd_eval(args):
-    cfg = load_run_config(args.config, seed=args.seed)
+def cmd_eval(args, cfg):
     _check_outputs(args.out)
     corpus = _require_split(args.corpus, args.split, cfg)
     arrays = ckpt_mod.load_checkpoint(args.ckpt)
@@ -278,30 +279,27 @@ def build_parser():
     parser.add_argument("--dump-defaults", action="store_true",
                         help="print the full default run config as JSON and exit")
     sub = parser.add_subparsers(dest="command")
+    run = argparse.ArgumentParser(add_help=False)  # the flags every command takes
+    run.add_argument("--config", default=None)
+    run.add_argument("--seed", type=int, default=None)
 
-    p_gen = sub.add_parser("gen", help="generate a synthetic corpus (train/val/test splits)")
-    p_gen.add_argument("--config", default=None)
+    p_gen = sub.add_parser("gen", parents=[run], help="generate a synthetic corpus (train/val/test splits)")
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--seed", type=int, default=None)
     p_gen.set_defaults(func=cmd_gen)
 
-    p_train = sub.add_parser("train", help="train one pipeline stage")
+    p_train = sub.add_parser("train", parents=[run], help="train one pipeline stage")
     p_train.add_argument("--stage", choices=("retriever", "localizer"), required=True)
-    p_train.add_argument("--config", default=None)
     p_train.add_argument("--corpus", required=True)
     p_train.add_argument("--ckpt", required=True)
     p_train.add_argument("--loss-csv", default=None)
-    p_train.add_argument("--seed", type=int, default=None)
     p_train.set_defaults(func=cmd_train)
 
-    p_eval = sub.add_parser("eval", help="run inference and report metrics")
+    p_eval = sub.add_parser("eval", parents=[run], help="run inference and report metrics")
     p_eval.add_argument("--task", choices=("vr", "svmr", "vcmr"), required=True)
-    p_eval.add_argument("--config", default=None)
     p_eval.add_argument("--corpus", required=True)
     p_eval.add_argument("--ckpt", required=True)
     p_eval.add_argument("--out", default=None)
     p_eval.add_argument("--split", default="test", choices=SPLITS)
-    p_eval.add_argument("--seed", type=int, default=None)
     p_eval.set_defaults(func=cmd_eval)
     return parser
 
@@ -316,7 +314,7 @@ def main(argv=None):
         parser.print_help()
         return EXIT_CONFIG
     try:
-        return args.func(args)
+        return args.func(args, load_run_config(args.config, seed=args.seed))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

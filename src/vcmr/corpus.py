@@ -22,6 +22,13 @@ class CorpusError(ValueError):
     pass
 
 
+def _same_fields(a, b):
+    """Record equality: same type and every compared field equal, arrays by value."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a) if f.compare)
+
+
 def _frozen(array, dtype):
     out = np.array(array, dtype=dtype)
     out.flags.writeable = False
@@ -62,15 +69,7 @@ class Video:
         """[clips, d_sub]; absent subtitles are zero rows."""
         return self.subtitles
 
-    def __eq__(self, other):
-        if not isinstance(other, Video):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and np.array_equal(self.images, other.images)
-            and np.array_equal(self.subtitles, other.subtitles)
-            and np.array_equal(self.has_subtitle, other.has_subtitle)
-        )
+    __eq__ = _same_fields
 
 
 @dataclass
@@ -80,15 +79,7 @@ class Query:
     target_video: str
     span: tuple[int, int]  # inclusive clip indices
 
-    def __eq__(self, other):
-        if not isinstance(other, Query):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and self.target_video == other.target_video
-            and tuple(self.span) == tuple(other.span)
-            and np.array_equal(self.tokens, other.tokens)
-        )
+    __eq__ = _same_fields
 
 
 @dataclass
@@ -100,7 +91,7 @@ class Corpus:
     d_sub: int = 0
     d_txt: int = 0
     has_subtitles: bool = True
-    spec: "SyntheticSpec | None" = None
+    spec: "SyntheticSpec | None" = field(default=None, compare=False)
 
     def __post_init__(self):
         self._by_id = {v.id: v for v in self.videos}
@@ -123,18 +114,7 @@ class Corpus:
     def video(self, video_id):
         return self._by_id[video_id]
 
-    def __eq__(self, other):
-        if not isinstance(other, Corpus):
-            return NotImplemented
-        return (
-            self.split == other.split
-            and self.d_img == other.d_img
-            and self.d_sub == other.d_sub
-            and self.d_txt == other.d_txt
-            and self.has_subtitles == other.has_subtitles
-            and self.videos == other.videos
-            and self.queries == other.queries
-        )
+    __eq__ = _same_fields
 
 
 @dataclass(frozen=True)
@@ -153,6 +133,8 @@ class SyntheticSpec:
     token_count_range: tuple[int, int] = (6, 14)
 
     def __post_init__(self):
+        for name in ("moment_len_range", "token_count_range"):  # JSON gives lists
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in ("video_count", "clips_per_video", "d_img", "d_sub", "d_txt", "queries_per_video"):
             if getattr(self, name) < 1:
                 raise CorpusError(f"{name} must be positive")
@@ -389,7 +371,7 @@ def _claim(seen, what, key, where):
 def load(path) -> Corpus:
     meta_path = os.path.join(path, META_FILE)
     try:
-        with _open(meta_path) as fh:
+        with _open(meta_path, "rb") as fh:
             meta = json.load(fh)
         d_img, d_sub, d_txt, split = meta["d_img"], meta["d_sub"], meta["d_txt"], meta["split"]
     except json.JSONDecodeError as exc:
@@ -451,11 +433,7 @@ def load(path) -> Corpus:
     spec = None
     if meta.get("spec"):
         try:
-            raw = dict(meta["spec"])
-            for key in ("moment_len_range", "token_count_range"):
-                if key in raw:
-                    raw[key] = tuple(raw[key])
-            spec = SyntheticSpec(**raw)
+            spec = SyntheticSpec(**meta["spec"])
         except (TypeError, ValueError) as exc:
             raise CorpusError(f"{meta_path}: malformed spec ({exc})") from exc
     return Corpus(

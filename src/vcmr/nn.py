@@ -23,33 +23,23 @@ from . import autodiff as ad
 from .autodiff import MASK_NEG, Tensor
 
 
-class Params:
+class Params(dict):
     """Insertion-ordered registry of named parameter tensors."""
 
-    def __init__(self):
-        self._tensors = {}
-
     def add(self, name, array):
-        if name in self._tensors:
+        if name in self:
             raise ValueError(f"duplicate parameter name: {name}")
-        t = Tensor(array)
-        self._tensors[name] = t
+        t = self[name] = Tensor(array)
         return t
 
-    def __getitem__(self, name):
-        return self._tensors[name]
-
     def names(self):
-        return list(self._tensors)
-
-    def items(self):
-        return self._tensors.items()
+        return list(self)
 
     def state_dict(self):
-        return {name: t.data.copy() for name, t in self._tensors.items()}
+        return {name: t.data.copy() for name, t in self.items()}
 
     def load_state_dict(self, state):
-        for name, t in self._tensors.items():
+        for name, t in self.items():
             if name not in state:
                 raise KeyError(f"missing parameter in state: {name}")
             arr = np.asarray(state[name], dtype=np.float64)
@@ -186,7 +176,6 @@ class EncoderTrunk:
 
     def __init__(self, d_txt, d_img, d_sub, config: EncoderConfig, rng):
         self.config = config
-        self.d_txt, self.d_img, self.d_sub = d_txt, d_img, d_sub
         d = config.hidden
         p = Params()
         p.add("q_proj.w", xavier_uniform(rng, d_txt, d))

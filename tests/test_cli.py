@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 
@@ -13,7 +15,7 @@ import vcmr
 from vcmr import cli
 from vcmr import corpus as corpus_mod
 from vcmr import pipeline
-from vcmr.checkpoint import load_checkpoint, split_namespace
+from vcmr.checkpoint import MAGIC, load_checkpoint, split_namespace
 from vcmr.localizer import LocalizerConfig
 from vcmr.nn import EncoderConfig
 from vcmr.retriever import RetrieverConfig
@@ -120,11 +122,18 @@ def test_eval_with_missing_checkpoint_is_data_error(tmp_path, tiny_config, capsy
     assert code == cli.EXIT_DATA
 
 
-def test_full_workflow_and_namespace_audit(tmp_path, tiny_config, capsys):
+@pytest.mark.parametrize("widths", [{}, {"d_img": 12, "d_sub": 10, "d_txt": 8}],
+                         ids=["equal-widths", "unequal-widths"])
+def test_full_workflow_and_namespace_audit(tmp_path, widths, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(TINY, synthetic=dict(TINY["synthetic"], **widths))))
+    tiny_config = str(config)
     out = tmp_path / "corpus"
     ckpt = tmp_path / "model.ckpt"
     loss_csv = tmp_path / "loss.csv"
     assert cli.main(["gen", "--config", tiny_config, "--out", str(out)]) == 0
+    meta = json.loads((out / "train" / "corpus.meta.json").read_text())
+    assert {key: meta[key] for key in widths} == widths
     assert cli.main(["train", "--stage", "retriever", "--config", tiny_config,
                      "--corpus", str(out), "--ckpt", str(ckpt),
                      "--loss-csv", str(loss_csv)]) == 0
@@ -199,6 +208,26 @@ def test_corpus_file_that_is_a_directory_is_data_error(tmp_path, tiny_config, ca
     assert capsys.readouterr().err.startswith(f"data error: {out / 'train' / name}: cannot read corpus file")
 
 
+@pytest.mark.parametrize("rewrite", [
+    lambda meta: b"{not json",
+    lambda meta: json.dumps(meta).encode().replace(b'"train"', b'"\xff"'),
+    lambda meta: json.dumps({key: value for key, value in meta.items() if key != "d_img"}).encode(),
+    lambda meta: json.dumps([meta]).encode(),
+    lambda meta: json.dumps(dict(meta, d_img=16.0)).encode(),
+    lambda meta: json.dumps(dict(meta, spec=dict(meta["spec"], moment_len_range=3))).encode(),
+], ids=["malformed-json", "not-utf8", "missing-d_img", "not-an-object", "non-integer-d_img", "malformed-spec"])
+def test_malformed_corpus_meta_is_data_error(tmp_path, tiny_config, capsys, rewrite):
+    out = tmp_path / "corpus"
+    cli.main(["gen", "--config", tiny_config, "--out", str(out)])
+    meta = out / "train" / "corpus.meta.json"
+    meta.write_bytes(rewrite(json.loads(meta.read_text())))
+    code = cli.main(["train", "--stage", "retriever", "--config", tiny_config,
+                     "--corpus", str(out), "--ckpt", str(tmp_path / "m.ckpt")])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"data error: {meta}: ")
+
+
 def untrained_retriever_checkpoint(corpus_dir, path, scale=1.0):
     """Save an untrained retriever built from TINY, img_proj.w scaled by `scale`."""
     from vcmr.checkpoint import save_checkpoint
@@ -259,6 +288,9 @@ def rewrite_record(path, lineno, keys, value):
     ("queries.jsonl", ("video",), ["v"]),
     ("videos.jsonl", ("id",), "v00000"),  # the id of line 1
     ("queries.jsonl", ("id",), "q00000_0"),  # the id of line 1
+    pytest.param("videos.jsonl", ("clips",), [], id="videos.jsonl-no-clips"),
+    pytest.param("queries.jsonl", ("tokens",), [[0.5] * 3], id="queries.jsonl-token-width"),
+    pytest.param("queries.jsonl", ("span",), [0, 8], id="queries.jsonl-span-out-of-range"),
 ])
 def test_mistyped_corpus_field_is_data_error_with_line(tmp_path, tiny_config, capsys, name, keys, value):
     out = tmp_path / "corpus"
@@ -267,7 +299,8 @@ def test_mistyped_corpus_field_is_data_error_with_line(tmp_path, tiny_config, ca
     code = cli.main(["train", "--stage", "retriever", "--config", tiny_config,
                      "--corpus", str(out), "--ckpt", str(tmp_path / "m.ckpt")])
     assert code == cli.EXIT_DATA
-    assert f"{name}:2:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{name}:2:" in err
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -287,13 +320,18 @@ def test_mistyped_corpus_field_is_data_error_with_line(tmp_path, tiny_config, ca
     ("train", "learning_rate", float("nan")),
     ("inference", "score_temperature", float("nan")),
     pytest.param("synthetic", "noise_sigma", 10 ** 400, id="synthetic-noise_sigma-int_beyond_float"),
+    pytest.param(None, None, [TINY], id="config-is-a-list"),
+    pytest.param("bogus", None, {}, id="unknown-section"),
 ])
 def test_mistyped_config_value_is_config_error(tmp_path, capsys, section, key, value):
-    raw = {key: value} if section is None else {section: value if key is None else {key: value}}
+    raw = value if key is None else {key: value}
+    if section is not None:
+        raw = {section: raw}
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
     assert cli.main(["gen", "--config", str(bad), "--out", str(tmp_path / "c")]) == cli.EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
     assert not (tmp_path / "c").exists()
 
 
@@ -443,8 +481,6 @@ def test_divergence_names_stage_epoch_and_step(tmp_path, stage, capsys):
 
 
 def test_checkpoint_record_name_not_utf8_is_data_error(tmp_path, tiny_config, capsys):
-    from vcmr.checkpoint import MAGIC
-
     out = tmp_path / "corpus"
     ckpt = tmp_path / "model.ckpt"
     cli.main(["gen", "--config", tiny_config, "--out", str(out)])
@@ -456,6 +492,43 @@ def test_checkpoint_record_name_not_utf8_is_data_error(tmp_path, tiny_config, ca
                      "--corpus", str(out), "--ckpt", str(ckpt)])
     assert code == cli.EXIT_DATA
     assert "not UTF-8" in capsys.readouterr().err
+
+
+def first_record(raw):
+    """(start, dtype tag offset, end) of the first record in checkpoint bytes."""
+    start = len(MAGIC) + 4
+    (name_len,) = struct.unpack_from("<I", raw, start)
+    tag = start + 4 + name_len
+    (ndim,) = struct.unpack_from("<I", raw, tag + 1)
+    return start, tag, tag + 5 + 4 * ndim + 8 * math.prod(struct.unpack_from(f"<{ndim}I", raw, tag + 5))
+
+
+def duplicate_first_record(raw):
+    start, _, end = first_record(raw)
+    (count,) = struct.unpack_from("<I", raw, start - 4)
+    return raw[:start - 4] + struct.pack("<I", count + 1) + raw[start:] + raw[start:end]
+
+
+def unknown_dtype_tag(raw):
+    _, tag, _ = first_record(raw)
+    return raw[:tag] + b"\x07" + raw[tag + 1:]
+
+
+@pytest.mark.parametrize("rewrite, message", [
+    (lambda raw: raw + b"\x00", "trailing bytes"),
+    (unknown_dtype_tag, "unknown dtype tag 7"),
+    (duplicate_first_record, "duplicate record"),
+], ids=["trailing-bytes", "unknown-dtype-tag", "duplicate-record"])
+def test_malformed_checkpoint_is_data_error(tmp_path, tiny_config, capsys, rewrite, message):
+    out = tmp_path / "corpus"
+    ckpt = tmp_path / "model.ckpt"
+    cli.main(["gen", "--config", tiny_config, "--out", str(out)])
+    untrained_retriever_checkpoint(out, ckpt)
+    ckpt.write_bytes(rewrite(ckpt.read_bytes()))
+    code = cli.main(["eval", "--task", "vr", "--config", tiny_config, "--corpus", str(out), "--ckpt", str(ckpt)])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"data error: {ckpt}: {message}")
 
 
 @pytest.mark.parametrize("command", [["eval", "--task", "vr"], ["train", "--stage", "localizer"]])
@@ -545,8 +618,10 @@ def test_unwritable_output_is_data_error_before_any_work(tmp_path, tiny_config, 
     argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--config", tiny_config]
     if argv[0] != "gen":
         argv += ["--corpus", str(out)]
+    before = sorted(tmp_path.rglob("*"))
     assert cli.main(argv) == cli.EXIT_DATA
     assert "data error" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before  # a refusal leaves nothing behind
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -291,6 +291,15 @@ def test_grad_of_unreached_tensor_is_zeros():
         assert np.array_equal(tape.grad(unused), np.zeros(3))
 
 
+def test_backward_keeps_leaf_gradients_only():
+    x = Tensor(np.ones((2, 2)))
+    with Tape() as tape:
+        h = ad.mul(x, 3.0)
+        tape.backward(ad.sum_(h))
+    assert np.array_equal(tape.grad(x), np.full((2, 2), 3.0))
+    assert np.array_equal(tape.grad(h), np.zeros((2, 2)))  # freed once its record's pairs ran
+
+
 # ---------------------------------------------------------------------------
 # op contract: what each public op puts on the tape
 
