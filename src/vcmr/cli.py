@@ -95,20 +95,27 @@ def _build_section(cls, raw, section, seed):
 
 
 def load_run_config(path=None, seed=None):
-    """The config file at `path` (defaults without one); `seed` overrides its top-level seed."""
-    raw = {}
-    if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: malformed JSON ({exc.msg})")
+    """The config file at `path`, named by each error (defaults without one); `seed` overrides its seed."""
+    if path is None:
+        return _run_config({}, seed)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        return _run_config(raw, seed)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: malformed JSON ({exc.msg})")
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _run_config(raw, seed):
+    """The run config of a decoded config file `raw`, checked when built."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
+        raise ConfigError("config must be a JSON object")
     unknown = set(raw) - {f.name for f in dataclasses.fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")

@@ -134,16 +134,15 @@ def pad_rows(rows):
     return padded, mask
 
 
-def pad_pairs(pairs):
-    """Zero-pad (query, video) rows into dense model inputs.
-
-    Returns tokens [R, L, d_txt], token_mask [R, L], images [R, N, d_img],
-    subs [R, N, d_sub] and clip_mask [R, N]; absent subtitles are zeros.
-    """
-    tokens, token_mask = pad_rows([q.tokens for q, _ in pairs])
-    images, clip_mask = pad_rows([v.image_matrix() for _, v in pairs])
-    subs, _ = pad_rows([v.subtitle_matrix() for _, v in pairs])
-    return tokens, token_mask, images, subs, clip_mask
+def encode_once(encode, keys, *streams):
+    """Encode each distinct row of a batch once. Rows are keyed by `keys`, and each stream lists one
+    [n_i, d] array per row. The first row of each key is zero-padded (`pad_rows`) and encoded, and
+    the encoder `ad.take`s its output back to every row; the take's backward sums the rows'
+    gradients. Returns the encoding and the rows' padding mask [R, max n]."""
+    _, first, rows = np.unique(keys, return_index=True, return_inverse=True)
+    padded = [pad_rows([stream[i] for i in first]) for stream in streams]
+    mask = padded[0][1]
+    return encode(*(p for p, _ in padded), mask, rows=rows), mask[rows]
 
 
 @dataclass(frozen=True)
@@ -196,14 +195,14 @@ class EncoderTrunk:
         if length > self.config.max_positions:
             raise ad.ShapeError(f"{what} length {length} exceeds max_positions {self.config.max_positions}")
 
-    def encode_tokens(self, tokens, token_mask):
-        """tokens [B, L, d_txt], token_mask [B, L] -> token reps [B, L, D]."""
+    def encode_tokens(self, tokens, token_mask, rows=None):
+        """tokens [B, L, d_txt], token_mask [B, L] -> token reps [B, L, D], or those of batch rows `rows`."""
         p = self.params
         length = tokens.shape[1]
         self._check_length("query", length)
         h = linear(tokens, p["q_proj.w"], p["q_proj.b"])
-        h = ad.add(h, ad.slice_axis(p["pos_emb"], 0, 0, length))
-        return self.q_layer(h, token_mask)
+        h = self.q_layer(ad.add(h, ad.slice_axis(p["pos_emb"], 0, 0, length)), token_mask)
+        return h if rows is None else ad.take(h, rows)
 
     def pool_tokens(self, h, token_mask):
         """Modality-specific pooling of token reps [B, L, D].
@@ -220,8 +219,9 @@ class EncoderTrunk:
             alphas.append(alpha)
         return reps[0], reps[1], (alphas[0], alphas[1])
 
-    def encode_video_batch(self, images, subtitles, clip_mask):
-        """images [B, N, d_img], subtitles [B, N, d_sub], clip_mask [B, N] -> ([B, N, D], [B, N, D])."""
+    def encode_video_batch(self, images, subtitles, clip_mask, rows=None):
+        """images [B, N, d_img], subtitles [B, N, d_sub], clip_mask [B, N] -> ([B, N, D], [B, N, D]),
+        or the encodings of batch rows `rows`, taken once from the joint image-subtitle output."""
         p = self.params
         n = images.shape[1]
         self._check_length("video", n)
@@ -232,6 +232,7 @@ class EncoderTrunk:
         h_sub = ad.add(h_sub, ad.slice_axis(p["mod_emb"], 0, 1, 2))
         seq = ad.concat([h_img, h_sub], axis=1)
         out = self.v_layer(seq, np.concatenate([clip_mask, clip_mask], axis=1))
+        out = out if rows is None else ad.take(out, rows)
         return ad.slice_axis(out, 1, 0, n), ad.slice_axis(out, 1, n, 2 * n)
 
     def encode_video(self, video):

@@ -14,7 +14,7 @@ from . import localizer as loc_mod
 from . import retriever as ret_mod
 from .autodiff import Tape
 from .localizer import LocalizerConfig, LocalizerModel
-from .nn import pad_pairs
+from .nn import encode_once
 from .optim import AdamW
 from .retriever import RetrieverConfig, RetrieverModel
 from .spans import _iou, nms, sample_positive_spans, span_table, suppression_table, top_spans
@@ -193,8 +193,7 @@ def mine_hard_negatives(model: RetrieverModel, corpus, config: TrainConfig):
 
 def _localizer_rows(corpus, queries, negatives):
     """Stack (query, video) rows: for each query its ground-truth video first,
-    then its mined negative videos. Returns (rows, groups) plus the padded
-    inputs of `pad_pairs`."""
+    then its mined negative videos. Returns (rows, groups)."""
     rows = []  # (query, video)
     groups = []  # per query: list of row indices, gt first
     for q in queries:
@@ -202,16 +201,17 @@ def _localizer_rows(corpus, queries, negatives):
         start = len(rows)
         rows.extend((q, corpus.video(v)) for v in vids)
         groups.append(list(range(start, len(rows))))
-    return (rows, groups) + pad_pairs(rows)
+    return rows, groups
 
 
 def localizer_batch_loss(model: LocalizerModel, corpus, queries, negatives, config: TrainConfig,
                          icfg: InferenceConfig):
     """Boundary loss (shared-norm across the positive and negative videos)
     plus the adversarial moment-classification loss for one batch."""
-    rows, groups, tokens, token_mask, images, subs, clip_mask = _localizer_rows(corpus, queries, negatives)
-    token_reps = model.encode_tokens(tokens, token_mask)
-    img_r, sub_r = model.encode_video_batch(images, subs, clip_mask)
+    rows, groups = _localizer_rows(corpus, queries, negatives)
+    token_reps, token_mask = encode_once(model.encode_tokens, [q.id for q, _ in rows], [q.tokens for q, _ in rows])
+    (img_r, sub_r), clip_mask = encode_once(model.encode_video_batch, [v.id for _, v in rows],
+                                            [v.image_matrix() for _, v in rows], [v.subtitle_matrix() for _, v in rows])
     l_st, l_ed, fused = model.forward_rows(token_reps, token_mask, img_r, sub_r, clip_mask)
 
     boundary = loc_mod.boundary_loss(l_st, l_ed, clip_mask, groups, [q.span for q in queries],

@@ -150,19 +150,18 @@ def retrieve_topk(model: RetrieverModel, corpus, query, k, index: CorpusIndex):
 
 
 def make_batch(corpus, query_indices):
-    """Pad a set of queries plus their target videos into dense arrays."""
+    """A set of queries padded into dense arrays, plus their target videos, which
+    `contrastive_loss` pads once per distinct video."""
     queries = [corpus.queries[i] for i in query_indices]
     videos = [corpus.video(q.target_video) for q in queries]
-    tokens, token_mask, images, subs, clip_mask = nn.pad_pairs(list(zip(queries, videos)))
-    in_span = np.zeros(clip_mask.shape)
+    tokens, token_mask = nn.pad_rows([q.tokens for q in queries])
+    in_span = np.zeros((len(queries), max(map(len, videos))))
     for i, q in enumerate(queries):
         in_span[i, q.span[0] : q.span[1] + 1] = 1.0
     return {
         "tokens": tokens,
         "token_mask": token_mask,
-        "images": images,
-        "subs": subs,
-        "clip_mask": clip_mask,
+        "videos": videos,
         "in_span": in_span,
         "video_ids": [v.id for v in videos],
     }
@@ -182,14 +181,15 @@ def contrastive_loss(model: RetrieverModel, batch, temperature=0.01, lam=0.5, us
         raise ValueError("contrastive training needs a batch of at least 2 queries")
 
     q_img, q_sub, _ = model.encode_query_batch(batch["tokens"], batch["token_mask"])
-    img_r, sub_r = model.encode_video_batch(batch["images"], batch["subs"], batch["clip_mask"])
+    videos = batch["videos"]
+    (img_r, sub_r), valid = nn.encode_once(model.encode_video_batch, batch["video_ids"],
+                                           [v.image_matrix() for v in videos], [v.subtitle_matrix() for v in videos])
 
     qi_n = ad.l2_normalize(q_img)
     qs_n = ad.l2_normalize(q_sub)
     img_n = ad.l2_normalize(img_r)
     sub_n = ad.l2_normalize(sub_r)
 
-    valid = batch["clip_mask"]  # [B, N]
     in_span = batch["in_span"]
     out_span = valid * (1.0 - in_span)
     has_weak = (out_span.sum(axis=1) > 0).astype(np.float64)

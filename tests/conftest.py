@@ -2,8 +2,10 @@
 retrieval score oracle, the per-query and per-video statements of the
 batched localizer and retriever losses (`shared_norm_loss`,
 `sample_relevance`), the chains of elementary ops that the fused
-`linear`, `layer_norm` and `attention` ops replace (`chain_*`), and
-`concat` with one tape pair per part (`chain_concat`).
+`linear`, `layer_norm` and `attention` ops replace (`chain_*`), `concat`
+with one tape pair per part (`chain_concat`), and the training steps that
+pad and encode every (query, video) row (`pad_pairs`, `per_row_*`), which
+the steps that encode each distinct query and video once must match.
 
 Central differences with h=1e-5 on float64 give ~1e-10 truncation error for
 smooth graphs, so a 1e-4 relative tolerance cleanly separates correct from
@@ -16,8 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from vcmr import autodiff as ad
+from vcmr import localizer as L
+from vcmr import pipeline as P
 from vcmr.autodiff import MASK_NEG, Tape, Tensor
-from vcmr.retriever import ModalityQueryReps, _query_cosines
+from vcmr.nn import pad_rows
+from vcmr.retriever import ModalityQueryReps, _query_cosines, best_clips, clip_cosines, video_cosines
+from vcmr.spans import sample_positive_spans, top_spans
 
 H = 1e-5
 RTOL = 1e-4
@@ -194,3 +200,136 @@ def chain_concat(parts, axis=0):
 
     return ad._op(np.concatenate(vals, axis=axis),
                   *[(p, part_grad(lo, hi)) for p, lo, hi in zip(parts, offsets[:-1], offsets[1:])])
+
+
+def at_generic_point(model, seed):
+    """`model` with every parameter moved by N(0, 0.01) noise: zero-initialized biases put ReLU
+    inputs exactly on the kink, where central differences and the subgradient disagree."""
+    r = np.random.default_rng(seed)
+    for t in model.params.values():
+        t.data = t.data + r.normal(0.0, 0.01, size=t.data.shape)
+    return model
+
+
+def loss_and_grads(loss_fn, params):
+    """One taped evaluation of `loss_fn()`: (loss value, {name: gradient} of `params`)."""
+    with Tape() as tape:
+        loss = loss_fn()
+        tape.backward(loss)
+        return loss.item(), {name: tape.grad(t) for name, t in params.items()}
+
+
+def assert_same_step(loss_fn, reference_fn, params):
+    """`loss_fn` gives `reference_fn`'s loss bit for bit and every parameter gradient within 1e-12."""
+    loss, grads = loss_and_grads(loss_fn, params)
+    ref_loss, ref_grads = loss_and_grads(reference_fn, params)
+    assert loss == ref_loss
+    for name, g in grads.items():
+        assert np.abs(g - ref_grads[name]).max() <= 1e-12, name
+
+
+def pad_pairs(pairs):
+    """Zero-pad (query, video) rows into dense model inputs, every row on its own.
+
+    Returns tokens [R, L, d_txt], token_mask [R, L], images [R, N, d_img],
+    subs [R, N, d_sub] and clip_mask [R, N]; absent subtitles are zeros.
+    """
+    tokens, token_mask = pad_rows([q.tokens for q, _ in pairs])
+    images, clip_mask = pad_rows([v.image_matrix() for _, v in pairs])
+    subs, _ = pad_rows([v.subtitle_matrix() for _, v in pairs])
+    return tokens, token_mask, images, subs, clip_mask
+
+
+def per_row_contrastive_loss(model, batch, temperature=0.01, lam=0.5, use_subtitles=True):
+    """`retriever.contrastive_loss` as it ran when every row padded and encoded its own video:
+    the per-row reference of the step that encodes each distinct video once."""
+    b = batch["tokens"].shape[0]
+    if b < 2:
+        raise ValueError("contrastive training needs a batch of at least 2 queries")
+
+    q_img, q_sub, _ = model.encode_query_batch(batch["tokens"], batch["token_mask"])
+    images, valid = pad_rows([v.image_matrix() for v in batch["videos"]])  # valid [B, N]
+    subs, _ = pad_rows([v.subtitle_matrix() for v in batch["videos"]])
+    img_r, sub_r = model.encode_video_batch(images, subs, valid)
+
+    qi_n = ad.l2_normalize(q_img)
+    qs_n = ad.l2_normalize(q_sub)
+    img_n = ad.l2_normalize(img_r)
+    sub_n = ad.l2_normalize(sub_r)
+
+    in_span = batch["in_span"]
+    out_span = valid * (1.0 - in_span)
+    has_weak = (out_span.sum(axis=1) > 0).astype(np.float64)
+
+    own_i = video_cosines(qi_n, img_n)  # [B, 1, N]
+    own_s = video_cosines(qs_n, sub_n)
+    cross_i = clip_cosines(qi_n, img_n)  # [Bq, Bv, N]
+    cross_s = clip_cosines(qs_n, sub_n)
+
+    s_strong = ad.reshape(best_clips(own_i, own_s, in_span[:, None, :], use_subtitles), (b,))
+    # rows without any out-of-span clip get a dummy all-ones mask; their weak
+    # loss contribution is zeroed below
+    weak_mask = np.minimum(out_span + (1.0 - has_weak)[:, None], 1.0)
+    s_weak = ad.reshape(best_clips(own_i, own_s, weak_mask[:, None, :], use_subtitles), (b,))
+    s_neg = best_clips(cross_i, cross_s, valid, use_subtitles)  # [Bq, Bv]
+
+    ids = np.array(batch["video_ids"])
+    neg_ok = (ids[None, :] != ids[:, None]).astype(np.float64)  # [i, j]: 1 where video j is not query i's
+    neg_logits = ad.add(s_neg, (1.0 - neg_ok) * MASK_NEG)
+
+    def info_nce(pos):  # pos [B]
+        logits = ad.concat([ad.reshape(pos, (b, 1)), neg_logits], axis=1)
+        lse = ad.logsumexp(ad.mul(logits, 1.0 / temperature), axis=1)
+        return ad.sub(lse, ad.mul(pos, 1.0 / temperature))  # [B]
+
+    loss_strong = ad.mean(info_nce(s_strong))
+    per_weak = ad.mul(info_nce(s_weak), has_weak)
+    loss_weak = ad.mul(ad.sum_(per_weak), 1.0 / max(1.0, has_weak.sum()))
+
+    # video-to-query: for video i, candidate queries j scored by their best
+    # clips inside video i's annotated moment; positive is the paired query.
+    strong_cross = best_clips(cross_i, cross_s, in_span, use_subtitles)  # [Bq, Bv]
+    v2q = ad.swapaxes(strong_cross, 0, 1)  # [Bv, Bq]
+    q_ok = neg_ok.T.copy()
+    np.fill_diagonal(q_ok, 1.0)
+    v2q_masked = ad.mul(ad.add(v2q, (1.0 - q_ok) * MASK_NEG), 1.0 / temperature)
+    lse_q = ad.logsumexp(v2q_masked, axis=1)
+    diag = ad.take(ad.reshape(v2q, (b * b,)), np.arange(b) * (b + 1))
+    loss_q = ad.mean(ad.sub(lse_q, ad.mul(diag, 1.0 / temperature)))
+
+    return ad.add(ad.add(loss_strong, ad.mul(loss_weak, lam)), loss_q)
+
+
+def per_row_localizer_batch_loss(model, corpus, queries, negatives, config, icfg):
+    """`pipeline.localizer_batch_loss` as it ran when every row encoded its own query and
+    video: the per-row reference of the step that encodes each distinct query and video once."""
+    rows, groups = P._localizer_rows(corpus, queries, negatives)
+    tokens, token_mask, images, subs, clip_mask = pad_pairs(rows)
+    token_reps = model.encode_tokens(tokens, token_mask)
+    img_r, sub_r = model.encode_video_batch(images, subs, clip_mask)
+    l_st, l_ed, fused = model.forward_rows(token_reps, token_mask, img_r, sub_r, clip_mask)
+
+    boundary = L.boundary_loss(l_st, l_ed, clip_mask, groups, [q.span for q in queries],
+                               shared_norm=model.config.shared_norm)
+
+    if config.gamma == 0.0:
+        return boundary
+
+    positives = []
+    negatives_items = []
+    for query, row_ids in zip(queries, groups):
+        gt_row = row_ids[0]
+        video_len = int(clip_mask[gt_row].sum())
+        for span in sample_positive_spans(query.span, video_len):
+            positives.append((gt_row, span))
+        for ri in row_ids[1:]:
+            vlen = int(clip_mask[ri].sum())
+            mined = top_spans(
+                l_st.data[ri, :vlen], l_ed.data[ri, :vlen],
+                icfg.moment_min_len, icfg.moment_max_len, k=5,
+            )
+            negatives_items.extend((ri, span) for span in mined)
+    if not negatives_items:
+        return boundary
+    adv = L.adversarial_loss(model, model.adv_layer(fused, clip_mask), positives, negatives_items)
+    return L.total_loss(boundary, adv, gamma=config.gamma)

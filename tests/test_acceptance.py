@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import fd_check, fd_check_params, reference_score, shared_norm_loss
+from conftest import fd_check, fd_check_params, pad_pairs, reference_score, shared_norm_loss
 from test_pipeline import brute_force_infer, independent_moment_recall
 from vcmr import autodiff as ad
 from vcmr import cli
@@ -57,8 +57,8 @@ def frozen_total_loss(loc, corpus, queries, negatives, gamma):
     constant, so the objective is smooth in the parameters and finite
     differences are valid.
     """
-    rows_data = P._localizer_rows(corpus, queries, negatives)
-    rows, groups, tokens, token_mask, images, subs, clip_mask = rows_data
+    rows, groups = P._localizer_rows(corpus, queries, negatives)
+    tokens, token_mask, images, subs, clip_mask = pad_pairs(rows)
     n = clip_mask.shape[1]
 
     def forward():

@@ -322,6 +322,11 @@ def test_mistyped_corpus_field_is_data_error_with_line(tmp_path, tiny_config, ca
     pytest.param("synthetic", "noise_sigma", 10 ** 400, id="synthetic-noise_sigma-int_beyond_float"),
     pytest.param(None, None, [TINY], id="config-is-a-list"),
     pytest.param("bogus", None, {}, id="unknown-section"),
+    (None, "seed", -3),
+    ("train", "learning_rte", 1e-3),
+    ("train", "localizer_epochs", cli.MAX_CONFIG_INT + 1),
+    pytest.param("retriever", None, {"hidden": 10, "heads": 4}, id="retriever-hidden_not_divisible_by_heads"),
+    pytest.param("synthetic", "clips_per_video", 80, id="synthetic-clips_per_video-beyond_max_positions"),
 ])
 def test_mistyped_config_value_is_config_error(tmp_path, capsys, section, key, value):
     raw = value if key is None else {key: value}
@@ -331,8 +336,13 @@ def test_mistyped_config_value_is_config_error(tmp_path, capsys, section, key, v
     bad.write_text(json.dumps(raw))
     assert cli.main(["gen", "--config", str(bad), "--out", str(tmp_path / "c")]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert err.startswith(f"config error: {bad}: ") and err.count("\n") == 1  # names the file
     assert not (tmp_path / "c").exists()
+
+
+def test_config_error_without_a_config_file_names_none(tmp_path, capsys):
+    assert cli.main(["gen", "--seed", "-1", "--out", str(tmp_path / "c")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: seed must be a non-negative integer, got -1\n"
 
 
 @pytest.mark.parametrize("section, key, value", [

@@ -4,13 +4,14 @@ NMS semantics, the metric suite, and end-to-end determinism."""
 import numpy as np
 import pytest
 
-from conftest import reference_score
+from conftest import (RTOL, assert_same_step, at_generic_point, fd_check_params, pad_pairs,
+                      per_row_localizer_batch_loss, reference_score)
 from vcmr import corpus as C
 from vcmr import pipeline as P
 from vcmr import retriever as R
 from vcmr.autodiff import Tape
 from vcmr.localizer import LocalizerConfig, LocalizerModel
-from vcmr.nn import pad_pairs
+from vcmr.nn import EncoderTrunk
 from vcmr.optim import AdamW
 from vcmr.spans import enumerate_spans, iou, iou_matrix, nms
 
@@ -345,6 +346,60 @@ def test_default_training_steps_stay_within_their_tape_record_budgets():
     with Tape() as tape:
         P.localizer_batch_loss(loc, corpus, queries, negatives, cfg, P.InferenceConfig())
     assert len(tape._records) <= 160
+
+
+def shared_video_batch():
+    """Three queries whose rows share videos: each query's target video is a mined negative of
+    another query, and one further video is a negative of all three."""
+    corpus = C.generate(C.SyntheticSpec(video_count=6, clips_per_video=6, queries_per_video=1, d_img=6,
+                                        d_sub=6, d_txt=6, token_count_range=(3, 5), seed=3))
+    queries = corpus.queries[:3]
+    targets = [q.target_video for q in queries]
+    shared = next(v.id for v in corpus.videos if v.id not in targets)
+    negatives = {q.id: [targets[(i + 1) % 3], shared] for i, q in enumerate(queries)}
+    model = at_generic_point(LocalizerModel(6, 6, 6, LocalizerConfig(hidden=8, intermediate=16, heads=2), seed=1), seed=1)
+    return corpus, queries, negatives, model
+
+
+def test_localizer_step_on_shared_videos_matches_the_per_row_step():
+    corpus, queries, negatives, loc = shared_video_batch()
+    icfg = P.InferenceConfig(moment_max_len=4)
+    for gamma in (0.0, 0.8):
+        cfg = P.TrainConfig(gamma=gamma)
+        assert_same_step(lambda: P.localizer_batch_loss(loc, corpus, queries, negatives, cfg, icfg),
+                         lambda: per_row_localizer_batch_loss(loc, corpus, queries, negatives, cfg, icfg),
+                         loc.params)
+
+
+def test_localizer_step_on_shared_videos_gradients_match_fd():
+    # boundary loss alone: the adversarial branch re-mines its moments from the scores, a step function
+    corpus, queries, negatives, loc = shared_video_batch()
+    cfg, icfg = P.TrainConfig(gamma=0.0), P.InferenceConfig(moment_max_len=4)
+    err = fd_check_params(lambda: P.localizer_batch_loss(loc, corpus, queries, negatives, cfg, icfg),
+                          loc.params, sample=1, rng=np.random.default_rng(0))
+    assert err < RTOL
+
+
+def test_training_steps_encode_each_distinct_query_and_video_once(monkeypatch):
+    rows = []  # (encoder, batch rows it encoded)
+    for name in ("encode_tokens", "encode_video_batch"):
+        def spy(self, *arrays, _name=name, _encode=getattr(EncoderTrunk, name), **kwargs):
+            rows.append((_name, arrays[0].shape[0]))
+            return _encode(self, *arrays, **kwargs)
+        monkeypatch.setattr(EncoderTrunk, name, spy)
+
+    corpus, queries, negatives, loc = shared_video_batch()
+    with Tape():
+        P.localizer_batch_loss(loc, corpus, queries, negatives, P.TrainConfig(), P.InferenceConfig(moment_max_len=4))
+    assert rows == [("encode_tokens", 3), ("encode_video_batch", 4)]  # of 9 rows
+
+    rows.clear()
+    corpus = C.generate(C.SyntheticSpec(video_count=4, clips_per_video=6, queries_per_video=2, seed=3))
+    retr = R.RetrieverModel(corpus.d_txt, corpus.d_img, corpus.d_sub,
+                            R.RetrieverConfig(hidden=8, intermediate=16, heads=2))
+    with Tape():
+        R.contrastive_loss(retr, R.make_batch(corpus, np.arange(8)))
+    assert rows == [("encode_tokens", 8), ("encode_video_batch", 4)]
 
 
 def test_localizer_loss_decreases_over_epochs():

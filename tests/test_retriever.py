@@ -8,11 +8,11 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import RTOL, fd_check_params, reference_score, sample_relevance
+from conftest import (RTOL, assert_same_step, at_generic_point, fd_check_params, pad_pairs, per_row_contrastive_loss,
+                      reference_score, sample_relevance)
 from vcmr import corpus as C
 from vcmr import retriever as R
 from vcmr.autodiff import Tape
-from vcmr.nn import pad_pairs
 from vcmr.optim import AdamW
 
 SPEC = C.SyntheticSpec(video_count=10, clips_per_video=8, queries_per_video=2, seed=1)
@@ -337,6 +337,37 @@ def test_contrastive_loss_gradients_match_fd():
         lambda: R.contrastive_loss(model, batch, temperature=0.5),
         model.params, sample=2, rng=np.random.default_rng(0),
     )
+    assert err < RTOL
+
+
+def repeated_video_batch():
+    """A batch of four queries on two videos, each video shared by two of its queries, interleaved."""
+    corpus = C.generate(dataclasses.replace(SPEC, d_img=6, d_sub=6, d_txt=6, token_count_range=(3, 5)))
+    by_video = {}
+    for i, q in enumerate(corpus.queries):
+        by_video.setdefault(q.target_video, []).append(i)
+    idx = [i for pair in zip(*list(by_video.values())[:2]) for i in pair]
+    batch = R.make_batch(corpus, idx)
+    assert len(idx) == 4 and len(set(batch["video_ids"])) == 2
+    return batch
+
+
+def perturbed_model():
+    return at_generic_point(R.RetrieverModel(6, 6, 6, R.RetrieverConfig(hidden=8, intermediate=16, heads=2)), seed=0)
+
+
+def test_contrastive_loss_on_repeated_videos_matches_the_per_row_step():
+    batch = repeated_video_batch()
+    model = perturbed_model()
+    assert_same_step(lambda: R.contrastive_loss(model, batch), lambda: per_row_contrastive_loss(model, batch),
+                     model.params)
+
+
+def test_contrastive_loss_on_repeated_videos_gradients_match_fd():
+    batch = repeated_video_batch()
+    model = perturbed_model()
+    err = fd_check_params(lambda: R.contrastive_loss(model, batch, temperature=0.5),
+                          model.params, sample=2, rng=np.random.default_rng(0))
     assert err < RTOL
 
 

@@ -72,6 +72,29 @@ def test_shape_ops_match_fd(seed):
     assert fd_check(lambda x: ad.sum_(ad.pow_const(ad.slice_axis(x, 1, 1, 3), 2.0)), [a]) < RTOL
     idx = np.array([0, 1, 1, 0])
     assert fd_check(lambda x: ad.sum_(ad.pow_const(ad.take(x, idx, axis=0), 2.0)), [a]) < RTOL
+    grid = np.array([[3, 0, 3], [1, 3, 3]])  # a 2-D index along a middle axis, repeats included
+    assert fd_check(lambda x: ad.sum_(ad.pow_const(ad.take(x, grid, axis=1), 2.0)), [a.swapaxes(1, 2)]) < RTOL
+
+
+@pytest.mark.parametrize("shape, indices, axis", [
+    ((18, 8, 4), np.array([3, 0, 3, 17, 3, 0, 5, 17, 3]), 0),  # rows of a joint encoding, repeated
+    ((4, 6, 3), np.array([5, 0, 5, 2, 5, 0]), 1),
+    ((7,), np.array([6, 6, 6, 1]), 0),
+    ((7,), np.array([], dtype=np.intp), 0),
+])
+def test_take_backward_sums_like_add_at(shape, indices, axis):
+    r = np.random.default_rng(3)
+    x = Tensor(r.normal(size=shape))
+    with Tape() as tape:
+        y = ad.take(x, indices, axis=axis)
+        g = r.normal(size=y.shape)
+        g.flat[::3] = -0.0
+        tape.backward(ad.sum_(ad.mul(y, g)))
+        got = tape.grad(x)
+    want = np.zeros(shape)
+    moved = np.moveaxis(want, axis, 0)
+    np.add.at(moved, indices.reshape(-1), np.moveaxis(g, axis, 0).reshape((-1,) + moved.shape[1:]))
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
