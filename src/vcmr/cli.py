@@ -59,6 +59,9 @@ _SECTIONS = [f for f in dataclasses.fields(RunConfig) if f.name != "seed"]
 # Largest value of an integer config field, far past any desk-scale size, count or schedule
 MAX_CONFIG_INT = 10 ** 6
 
+# Largest single array, in bytes, that a config may imply; a run holds several such arrays at once
+MAX_ARRAY_BYTES = 2 ** 32
+
 # JSON type each field's default asks for: a bool is not an int, an int is a float, a float is
 # finite (json.load reads NaN and Infinity), and a tuple default takes a list of two ints
 _JSON_TYPES = {bool: "true or false", int: f"an integer of at most {MAX_CONFIG_INT}", float: "a finite number",
@@ -134,7 +137,34 @@ def _run_config(raw, seed):
             if length > limit:
                 raise ConfigError(f"synthetic.{key} allows length {length}, more than "
                                   f"{section}.max_positions {limit}")
+    nbytes, what = _largest_array(cfg)
+    if nbytes > MAX_ARRAY_BYTES:
+        raise ConfigError(f"sizes too large: {what} would take {nbytes:.3g} bytes, "
+                          f"more than the {MAX_ARRAY_BYTES} bytes one array may take")
     return cfg
+
+
+def _largest_array(cfg):
+    """(bytes, what) of the largest float64 array a run of `cfg` makes, estimated from its sizes alone."""
+    syn, n = cfg.synthetic, cfg.synthetic.clips_per_video
+    clips = syn.video_count * n
+    lo = max(1, min(cfg.inference.moment_min_len, n))  # the span limits of `spans.enumerate_spans`
+    count = max(lo, min(cfg.inference.moment_max_len, n)) - lo + 1
+    spans = count * (n + 1) - count * (2 * lo + count - 1) // 2
+    queries = syn.video_count * syn.queries_per_video
+    terms = [(clips * syn.d_img, "a split's image clips"), (clips * syn.d_sub, "a split's subtitle clips"),
+             (spans * spans, f"the suppression table's IoU matrix over the {spans} spans of a {n}-clip video")]
+    rows = {"retriever": min(cfg.train.retriever_batch, queries),
+            "localizer": min(cfg.train.localizer_batch, queries) * (1 + cfg.train.negatives_per_query)}
+    for section, step_rows in rows.items():
+        model = getattr(cfg, section)
+        h, length = model.hidden, max(2 * n, syn.token_count_range[1])  # a video encodes both streams at once
+        # the widest of an input projection, the position table, a feed-forward weight and a (3, h, h) kernel
+        terms += [(h * max(syn.d_txt, syn.d_img, syn.d_sub, model.max_positions, model.intermediate, 3 * h),
+                   f"the largest {section} parameter"),
+                  (step_rows * model.heads * length * length, f"one {section} training step's attention probabilities")]
+    count, what = max(terms)
+    return 8 * count, what
 
 
 def _load_model(cls, namespace, arrays, corpus, model_cfg, ckpt_path):

@@ -280,19 +280,32 @@ def _rank_moments(localizer_model: LocalizerModel, corpus, query, scored, icfg: 
     """Localize `query` in each (video id, retrieval score) of `scored`, score
     every admissible span as retrieval/temperature + start + end, NMS per
     video, then keep the best `results_per_query` of all videos by (-score,
-    video id, start, end)."""
+    video id, start, end).
+
+    NMS visits the videos best span first, above a floor: the
+    `results_per_query`-th best score kept so far. A span below the floor
+    cannot reach the final cut, so the walk stops at the first video whose
+    best span is below it; the result is that of NMS on every video in full."""
     videos = [corpus.video(vid) for vid, _ in scored]
     l_st, l_ed = localize_scores(localizer_model, query, videos)
-    spans, scores, rows = [], [], []
-    for i, (vid, score) in enumerate(scored):
-        key = (len(videos[i]), icfg.moment_min_len, icfg.moment_max_len)
-        table = span_table(*key)
-        span_scores = score / icfg.score_temperature + (l_st[i, table[:, 0]] + l_ed[i, table[:, 1]])
-        kept = nms(table, span_scores, suppression_table(*key, icfg.nms_threshold), keep=icfg.results_per_query)
-        spans.append(table[kept])
-        scores.append(span_scores[kept])
+    n = icfg.results_per_query
+    keys = [(len(video), icfg.moment_min_len, icfg.moment_max_len) for video in videos]
+    tables = [span_table(*key) for key in keys]
+    span_scores = [score / icfg.score_temperature + (l_st[i, table[:, 0]] + l_ed[i, table[:, 1]])
+                   for i, ((_, score), table) in enumerate(zip(scored, tables))]
+    best = [s.max() for s in span_scores]
+    floor = -np.inf
+    spans, scores, rows = [], np.empty(0), []
+    for i in sorted(range(len(scored)), key=best.__getitem__, reverse=True):
+        if best[i] < floor:
+            break
+        kept = nms(tables[i], span_scores[i], suppression_table(*keys[i], icfg.nms_threshold), keep=n, floor=floor)
+        spans.append(tables[i][kept])
+        scores = np.concatenate([scores, span_scores[i][kept]])
         rows.append(np.full(len(kept), i))
-    spans, scores, rows = np.concatenate(spans), np.concatenate(scores), np.concatenate(rows)
+        if len(scores) >= n:
+            floor = np.partition(scores, -n)[-n]
+    spans, rows = np.concatenate(spans), np.concatenate(rows)
     ids = [vid for vid, _ in scored]
     id_rank = {vid: r for r, vid in enumerate(sorted(ids))}
     vid_rank = np.array([id_rank[vid] for vid in ids])[rows]

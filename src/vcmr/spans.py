@@ -9,6 +9,12 @@ Ranking works on arrays: `span_table` is the read-only [S, 2] array of the
 admissible spans of one video length, `suppression_table` the read-only
 [S, S] bool matrix `iou >= threshold` over it, and `nms` walks both. Both
 tables are cached per key, so a video length is tabulated once per process.
+
+`nms` takes a score floor and leaves out the spans below it, which cuts its
+result at the first kept span below the floor. The pipeline visits the
+retrieved videos best span first with the `results_per_query`-th best score
+kept so far as the floor, and stops at the first video whose best span is
+below it, before one merge of the kept spans.
 """
 
 from __future__ import annotations
@@ -107,7 +113,7 @@ def top_spans(l_st, l_ed, min_len, max_len, k):
     return [(st, ed) for st, ed in spans[_ranked(spans, scores)[:k]].tolist()]
 
 
-def nms(spans, scores, suppress, keep=100):
+def nms(spans, scores, suppress, keep=100, floor=-np.inf):
     """Greedy same-video suppression.
 
     `spans` is a [S, 2] span array, `scores` its [S] scores and `suppress`
@@ -116,10 +122,15 @@ def nms(spans, scores, suppress, keep=100):
     span it suppresses is dropped; ties break by (start, end) for
     determinism. Returns the [K] indices of up to `keep` kept spans, best
     first.
+
+    Spans scoring below `floor` are left out before ranking. They rank after
+    every span at or above it, so they can suppress none of those, and the
+    result is the floor-free one cut at its first span below `floor`.
     """
+    candidates = np.flatnonzero(scores >= floor)
     dropped = np.zeros(len(spans), dtype=bool)
     kept = []
-    for i in _ranked(spans, scores).tolist():
+    for i in candidates[_ranked(spans[candidates], scores[candidates])].tolist():
         if dropped[i]:
             continue
         kept.append(i)

@@ -5,7 +5,10 @@ batched localizer and retriever losses (`shared_norm_loss`,
 `linear`, `layer_norm` and `attention` ops replace (`chain_*`), `concat`
 with one tape pair per part (`chain_concat`), and the training steps that
 pad and encode every (query, video) row (`pad_pairs`, `per_row_*`), which
-the steps that encode each distinct query and video once must match.
+the steps that encode each distinct query and video once must match, and
+the moment ranking that runs NMS on every retrieved video in full
+(`full_nms_rank_moments`), which the ranking that stops at a score floor
+must match.
 
 Central differences with h=1e-5 on float64 give ~1e-10 truncation error for
 smooth graphs, so a 1e-4 relative tolerance cleanly separates correct from
@@ -23,7 +26,7 @@ from vcmr import pipeline as P
 from vcmr.autodiff import MASK_NEG, Tape, Tensor
 from vcmr.nn import pad_rows
 from vcmr.retriever import ModalityQueryReps, _query_cosines, best_clips, clip_cosines, video_cosines
-from vcmr.spans import sample_positive_spans, top_spans
+from vcmr.spans import nms, sample_positive_spans, span_table, suppression_table, top_spans
 
 H = 1e-5
 RTOL = 1e-4
@@ -333,3 +336,27 @@ def per_row_localizer_batch_loss(model, corpus, queries, negatives, config, icfg
         return boundary
     adv = L.adversarial_loss(model, model.adv_layer(fused, clip_mask), positives, negatives_items)
     return L.total_loss(boundary, adv, gamma=config.gamma)
+
+
+def full_nms_rank_moments(localizer_model, corpus, query, scored, icfg):
+    """`pipeline._rank_moments` as it ran before the score floor: NMS keeps up to
+    `results_per_query` spans of every retrieved video, then one merge by (-score,
+    video id, start, end) cuts them to `results_per_query`."""
+    videos = [corpus.video(vid) for vid, _ in scored]
+    l_st, l_ed = P.localize_scores(localizer_model, query, videos)
+    spans, scores, rows = [], [], []
+    for i, (vid, score) in enumerate(scored):
+        key = (len(videos[i]), icfg.moment_min_len, icfg.moment_max_len)
+        table = span_table(*key)
+        span_scores = score / icfg.score_temperature + (l_st[i, table[:, 0]] + l_ed[i, table[:, 1]])
+        kept = nms(table, span_scores, suppression_table(*key, icfg.nms_threshold), keep=icfg.results_per_query)
+        spans.append(table[kept])
+        scores.append(span_scores[kept])
+        rows.append(np.full(len(kept), i))
+    spans, scores, rows = np.concatenate(spans), np.concatenate(scores), np.concatenate(rows)
+    ids = [vid for vid, _ in scored]
+    id_rank = {vid: r for r, vid in enumerate(sorted(ids))}
+    vid_rank = np.array([id_rank[vid] for vid in ids])[rows]
+    top = np.lexsort((spans[:, 1], spans[:, 0], vid_rank, -scores))[: icfg.results_per_query]
+    return [P.MomentPrediction(video_id=ids[r], span=(st, ed), score=sc)
+            for r, (st, ed), sc in zip(rows[top].tolist(), spans[top].tolist(), scores[top].tolist())]

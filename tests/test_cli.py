@@ -360,6 +360,43 @@ def test_integer_beyond_bound_is_config_error_naming_the_field(tmp_path, capsys,
     assert not (tmp_path / "c").exists()
 
 
+def long_inputs(n):
+    """Config sections that let synthetic videos have `n` clips."""
+    return {"synthetic": {"clips_per_video": n}, "retriever": {"max_positions": n}, "localizer": {"max_positions": n}}
+
+
+@pytest.mark.parametrize("raw, what", [
+    pytest.param({"synthetic": {"video_count": 10 ** 6, "d_img": 10 ** 6}}, "a split's image clips", id="image"),
+    pytest.param({"synthetic": {"video_count": 10 ** 4, "d_sub": 10 ** 5}}, "a split's subtitle clips", id="subtitle"),
+    pytest.param({"localizer": {"hidden": 24000}}, "the largest localizer parameter", id="parameter"),
+    pytest.param(dict(long_inputs(2000), inference={"moment_max_len": 1}),
+                 "one localizer training step's attention probabilities", id="attention"),
+    pytest.param(dict(long_inputs(512), inference={"moment_max_len": 512}),
+                 "the suppression table's IoU matrix over the 131328 spans of a 512-clip video", id="suppression"),
+])
+def test_sizes_whose_arrays_are_past_memory_are_config_error(tmp_path, capsys, raw, what):
+    # each field is within MAX_CONFIG_INT; the product of some is not
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert cli.main(["gen", "--config", str(bad), "--out", str(tmp_path / "c")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {bad}: sizes too large: {what} would take ") and err.count("\n") == 1
+    assert not (tmp_path / "c").exists()
+
+
+def test_defaults_and_benchmark_sizes_fit_one_array(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "benchmarks"))
+    import worker
+
+    try:
+        configs = [cli.RunConfig()] + [cli._run_config({"synthetic": w["spec"], "train": w["train"]}, 0)
+                                       for w in worker.WORKLOADS.values()]
+    finally:
+        sys.modules.pop("worker", None)
+    assert len(configs) == 4
+    assert all(cli._largest_array(cfg)[0] <= cli.MAX_ARRAY_BYTES for cfg in configs)
+
+
 def test_integer_at_bound_is_accepted(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"train": {"localizer_epochs": cli.MAX_CONFIG_INT}}))

@@ -1,10 +1,15 @@
 """Two-stage pipeline: mining, inference against brute-force oracles,
 NMS semantics, the metric suite, and end-to-end determinism."""
 
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import (RTOL, assert_same_step, at_generic_point, fd_check_params, pad_pairs,
+from conftest import (RTOL, assert_same_step, at_generic_point, fd_check_params, full_nms_rank_moments, pad_pairs,
                       per_row_localizer_batch_loss, reference_score)
 from vcmr import corpus as C
 from vcmr import pipeline as P
@@ -228,6 +233,69 @@ def test_infer_single_video_stays_on_target():
         st, ed = zip(*(m.span for m in preds))
         assert min(st) >= 0 and max(ed) < len(corpus.video(q.target_video))
         assert all(preds[i].score >= preds[i + 1].score for i in range(len(preds) - 1))
+
+
+def rank_with_stub_scores(rank, lengths, scored, boundary, icfg):
+    """`rank(None, corpus, None, scored, icfg)` over a corpus whose videos are only their
+    `lengths`, with `localize_scores` returning `boundary`'s (start, end) rows for the videos
+    of `scored`, zero-padded past each video's length."""
+    corpus = SimpleNamespace(video=lambda vid: range(lengths[vid]))  # `_rank_moments` reads len(video)
+
+    def localize_scores(model, query, videos):
+        l_st, l_ed = np.zeros((2, len(videos), max(map(len, videos))))
+        for row, (vid, _) in enumerate(scored):
+            l_st[row, : lengths[vid]], l_ed[row, : lengths[vid]] = boundary[vid]
+        return l_st, l_ed
+
+    with mock.patch.object(P, "localize_scores", localize_scores):
+        return [(m.video_id, m.span, m.score) for m in rank(None, corpus, None, scored, icfg)]
+
+
+@st.composite
+def ranking_cases(draw):
+    """(lengths, scored, boundary, icfg): up to six videos of 1-40 clips, retrieval scores from
+    three values (equal ones are common) and boundary scores rounded to 0 or 1 decimals, so
+    span scores tie within and across videos; video ids sort apart from retrieval order."""
+    n_videos = draw(st.integers(1, 6))
+    names = draw(st.permutations([f"v{j}" for j in range(n_videos)]))
+    lengths = {vid: draw(st.integers(1, 40)) for vid in names}
+    retrieval = draw(st.lists(st.sampled_from((0.0, 0.01, 0.02)), min_size=n_videos, max_size=n_videos))
+    scored = sorted(zip(names, retrieval), key=lambda it: -it[1])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    decimals = draw(st.integers(0, 1))
+    boundary = {vid: np.round(rng.normal(size=(2, n)), decimals) for vid, n in lengths.items()}
+    min_len = draw(st.integers(1, 3))
+    icfg = P.InferenceConfig(moment_min_len=min_len, moment_max_len=draw(st.integers(min_len, 40)),
+                             nms_threshold=draw(st.sampled_from((0.5, 0.7, 1.0))),
+                             results_per_query=draw(st.sampled_from((1, 2, 5, 100, 5000))))
+    return lengths, scored, boundary, icfg
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(ranking_cases())
+def test_rank_moments_equals_full_nms_on_every_video(case):
+    assert rank_with_stub_scores(P._rank_moments, *case) == rank_with_stub_scores(full_nms_rank_moments, *case)
+
+
+def test_rank_moments_stops_after_a_dominant_video(monkeypatch):
+    # The top video's spans all score about 100 above every other video's, so
+    # its own NMS fills results_per_query and the walk stops there.
+    lengths = {"a": 8, "b": 8, "c": 8}
+    rng = np.random.default_rng(0)
+    boundary = {vid: rng.normal(size=(2, n)) for vid, n in lengths.items()}
+    scored = [("b", 1.0), ("a", 0.0), ("c", 0.0)]
+    icfg = P.InferenceConfig(moment_max_len=8, results_per_query=10)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["floor"])
+        return nms(*args, **kwargs)
+
+    monkeypatch.setattr(P, "nms", spy)
+    got = rank_with_stub_scores(P._rank_moments, lengths, scored, boundary, icfg)
+    assert calls == [-np.inf]
+    assert len(got) == icfg.results_per_query and {vid for vid, _, _ in got} == {"b"}
+    assert got == rank_with_stub_scores(full_nms_rank_moments, lengths, scored, boundary, icfg)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Array span code against list-based references: `nms`, `top_spans` and
 `sample_positive_spans` must give the same spans, scores and order as the
-greedy loops below, and the cached span tables must agree with `iou`."""
+greedy loops below, `nms` with a score floor must cut its floor-free result,
+and the cached span tables must agree with `iou`."""
 
 import numpy as np
 import pytest
@@ -48,6 +49,21 @@ def test_nms_matches_greedy_reference(limits, seed, decimals, threshold, keep):
     moments = [(tuple(span), score) for span, score in zip(spans.tolist(), scores.tolist())]
     kept = nms(spans, scores, iou_matrix(spans) >= threshold, keep=keep)
     assert [moments[i] for i in kept] == greedy_nms(moments, threshold, keep)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(span_limits(), st.integers(0, 2**32 - 1), st.integers(0, 2), st.sampled_from(THRESHOLDS),
+       st.sampled_from((1, 5, 100)), st.data())
+def test_nms_floor_cuts_the_floor_free_result(limits, seed, decimals, threshold, keep, data):
+    spans = span_table(*limits)
+    scores = rounded_scores(seed, len(spans), decimals)
+    suppress = iou_matrix(spans) >= threshold
+    # a floor equal to one of the scores (so spans tie with it) or anywhere around them
+    floor = data.draw(st.one_of(st.sampled_from(scores.tolist()), st.floats(-4.0, 4.0), st.just(-np.inf)))
+    full = nms(spans, scores, suppress, keep=keep).tolist()
+    above = [i for i in full if scores[i] >= floor]
+    assert above == full[: len(above)]
+    assert nms(spans, scores, suppress, keep=keep, floor=floor).tolist() == above
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
