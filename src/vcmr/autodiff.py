@@ -339,26 +339,26 @@ def slice_axis(x, axis, start, stop):
     return _op(xv[tuple(sl)], (x, grad))
 
 
-def take(x, indices, axis=0):
-    """Index-select along an axis; backward scatter-adds (repeats allowed) as `np.add.at` does, in its
-    order, but one `+=` per level of distinct indices (level k: each index's k-th row), which is faster."""
+def take(x, indices):
+    """Rows `indices` (a 1-D index) of x; backward scatter-adds (repeats allowed) as `np.add.at` does, in
+    its order, but one `+=` per level of repeated indices (level k: each index's k-th row), which is faster."""
     xv = _val(x)
     idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim != 1:
+        raise ShapeError(f"take needs a 1-D index, got shape {idx.shape}")
 
     def grad(g):
         gx = np.zeros_like(xv)
-        moved, flat, ax = np.moveaxis(gx, axis, 0), idx.reshape(-1), axis % xv.ndim
-        rows = np.moveaxis(g, range(ax, ax + idx.ndim), range(idx.ndim)).reshape((-1,) + moved.shape[1:])
-        order = np.argsort(flat, kind="stable")
-        pos = np.arange(len(flat))
-        starts = np.r_[True, flat[order][1:] != flat[order][:-1]]
+        order = np.argsort(idx, kind="stable")
+        pos = np.arange(len(idx))
+        starts = np.r_[True, idx[order][1:] != idx[order][:-1]]
         level = np.empty_like(pos)
         level[order] = pos - np.maximum.accumulate(np.where(starts, pos, 0))
         for k in range(level.max(initial=-1) + 1):
-            moved[flat[level == k]] += rows[level == k]
+            gx[idx[level == k]] += g[level == k]
         return gx
 
-    return _op(np.take(xv, idx, axis=axis), (x, grad))
+    return _op(xv[idx], (x, grad))
 
 
 # ---------------------------------------------------------------------------

@@ -194,17 +194,16 @@ def _write_loss_csv(path, curve):
 
 def cmd_gen(args, cfg):
     split_dirs = [os.path.join(args.out, split) for split in SPLITS]
-    # every split path is checked before the first directory is made, so a refusal leaves nothing behind
+    # every output path is checked before any work, and all three splits are generated before the first
+    # directory is made, so a refusal leaves nothing behind
     for path in split_dirs:
-        if os.path.lexists(path) and not os.path.isdir(path):
-            raise CorpusError(f"cannot write a corpus to {args.out}: {path} is not a directory")
+        existing = path
+        while not os.path.lexists(existing):
+            existing = os.path.dirname(existing) or "."
+        if not os.path.isdir(existing):
+            raise CorpusError(f"cannot write a corpus to {args.out}: {existing} is not a directory")
     _check_outputs(*(os.path.join(path, name) for path in split_dirs if os.path.isdir(path)
                      for name in (corpus_mod.VIDEOS_FILE, corpus_mod.QUERIES_FILE, corpus_mod.META_FILE)))
-    for path in split_dirs:
-        try:
-            os.makedirs(path, exist_ok=True)
-        except OSError as exc:
-            raise CorpusError(f"cannot write a corpus to {args.out}: {path}: {exc.strerror}") from exc
     spec = cfg.synthetic
     # val/test reuse the generating process with offset seeds and fewer
     # queries per video; dimensions and corpus size stay identical
@@ -213,14 +212,21 @@ def cmd_gen(args, cfg):
         "val": dataclasses.replace(spec, seed=spec.seed + 1001, queries_per_video=min(2, spec.queries_per_video)),
         "test": dataclasses.replace(spec, seed=spec.seed + 2002, queries_per_video=min(2, spec.queries_per_video)),
     }
-    for split, path in zip(SPLITS, split_dirs):
-        corpus = corpus_mod.generate(variants[split], split=split)
+    try:
+        corpora = [corpus_mod.generate(variants[split], split=split) for split in SPLITS]
+    except CorpusError as exc:  # the spec passed its checks, but its spans cannot all be placed
+        raise ConfigError(f"{args.config}: {exc}" if args.config else str(exc)) from None
+    for path in split_dirs:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            raise CorpusError(f"cannot write a corpus to {args.out}: {path}: {exc.strerror}") from exc
+    for corpus, path in zip(corpora, split_dirs):
         corpus_mod.save(corpus, path)
-        if split == "train":
-            ratio = corpus_mod.span_ratio(corpus)
-            print(f"generated {len(corpus.videos)} videos x {spec.clips_per_video} clips, "
-                  f"{len(corpus.queries)} queries, mean span ratio {ratio:.3f} "
-                  f"(target {spec.target_span_ratio:.3f}), seed {spec.seed}")
+    train = corpora[0]
+    print(f"generated {len(train.videos)} videos x {spec.clips_per_video} clips, "
+          f"{len(train.queries)} queries, mean span ratio {corpus_mod.span_ratio(train):.3f} "
+          f"(target {spec.target_span_ratio:.3f}), seed {spec.seed}")
     return 0
 
 

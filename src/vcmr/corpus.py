@@ -144,8 +144,12 @@ class SyntheticSpec:
         lo, hi = self.moment_len_range
         if not (1 <= lo <= hi <= self.clips_per_video):
             raise CorpusError(f"infeasible span lengths: moment_len_range {self.moment_len_range} for {self.clips_per_video} clips")
-        if not 0.0 <= self.visual_ratio <= 1.0:
-            raise CorpusError("visual_ratio must lie in [0, 1]")
+        if self.queries_per_video * lo > self.clips_per_video:
+            raise CorpusError(f"infeasible span lengths: queries_per_video {self.queries_per_video} spans of at least "
+                              f"{lo} clips do not fit in clips_per_video {self.clips_per_video}")
+        for name in ("visual_ratio", "subtitle_absent_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise CorpusError(f"{name} must lie in [0, 1]")
         if self.noise_sigma < 0:
             raise CorpusError("noise_sigma must be nonnegative")
 

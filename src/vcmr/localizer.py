@@ -151,9 +151,7 @@ class LocalizerModel(nn.EncoderTrunk):
             if entry is None:  # the entry holds the video, so its id is not reused while memoized
                 entry = self._memo[id(video)] = (video, *self.encode_video(video))
             entries.append(entry)
-        img_r, clip_mask = nn.pad_rows([img for _, img, _ in entries])
-        sub_r, _ = nn.pad_rows([sub for _, _, sub in entries])
-        return img_r, sub_r, clip_mask
+        return nn.pad_rows([img for _, img, _ in entries], [sub for _, _, sub in entries])
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +185,8 @@ def span_max_features(adv_out, items):
 
     adv_out: Tensor [R, N, D]; items: list of (row, (st, ed)). Returns [S, D].
     """
-    rows = [r for r, _ in items]
     n = adv_out.shape[1]
-    sel = ad.take(adv_out, np.asarray(rows, dtype=np.intp), axis=0)
+    sel = ad.take(adv_out, [r for r, _ in items])
     mask = np.zeros((len(items), n))
     for i, (_, (st, ed)) in enumerate(items):
         mask[i, st : ed + 1] = 1.0

@@ -6,10 +6,11 @@ blocked logits get an additive -1e9 before softmax (exact zero weight after
 exponentiation at float64). Transformer blocks use the post-layer-norm
 residual layout: sublayer -> add -> norm.
 
-`linear`, `layer_norm` and `multi_head_attention` call the fused autodiff ops
-`ad.linear`, `ad.layer_norm` and `ad.attention`, one tape record each, which
-evaluate the same NumPy expressions in the same order as the chains of
-elementary ops they replace, so values and gradients keep their bits.
+`linear` and `layer_norm` are the fused autodiff ops `ad.linear` and
+`ad.layer_norm`, re-exported, and `multi_head_attention` calls `ad.attention`;
+each is one tape record that evaluates the same NumPy expressions in the same
+order as the chain of elementary ops it replaces, so values and gradients keep
+their bits. `pad_rows` is the one padder of aligned streams.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import MASK_NEG, Tensor
+from .autodiff import MASK_NEG, Tensor, layer_norm, linear
 
 
 class Params(dict):
@@ -31,9 +32,6 @@ class Params(dict):
             raise ValueError(f"duplicate parameter name: {name}")
         t = self[name] = Tensor(array)
         return t
-
-    def names(self):
-        return list(self)
 
     def state_dict(self):
         return {name: t.data.copy() for name, t in self.items()}
@@ -51,16 +49,6 @@ class Params(dict):
 def xavier_uniform(rng, fan_in, fan_out, shape=None):
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape if shape is not None else (fan_in, fan_out))
-
-
-def linear(x, w, b):
-    """x @ w + b."""
-    return ad.linear(x, w, b)
-
-
-def layer_norm(x, gamma, beta, eps=1e-5):
-    """Layer norm over the last axis, scaled by gamma and shifted by beta."""
-    return ad.layer_norm(x, gamma, beta, eps)
 
 
 def add_attention_params(params, prefix, d, rng):
@@ -124,14 +112,15 @@ class TransformerLayer:
         return self._ln("ln2", ad.add(x, h))
 
 
-def pad_rows(rows):
-    """Zero-pad arrays [n_i, d] to the longest: (padded [R, max n, d], mask [R, max n])."""
-    padded = np.zeros((len(rows), max(map(len, rows)), rows[0].shape[1]))
-    mask = np.zeros(padded.shape[:2])
-    for i, row in enumerate(rows):
-        padded[i, : len(row)] = row
-        mask[i, : len(row)] = 1.0
-    return padded, mask
+def pad_rows(*streams):
+    """Zero-pad aligned streams, each one array [n_i, d] per row with the same n_i in every stream,
+    to the longest row: (padded [R, max n, d] per stream, ..., mask [R, max n])."""
+    lengths = np.array([len(row) for row in streams[0]])
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    padded = [np.zeros(valid.shape + rows[0].shape[1:]) for rows in streams]
+    for out, rows in zip(padded, streams):
+        out[valid] = np.concatenate(rows)
+    return (*padded, valid.astype(np.float64))
 
 
 def encode_once(encode, keys, *streams):
@@ -140,9 +129,8 @@ def encode_once(encode, keys, *streams):
     the encoder `ad.take`s its output back to every row; the take's backward sums the rows'
     gradients. Returns the encoding and the rows' padding mask [R, max n]."""
     _, first, rows = np.unique(keys, return_index=True, return_inverse=True)
-    padded = [pad_rows([stream[i] for i in first]) for stream in streams]
-    mask = padded[0][1]
-    return encode(*(p for p, _ in padded), mask, rows=rows), mask[rows]
+    *padded, mask = pad_rows(*([stream[i] for i in first] for stream in streams))
+    return encode(*padded, mask, rows=rows), mask[rows]
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ and the VR / SVMR / VCMR recall metrics."""
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -42,8 +43,12 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.mining_pool < self.negatives_per_query:
             raise ValueError(f"mining_pool {self.mining_pool} is below negatives_per_query {self.negatives_per_query}")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        for name in ("temperature", "learning_rate"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("weight_decay", "lam", "gamma"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -335,41 +340,28 @@ def infer_single_video(retriever_model: RetrieverModel, localizer_model: Localiz
 # metrics
 
 
-def _recall_vr(rankings, corpus):
-    hits = {k: 0 for k in VR_KS}
-    for q in corpus.queries:
-        ranked = rankings.get(q.id)
-        if not ranked:
-            warnings.warn(f"query {q.id} has no ranking; counted as miss")
-            continue
-        for k in VR_KS:
-            if q.target_video in ranked[:k]:
-                hits[k] += 1
-    total = len(corpus.queries)
-    return {f"R@{k}": 100.0 * hits[k] / total for k in VR_KS}
-
-
-def _recall_moments(predictions, corpus):
-    hits = {(k, p): 0 for k in MOMENT_KS for p in MOMENT_PS}
+def _recall(predictions, corpus, hits_of, ks, ps):
+    """{(k, p): percent of queries whose best hit among their top k predictions reaches p}, for
+    each k in `ks` and p in `ps`; `hits_of(query, top)` is the hit of each of its top max(ks)."""
+    counts = dict.fromkeys(itertools.product(ks, ps), 0)
     for q in corpus.queries:
         preds = predictions.get(q.id)
         if not preds:
             warnings.warn(f"query {q.id} has no predictions; counted as miss")
             continue
-        top = preds[: max(MOMENT_KS)]
-        st, ed = np.array([m.span for m in top], dtype=np.int64).T
-        on_target = np.array([m.video_id == q.target_video for m in top])
-        if (st[on_target] > ed[on_target]).any():
-            raise ValueError(f"query {q.id}: invalid predicted span")
-        # IoU with the ground truth on the target video, -1 elsewhere
-        overlap = np.where(on_target, _iou(st, ed, *q.span), -1.0)
-        for k in MOMENT_KS:
-            best = overlap[:k].max()
-            for p in MOMENT_PS:
-                if best >= p:
-                    hits[(k, p)] += 1
-    total = len(corpus.queries)
-    return {f"R@{k},IoU={p}": 100.0 * hits[(k, p)] / total for k in MOMENT_KS for p in MOMENT_PS}
+        hits = hits_of(q, preds[: max(ks)])
+        for k, p in counts:
+            counts[k, p] += max(hits[:k]) >= p
+    return {kp: 100.0 * n / len(corpus.queries) for kp, n in counts.items()}
+
+
+def _moment_hits(q, top):
+    """IoU with the ground truth on the target video, -1 elsewhere."""
+    st, ed = np.array([m.span for m in top], dtype=np.int64).T
+    on_target = np.array([m.video_id == q.target_video for m in top])
+    if (st[on_target] > ed[on_target]).any():
+        raise ValueError(f"query {q.id}: invalid predicted span")
+    return np.where(on_target, _iou(st, ed, *q.span), -1.0).tolist()
 
 
 def evaluate(predictions, corpus, task) -> MetricsReport:
@@ -377,10 +369,12 @@ def evaluate(predictions, corpus, task) -> MetricsReport:
     expect per-query ranked MomentPrediction lists (svmr predictions must
     already be restricted to the ground-truth video)."""
     report = MetricsReport()
-    if task == "vr":
-        report.vr = _recall_vr(predictions, corpus)
+    if task == "vr":  # a hit is 1 (True) on the target video, so R@K is R@K,IoU=1
+        recall = _recall(predictions, corpus, lambda q, top: [vid == q.target_video for vid in top], VR_KS, (1,))
+        report.vr = {f"R@{k}": r for (k, _), r in recall.items()}
     elif task in ("svmr", "vcmr"):
-        setattr(report, task, _recall_moments(predictions, corpus))
+        recall = _recall(predictions, corpus, _moment_hits, MOMENT_KS, MOMENT_PS)
+        setattr(report, task, {f"R@{k},IoU={p}": r for (k, p), r in recall.items()})
     else:
         raise ValueError(f"unknown task {task!r}")
     return report

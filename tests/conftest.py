@@ -8,7 +8,8 @@ pad and encode every (query, video) row (`pad_pairs`, `per_row_*`), which
 the steps that encode each distinct query and video once must match, and
 the moment ranking that runs NMS on every retrieved video in full
 (`full_nms_rank_moments`), which the ranking that stops at a score floor
-must match.
+must match, and the two recall counters that `pipeline.evaluate` merged
+into one (`recall_vr`, `recall_moments`).
 
 Central differences with h=1e-5 on float64 give ~1e-10 truncation error for
 smooth graphs, so a 1e-4 relative tolerance cleanly separates correct from
@@ -16,6 +17,7 @@ broken adjoints.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,7 @@ from vcmr import pipeline as P
 from vcmr.autodiff import MASK_NEG, Tape, Tensor
 from vcmr.nn import pad_rows
 from vcmr.retriever import ModalityQueryReps, _query_cosines, best_clips, clip_cosines, video_cosines
-from vcmr.spans import nms, sample_positive_spans, span_table, suppression_table, top_spans
+from vcmr.spans import _iou, nms, sample_positive_spans, span_table, suppression_table, top_spans
 
 H = 1e-5
 RTOL = 1e-4
@@ -238,8 +240,7 @@ def pad_pairs(pairs):
     subs [R, N, d_sub] and clip_mask [R, N]; absent subtitles are zeros.
     """
     tokens, token_mask = pad_rows([q.tokens for q, _ in pairs])
-    images, clip_mask = pad_rows([v.image_matrix() for _, v in pairs])
-    subs, _ = pad_rows([v.subtitle_matrix() for _, v in pairs])
+    images, subs, clip_mask = pad_rows([v.image_matrix() for _, v in pairs], [v.subtitle_matrix() for _, v in pairs])
     return tokens, token_mask, images, subs, clip_mask
 
 
@@ -251,8 +252,8 @@ def per_row_contrastive_loss(model, batch, temperature=0.01, lam=0.5, use_subtit
         raise ValueError("contrastive training needs a batch of at least 2 queries")
 
     q_img, q_sub, _ = model.encode_query_batch(batch["tokens"], batch["token_mask"])
-    images, valid = pad_rows([v.image_matrix() for v in batch["videos"]])  # valid [B, N]
-    subs, _ = pad_rows([v.subtitle_matrix() for v in batch["videos"]])
+    videos = batch["videos"]
+    images, subs, valid = pad_rows([v.image_matrix() for v in videos], [v.subtitle_matrix() for v in videos])
     img_r, sub_r = model.encode_video_batch(images, subs, valid)
 
     qi_n = ad.l2_normalize(q_img)
@@ -360,3 +361,45 @@ def full_nms_rank_moments(localizer_model, corpus, query, scored, icfg):
     top = np.lexsort((spans[:, 1], spans[:, 0], vid_rank, -scores))[: icfg.results_per_query]
     return [P.MomentPrediction(video_id=ids[r], span=(st, ed), score=sc)
             for r, (st, ed), sc in zip(rows[top].tolist(), spans[top].tolist(), scores[top].tolist())]
+
+
+def recall_vr(rankings, corpus):
+    """VR recall as `pipeline.evaluate` counted it with its own loop: R@K is the share of queries
+    whose target video is among their top K ranked ids."""
+    hits = {k: 0 for k in P.VR_KS}
+    for q in corpus.queries:
+        ranked = rankings.get(q.id)
+        if not ranked:
+            warnings.warn(f"query {q.id} has no ranking; counted as miss")
+            continue
+        for k in P.VR_KS:
+            if q.target_video in ranked[:k]:
+                hits[k] += 1
+    total = len(corpus.queries)
+    return {f"R@{k}": 100.0 * hits[k] / total for k in P.VR_KS}
+
+
+def recall_moments(predictions, corpus):
+    """SVMR / VCMR recall as `pipeline.evaluate` counted it with its own loop: R@K,IoU=p is the
+    share of queries with a top-K span on the target video whose IoU with the ground truth is at
+    least p; an on-target span whose start is past its end raises ValueError."""
+    hits = {(k, p): 0 for k in P.MOMENT_KS for p in P.MOMENT_PS}
+    for q in corpus.queries:
+        preds = predictions.get(q.id)
+        if not preds:
+            warnings.warn(f"query {q.id} has no predictions; counted as miss")
+            continue
+        top = preds[: max(P.MOMENT_KS)]
+        st, ed = np.array([m.span for m in top], dtype=np.int64).T
+        on_target = np.array([m.video_id == q.target_video for m in top])
+        if (st[on_target] > ed[on_target]).any():
+            raise ValueError(f"query {q.id}: invalid predicted span")
+        # IoU with the ground truth on the target video, -1 elsewhere
+        overlap = np.where(on_target, _iou(st, ed, *q.span), -1.0)
+        for k in P.MOMENT_KS:
+            best = overlap[:k].max()
+            for p in P.MOMENT_PS:
+                if best >= p:
+                    hits[(k, p)] += 1
+    total = len(corpus.queries)
+    return {f"R@{k},IoU={p}": 100.0 * hits[(k, p)] / total for k in P.MOMENT_KS for p in P.MOMENT_PS}

@@ -143,7 +143,7 @@ def test_criterion_1_gradient_integrity():
             lambda: L.adversarial_loss(loc, loc.adv_layer(Tensor(fused), np.ones((2, 4))),
                                        [(0, (0, 1))], [(1, (2, 3))]),
             loc.params, sample=1, rng=rng,
-            names={n for n in loc.params.names() if n.startswith("adv.")}))
+            names={n for n in loc.params if n.startswith("adv.")}))
 
         # total localizer objective over the full forward graph,
         # independently re-derived with the dynamic negative-moment set

@@ -1,15 +1,21 @@
 """CLI: config handling, exit codes, and the gen/train/eval workflow."""
 
+import contextlib
+import copy
 import dataclasses
+import io
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vcmr
 from vcmr import cli
@@ -97,6 +103,91 @@ def test_gen_is_deterministic(tmp_path, tiny_config, capsys):
     for split in ("train", "val", "test"):
         for name in ("videos.jsonl", "queries.jsonl", "corpus.meta.json"):
             assert (a / split / name).read_bytes() == (b / split / name).read_bytes()
+
+
+INFEASIBLE = {"video_count": 2, "clips_per_video": 4, "moment_len_range": [1, 2]}
+
+
+@pytest.mark.parametrize("queries, message", [
+    (5, "queries_per_video 5 spans of at least 1 clips do not fit in clips_per_video 4"),  # refused by the spec
+    (4, "cannot place a span of 1..2 clips"),  # fits by count, but the drawn lengths leave no room
+])
+def test_spec_that_cannot_be_generated_is_config_error_and_leaves_nothing(tmp_path, capsys, queries, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"synthetic": dict(INFEASIBLE, queries_per_video=queries)}))
+    out = tmp_path / "out"
+    assert cli.main(["gen", "--config", str(bad), "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {bad}: infeasible span lengths: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("train", "learning_rate", -1.0),
+    ("train", "learning_rate", 0),
+    ("train", "weight_decay", -5.0),
+    ("train", "lam", -3),
+    ("train", "gamma", -2),
+    ("synthetic", "subtitle_absent_prob", 7.0),
+    ("synthetic", "subtitle_absent_prob", -0.5),
+])
+def test_out_of_range_value_is_config_error_naming_the_field(tmp_path, capsys, section, key, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({section: {key: value}}))
+    assert cli.main(["gen", "--config", str(bad), "--out", str(tmp_path / "c")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {bad}: {key} must ") and err.count("\n") == 1
+    assert not (tmp_path / "c").exists()
+
+
+def test_range_edges_are_accepted(tmp_path):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"train": {"weight_decay": 0, "lam": 0, "gamma": 0},
+                                "synthetic": {"subtitle_absent_prob": 1}}))
+    cfg = cli.load_run_config(str(good))
+    assert (cfg.train.weight_decay, cfg.train.lam, cfg.train.gamma, cfg.synthetic.subtitle_absent_prob) == (0, 0, 0, 1)
+
+
+# A gen config whose corpus is a few kilobytes; the fuzz below changes one field of it
+FUZZ_BASE = {"synthetic": {"video_count": 3, "clips_per_video": 6, "d_img": 4, "d_sub": 4, "d_txt": 4,
+                           "queries_per_video": 1, "token_count_range": [2, 4]}}
+# synthetic sizes whose edge values stay small: their product is the corpus's size and generation time
+FUZZ_SIZES = {"video_count": 4, "clips_per_video": 8, "d_img": 8, "d_sub": 8, "d_txt": 8, "queries_per_video": 8}
+FUZZ_FIELDS = [(None, "seed", 0)] + [
+    (section, key, default) for section, values in dataclasses.asdict(cli.RunConfig()).items()
+    if isinstance(values, dict) for key, default in values.items() if key != "seed"]
+
+
+def fuzz_value(key, default):
+    """A value of the wrong JSON type, out of range, or at an edge for a field whose default is `default`."""
+    wrong = st.sampled_from([None, "3", [], {}, [1, "2"], True, 2.5, 3])
+    if isinstance(default, bool):
+        return wrong | st.booleans()
+    if isinstance(default, int):
+        return wrong | st.sampled_from([-1, 0, 1, 2, FUZZ_SIZES.get(key, cli.MAX_CONFIG_INT), cli.MAX_CONFIG_INT + 1])
+    if isinstance(default, float):
+        return wrong | st.sampled_from([-1.0, -0.0, 0.0, 1e-300, 0.5, 0.7, 1.0, 2.0, 1e308, -1e308])
+    if isinstance(default, str):
+        return wrong | st.sampled_from(["", "mean", "max"])
+    return wrong | st.lists(st.integers(-1, 9), min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_gen_with_one_fuzzed_field_exits_0_2_or_3_and_a_refusal_leaves_nothing(data):
+    section, key, default = data.draw(st.sampled_from(FUZZ_FIELDS))
+    raw = copy.deepcopy(FUZZ_BASE)
+    (raw if section is None else raw.setdefault(section, {}))[key] = data.draw(fuzz_value(key, default))
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out, err = os.path.join(tmp, "config.json"), os.path.join(tmp, "out"), io.StringIO()
+        with open(config, "w") as fh:
+            json.dump(raw, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["gen", "--config", config, "--out", out])
+        assert code in (0, cli.EXIT_CONFIG, cli.EXIT_DATA)
+        if code:
+            assert err.getvalue().count("\n") == 1 and not os.path.exists(out)
 
 
 def test_localizer_stage_requires_retriever_checkpoint(tmp_path, tiny_config, capsys):

@@ -163,7 +163,7 @@ def test_boundary_head_gradients_match_fd():
         l_st, l_ed = model.boundary_scores(Tensor(x), np.ones((1, 4)))
         return ad.sum_(ad.pow_const(ad.add(l_st, l_ed), 2.0))
 
-    names = {n for n in model.params.names() if n.startswith("head.")}
+    names = {n for n in model.params if n.startswith("head.")}
     assert fd_check_params(loss_fn, model.params, sample=2, names=names) < RTOL
 
 
@@ -245,7 +245,7 @@ def test_adversarial_gradients_match_fd():
         adv_out = model.adv_layer(Tensor(fused), np.ones((2, 4)))
         return L.adversarial_loss(model, adv_out, [(0, (0, 1)), (0, (1, 2))], [(1, (0, 3))])
 
-    names = {n for n in model.params.names() if n.startswith("adv.")}
+    names = {n for n in model.params if n.startswith("adv.")}
     assert fd_check_params(loss_fn, model.params, sample=2, names=names) < RTOL
 
 

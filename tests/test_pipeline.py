@@ -1,6 +1,7 @@
 """Two-stage pipeline: mining, inference against brute-force oracles,
 NMS semantics, the metric suite, and end-to-end determinism."""
 
+import warnings
 from types import SimpleNamespace
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (RTOL, assert_same_step, at_generic_point, fd_check_params, full_nms_rank_moments, pad_pairs,
-                      per_row_localizer_batch_loss, reference_score)
+                      per_row_localizer_batch_loss, recall_moments, recall_vr, reference_score)
 from vcmr import corpus as C
 from vcmr import pipeline as P
 from vcmr import retriever as R
@@ -346,6 +347,56 @@ def test_recall_nondecreasing_in_k():
         seq = [report.vcmr[f"R@{k},IoU={p}"] for k in (1, 10, 100)]
         assert seq == sorted(seq)
         assert all(0.0 <= v <= 100.0 for v in seq)
+
+
+RECALL_CLIPS = 10  # IoU 0.7 needs a union of 10 clips
+
+
+@st.composite
+def recall_cases(draw):
+    """(corpus, rankings, moments): one to five queries on three videos of RECALL_CLIPS clips. One
+    query in four has no predictions, the others 1 to 12, fewer than the largest K; they
+    fall on any video, and one span in ten has its ends swapped (invalid on the target video).
+    Spans whose IoU with the ground truth is exactly 0.5 or 0.7 are drawn often."""
+    videos = ["v0", "v1", "v2"]
+    spans = [(st_, ed) for st_ in range(RECALL_CLIPS) for ed in range(st_, RECALL_CLIPS)]
+    queries, rankings, moments = [], {}, {}
+    for i in range(draw(st.integers(1, 5))):
+        gt = draw(st.sampled_from(spans) | st.sampled_from([(0, 9), (0, 6), (0, 8)]))  # each has an IoU-0.7 span
+        q = C.Query(f"q{i}", np.ones((1, 1)), draw(st.sampled_from(videos)), gt)
+        queries.append(q)
+        if draw(st.integers(0, 3)):
+            rankings[q.id] = draw(st.lists(st.sampled_from(videos), min_size=1, max_size=12))
+        if not draw(st.integers(0, 3)):
+            continue
+        span = st.sampled_from(spans)
+        for p in P.MOMENT_PS:
+            span |= st.sampled_from([sp for sp in spans if iou(sp, q.span) == p] or spans)
+        preds = draw(st.lists(st.tuples(st.sampled_from(videos), span, st.integers(0, 9)), min_size=1, max_size=12))
+        moments[q.id] = [P.MomentPrediction(vid, sp[::-1] if swap == 0 and sp[0] != sp[1] else sp, 0.0)
+                         for vid, sp, swap in preds]
+    return SimpleNamespace(queries=queries), rankings, moments
+
+
+def warned(fn, *args):
+    """(fn(*args) or the ValueError it raised, ids of the queries it warned about)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(*args)
+        except ValueError:
+            out = ValueError
+    return out, [str(w.message).split()[1] for w in caught]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(recall_cases())
+def test_evaluate_counts_recall_as_the_oracles_do(case):
+    corpus, rankings, moments = case
+    assert warned(lambda: P.evaluate(rankings, corpus, "vr").vr) == warned(recall_vr, rankings, corpus)
+    for task in ("svmr", "vcmr"):
+        got = warned(lambda: getattr(P.evaluate(moments, corpus, task), task))
+        assert got == warned(recall_moments, moments, corpus)
 
 
 def test_missing_predictions_count_as_miss_with_warning():
