@@ -214,7 +214,7 @@ def cmd_gen(args, cfg):
     }
     try:
         corpora = [corpus_mod.generate(variants[split], split=split) for split in SPLITS]
-    except CorpusError as exc:  # the spec passed its checks, but its spans cannot all be placed
+    except CorpusError as exc:  # the spec passed its checks, but its spans cannot all be placed or its noise overflows
         raise ConfigError(f"{args.config}: {exc}" if args.config else str(exc)) from None
     for path in split_dirs:
         try:

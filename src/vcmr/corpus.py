@@ -251,6 +251,10 @@ def generate(spec: SyntheticSpec, split="train") -> Corpus:
         has_subtitle = sub_planted | (rng.random(n) >= spec.subtitle_absent_prob)
         videos.append(Video(id=vid, images=images, subtitles=subs, has_subtitle=has_subtitle))
 
+    # the unit rows and concepts are finite, so only a noise draw or a sum with one can overflow
+    values = [a for v in videos for a in (v.images, v.subtitles)] + [q.tokens for q in queries]
+    if not np.isfinite(np.concatenate(values, axis=None)).all():
+        raise CorpusError(f"noise_sigma {spec.noise_sigma} is too large: the corpus would hold non-finite values")
     return Corpus(
         videos=videos,
         queries=queries,

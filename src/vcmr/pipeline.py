@@ -159,14 +159,13 @@ def train_retriever(corpus, config: TrainConfig, model_config: RetrieverConfig |
     return model, curve
 
 
-def rank_videos(model: RetrieverModel, corpus, query, index):
-    return ret_mod.retrieve_topk(model, corpus, query, k=len(corpus.videos), index=index)
+def rank_videos(reps, corpus, index):
+    return ret_mod.retrieve_topk(reps, corpus, k=len(corpus.videos), index=index)
 
 
 def evaluate_retrieval(model: RetrieverModel, corpus, index):
-    rankings = {
-        q.id: [vid for vid, _ in rank_videos(model, corpus, q, index=index)] for q in corpus.queries
-    }
+    reps = ret_mod.encode_queries(model, corpus.queries)
+    rankings = {q.id: [vid for vid, _ in rank_videos(r, corpus, index=index)] for q, r in zip(corpus.queries, reps)}
     return evaluate(rankings, corpus, task="vr")
 
 
@@ -183,8 +182,8 @@ def mine_hard_negatives(model: RetrieverModel, corpus, config: TrainConfig):
         raise ValueError(f"corpus of {len(corpus.videos)} videos cannot supply {n} negatives per query")
     index = ret_mod.encode_corpus(model, corpus)
     out = {}
-    for qi, query in enumerate(corpus.queries):
-        ranked = [vid for vid, _ in rank_videos(model, corpus, query, index=index) if vid != query.target_video]
+    for qi, (query, reps) in enumerate(zip(corpus.queries, ret_mod.encode_queries(model, corpus.queries))):
+        ranked = [vid for vid, _ in rank_videos(reps, corpus, index=index) if vid != query.target_video]
         pool = ranked[: min(config.mining_pool, len(ranked))]
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(2, qi)))
         picks = rng.choice(len(pool), size=n, replace=False)
@@ -322,7 +321,8 @@ def _rank_moments(localizer_model: LocalizerModel, corpus, query, scored, icfg: 
 def infer(retriever_model: RetrieverModel, localizer_model: LocalizerModel, corpus, query,
           icfg: InferenceConfig, index):
     """Two-stage inference: retrieve top-K videos by the `encode_corpus` index, then rank their moments."""
-    ranked = ret_mod.retrieve_topk(retriever_model, corpus, query, k=icfg.top_k_videos, index=index)
+    ranked = ret_mod.retrieve_topk(ret_mod.encode_query(retriever_model, query), corpus, k=icfg.top_k_videos,
+                                   index=index)
     return _rank_moments(localizer_model, corpus, query, ranked, icfg)
 
 

@@ -1,10 +1,12 @@
 """Multi-modal collaborative video retriever.
 
 Late-fusion design: queries and videos are encoded independently, so video
-encodings can be precomputed once per corpus and ranking reduces to cosine
-scoring. The query encoder pools token representations per modality with
-learned weights; the video encoder runs one transformer layer jointly over
-the image and subtitle streams. Training uses relevant-content contrastive
+encodings can be precomputed once per corpus, a split's queries can be
+encoded together (`encode_queries`, one batch per token count), and ranking
+reduces to cosine scoring of one query's reps (`retrieve_topk`). The query
+encoder pools token representations per modality with learned weights; the
+video encoder runs one transformer layer jointly over the image and
+subtitle streams. Training uses relevant-content contrastive
 learning: the positive logit is the score of the best clips inside the
 annotated moment (plus a weaker term for the best clips outside it), and
 negatives are the hardest clips of other in-batch videos.
@@ -71,16 +73,30 @@ class RetrieverModel(nn.EncoderTrunk):
 
 
 # ---------------------------------------------------------------------------
-# single-sample inference API (plain numpy results, no tape required)
+# inference API (plain numpy results, no tape required)
+
+
+def encode_queries(model: RetrieverModel, queries) -> list[ModalityQueryReps]:
+    """Reps of each query, in order. Queries of one token count share one `encode_query_batch` call
+    with an all-ones mask; no row is padded, so each row has the bits of a one-query batch."""
+    tokens = [np.asarray(q.tokens, dtype=np.float64) for q in queries]
+    if any(t.ndim != 2 or t.shape[0] < 1 for t in tokens):
+        raise ValueError("query must have at least one token")
+    groups = {}
+    for i, t in enumerate(tokens):
+        groups.setdefault(t.shape[0], []).append(i)
+    out = [None] * len(tokens)
+    for length, rows in groups.items():
+        q_img, q_sub, (a_img, a_sub) = model.encode_query_batch(np.stack([tokens[i] for i in rows]),
+                                                                np.ones((len(rows), length)))
+        for j, i in enumerate(rows):
+            out[i] = ModalityQueryReps(*(t.data[j].copy() for t in (q_img, q_sub, a_img, a_sub)))
+    return out
 
 
 def encode_query(model: RetrieverModel, query) -> ModalityQueryReps:
-    tokens = np.asarray(query.tokens, dtype=np.float64)
-    if tokens.ndim != 2 or tokens.shape[0] < 1:
-        raise ValueError("query must have at least one token")
-    mask = np.ones((1, tokens.shape[0]))
-    q_img, q_sub, (a_img, a_sub) = model.encode_query_batch(tokens[None], mask)
-    return ModalityQueryReps(*(t.data[0].copy() for t in (q_img, q_sub, a_img, a_sub)))
+    """Reps of one query, by the one implementation: `encode_queries` of a one-query list."""
+    return encode_queries(model, [query])[0]
 
 
 encode_video = nn.EncoderTrunk.encode_video  # encode_video(model, video), under the name the benchmark traces
@@ -132,13 +148,14 @@ def encode_corpus(model: RetrieverModel, corpus) -> CorpusIndex:
     return CorpusIndex(tuple(v.id for v in videos), image, subtitle, clip_mask)
 
 
-def retrieve_topk(model: RetrieverModel, corpus, query, k, index: CorpusIndex):
-    """Rank every corpus video by its `encode_corpus` index entry: descending score, ties by id."""
+def retrieve_topk(reps: ModalityQueryReps, corpus, k, index: CorpusIndex):
+    """Top k corpus videos for one query's reps by their `encode_corpus` index entries: descending score,
+    ties by id."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if list(index.ids) != sorted(v.id for v in corpus.videos):
         raise ValueError("the index does not hold this corpus's videos; build it with encode_corpus")
-    scores = score_video(encode_query(model, query), index, use_subtitles=corpus.has_subtitles)
+    scores = score_video(reps, index, use_subtitles=corpus.has_subtitles)
     return [(index.ids[i], float(scores[i])) for i in np.argsort(-scores, kind="stable")[:k]]
 
 

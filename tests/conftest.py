@@ -8,8 +8,11 @@ pad and encode every (query, video) row (`pad_pairs`, `per_row_*`), which
 the steps that encode each distinct query and video once must match, and
 the moment ranking that runs NMS on every retrieved video in full
 (`full_nms_rank_moments`), which the ranking that stops at a score floor
-must match, and the two recall counters that `pipeline.evaluate` merged
-into one (`recall_vr`, `recall_moments`).
+must match, the two recall counters that `pipeline.evaluate` merged
+into one (`recall_vr`, `recall_moments`), and the video ranking and mining
+that encode each query on a one-row batch of its own
+(`per_query_rankings`, `per_query_mined_negatives`), which the split-wide
+query encoding must match.
 
 Central differences with h=1e-5 on float64 give ~1e-10 truncation error for
 smooth graphs, so a 1e-4 relative tolerance cleanly separates correct from
@@ -25,6 +28,7 @@ import numpy as np
 from vcmr import autodiff as ad
 from vcmr import localizer as L
 from vcmr import pipeline as P
+from vcmr import retriever as R
 from vcmr.autodiff import MASK_NEG, Tape, Tensor
 from vcmr.nn import pad_rows
 from vcmr.retriever import ModalityQueryReps, _query_cosines, best_clips, clip_cosines, video_cosines
@@ -403,3 +407,22 @@ def recall_moments(predictions, corpus):
                     hits[(k, p)] += 1
     total = len(corpus.queries)
     return {f"R@{k},IoU={p}": 100.0 * hits[(k, p)] / total for k in P.MOMENT_KS for p in P.MOMENT_PS}
+
+
+def per_query_rankings(model, corpus, index):
+    """{query id: every corpus video id, ranked}, as `evaluate_retrieval` and `mine_hard_negatives`
+    ranked them before they encoded a split at once: each query encoded on its own one-row batch."""
+    return {q.id: [vid for vid, _ in R.retrieve_topk(R.encode_query(model, q), corpus, len(corpus.videos), index)]
+            for q in corpus.queries}
+
+
+def per_query_mined_negatives(model, corpus, config):
+    """`mine_hard_negatives` over `per_query_rankings`: per query, `negatives_per_query` picks from
+    the top `mining_pool` of its ranking without the target video, drawn from stream (2, query number)."""
+    rankings = per_query_rankings(model, corpus, R.encode_corpus(model, corpus))
+    out = {}
+    for qi, q in enumerate(corpus.queries):
+        pool = [vid for vid in rankings[q.id] if vid != q.target_video][: config.mining_pool]
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(2, qi)))
+        out[q.id] = [pool[i] for i in sorted(rng.choice(len(pool), size=config.negatives_per_query, replace=False))]
+    return out

@@ -208,7 +208,7 @@ def test_criterion_4_oracle_equivalence():
             ref_rank = sorted(
                 ((v.id, reference_score(reps, *R.encode_video(retr, v))) for v in corpus.videos),
                 key=lambda it: (-it[1], it[0]))
-            if R.retrieve_topk(retr, corpus, q, len(corpus.videos), index=index) != ref_rank:
+            if R.retrieve_topk(reps, corpus, len(corpus.videos), index=index) != ref_rank:
                 mismatches.append((i, q.id, "ranking"))
             # moment enumeration + NMS + merge vs independent implementation
             got = [(m.video_id, m.span, m.score) for m in P.infer(retr, loc, corpus, q, icfg, index)]

@@ -61,6 +61,7 @@ def test_tracer_wraps_every_name_and_sees_one_infer_per_query(bench):
     assert totals["pipeline.infer_single_video.calls"] == n
     assert totals["localizer.LocalizerModel.forward_rows.calls"] == 2 * n
     assert totals["retriever.score_video.calls"] == 3 * n  # one per VR, SVMR and VCMR retrieval
+    assert totals["retriever.encode_query.calls"] == 2 * n  # SVMR and VCMR; VR encodes the split by token count
     assert totals["retriever.encode_video.calls"] == len(corpus.videos)  # one index, one call per video
     assert totals["autodiff.Tape.record.calls"] == 0  # inference builds no graph
     # the per-layer nn.* metrics count these names only when callers go through nn

@@ -123,6 +123,16 @@ def test_spec_that_cannot_be_generated_is_config_error_and_leaves_nothing(tmp_pa
     assert not out.exists()
 
 
+def test_noise_that_overflows_is_config_error_and_leaves_nothing(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"synthetic": {"video_count": 4, "noise_sigma": 1e308}}))
+    out = tmp_path / "out"
+    assert cli.main(["gen", "--config", str(bad), "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {bad}: noise_sigma 1e+308 is too large") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("train", "learning_rate", -1.0),
     ("train", "learning_rate", 0),

@@ -2,6 +2,7 @@
 NMS semantics, the metric suite, and end-to-end determinism."""
 
 import warnings
+from collections import Counter
 from types import SimpleNamespace
 from unittest import mock
 
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (RTOL, assert_same_step, at_generic_point, fd_check_params, full_nms_rank_moments, pad_pairs,
-                      per_row_localizer_batch_loss, recall_moments, recall_vr, reference_score)
+                      per_query_mined_negatives, per_query_rankings, per_row_localizer_batch_loss, recall_moments,
+                      recall_vr, reference_score)
 from vcmr import corpus as C
 from vcmr import pipeline as P
 from vcmr import retriever as R
@@ -100,9 +102,36 @@ def test_mined_negatives_are_valid_and_deterministic():
         assert len(picked) == SMALL_TRAIN.negatives_per_query
         assert len(set(picked)) == len(picked)
         assert q.target_video not in picked
-        ranked = [v for v, _ in P.rank_videos(model, corpus, q, index) if v != q.target_video]
+        ranked = [v for v, _ in P.rank_videos(R.encode_query(model, q), corpus, index) if v != q.target_video]
         pool = ranked[: SMALL_TRAIN.mining_pool]
         assert all(v in pool for v in picked)
+
+
+def test_split_is_encoded_once_per_token_count_and_ranked_as_one_query_at_a_time():
+    corpus = C.generate(C.SyntheticSpec(video_count=8, clips_per_video=8, queries_per_video=3, seed=2))
+    groups = Counter(len(q.tokens) for q in corpus.queries)
+    assert len(groups) < len(corpus.queries)  # some token count is shared, so per-query encoding makes more calls
+    rcfg = R.RetrieverConfig(hidden=16, intermediate=32, heads=2)
+    model, _ = P.train_retriever(corpus, SMALL_TRAIN, model_config=rcfg)
+    index = R.encode_corpus(model, corpus)
+    want_rankings = per_query_rankings(model, corpus, index)
+    want_negatives = per_query_mined_negatives(model, corpus, SMALL_TRAIN)
+    batch_shapes = []
+    encode_query_batch = R.RetrieverModel.encode_query_batch
+
+    def spy(self, tokens, token_mask):
+        batch_shapes.append(tokens.shape[:2])
+        return encode_query_batch(self, tokens, token_mask)
+
+    one_call_per_count = sorted((n, length) for length, n in groups.items())
+    with mock.patch.object(R.RetrieverModel, "encode_query_batch", spy), \
+            mock.patch.object(P, "evaluate", wraps=P.evaluate) as evaluate:
+        P.evaluate_retrieval(model, corpus, index)
+        assert evaluate.call_args.args[0] == want_rankings
+        assert sorted(batch_shapes) == one_call_per_count
+        batch_shapes.clear()
+        assert P.mine_hard_negatives(model, corpus, SMALL_TRAIN) == want_negatives
+        assert sorted(batch_shapes) == one_call_per_count
 
 
 def test_mining_rejects_too_small_corpus():

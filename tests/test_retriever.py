@@ -4,6 +4,7 @@ contrastive training objective."""
 import dataclasses
 import gc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -76,6 +77,29 @@ def test_mean_and_max_pooling_collapse_modalities(pooling):
     for q in corpus.queries[:4]:
         reps = R.encode_query(model, q)
         assert np.array_equal(reps.q_image, reps.q_subtitle)
+
+
+def assert_same_reps(got, want):
+    for f in dataclasses.fields(R.ModalityQueryReps):
+        assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+
+
+@pytest.mark.parametrize("pooling", R.POOLING_MODES)
+def test_encode_queries_rows_have_the_bits_of_one_query_encodes(pooling):
+    corpus = C.generate(SPEC)
+    model = make_model(pooling=pooling)
+    lone = C.Query("lone", np.random.default_rng(0).normal(size=(3, SPEC.d_txt)), "v", (0, 0))
+    queries = corpus.queries[::-1]
+    queries.insert(5, lone)  # its token count is outside SPEC's token_count_range: a group of one
+    counts = Counter(len(q.tokens) for q in queries).values()
+    assert 1 in counts and max(counts) > 1
+    got = R.encode_queries(model, queries)
+    assert len(got) == len(queries)
+    for reps, q in zip(got, queries):  # in input order
+        assert_same_reps(reps, R.encode_query(model, q))
+    for reps, want in zip(R.encode_queries(model, queries[::-1]), got[::-1]):
+        assert_same_reps(reps, want)
+    assert R.encode_queries(model, []) == []
 
 
 def test_modality_specific_pooling_separates_modalities():
@@ -228,8 +252,8 @@ def test_topk_matches_brute_force_and_late_fusion():
             ((vid, reference_score(reps, *enc)) for vid, enc in encodings.items()),
             key=lambda item: (-item[1], item[0]),
         )
-        got = R.retrieve_topk(model, corpus, q, k=len(corpus.videos), index=index)
-        fresh = R.retrieve_topk(model, corpus, q, k=len(corpus.videos), index=R.encode_corpus(model, corpus))
+        got = R.retrieve_topk(reps, corpus, k=len(corpus.videos), index=index)
+        fresh = R.retrieve_topk(reps, corpus, k=len(corpus.videos), index=R.encode_corpus(model, corpus))
         assert got == ref  # brute-force oracle, bit-exact
         assert got == fresh  # precomputed encodings change nothing
 
@@ -244,7 +268,7 @@ def test_subtitle_free_corpus_ranks_by_image_score_alone(tmp_path):
     encodings = {v.id: R.encode_video(model, v) for v in corpus.videos}
     for q in corpus.queries[:4]:
         reps = R.encode_query(model, q)
-        ranked = R.retrieve_topk(model, corpus, q, k=len(corpus.videos), index=index)
+        ranked = R.retrieve_topk(reps, corpus, k=len(corpus.videos), index=index)
         assert dict(ranked) == {vid: reference_score(reps, *enc, use_subtitles=False)
                                 for vid, enc in encodings.items()}
         assert not np.array_equal(R.score_video(reps, index), R.score_video(reps, index, use_subtitles=False))
@@ -253,15 +277,17 @@ def test_subtitle_free_corpus_ranks_by_image_score_alone(tmp_path):
 def test_topk_on_singleton_corpus():
     corpus = C.generate(C.SyntheticSpec(video_count=1, clips_per_video=8, seed=2))
     model = make_model()
-    ranked = R.retrieve_topk(model, corpus, corpus.queries[0], k=5, index=R.encode_corpus(model, corpus))
+    reps = R.encode_query(model, corpus.queries[0])
+    ranked = R.retrieve_topk(reps, corpus, k=5, index=R.encode_corpus(model, corpus))
     assert len(ranked) == 1 and ranked[0][0] == corpus.videos[0].id
 
 
 def test_retrieve_topk_rejects_bad_args():
     corpus = C.generate(SPEC)
     model = make_model()
+    reps = R.encode_query(model, corpus.queries[0])
     with pytest.raises(ValueError):
-        R.retrieve_topk(model, corpus, corpus.queries[0], k=0, index=R.encode_corpus(model, corpus))
+        R.retrieve_topk(reps, corpus, k=0, index=R.encode_corpus(model, corpus))
 
 
 def test_retrieve_topk_rejects_a_stale_index():
@@ -270,11 +296,11 @@ def test_retrieve_topk_rejects_a_stale_index():
     dropped = corpus.videos[0].id
     fewer = dataclasses.replace(corpus, videos=corpus.videos[1:],
                                 queries=[q for q in corpus.queries if q.target_video != dropped])
-    query = fewer.queries[0]
+    reps = R.encode_query(model, fewer.queries[0])
     with pytest.raises(ValueError, match="index"):  # would rank a video the corpus does not hold
-        R.retrieve_topk(model, fewer, query, k=3, index=R.encode_corpus(model, corpus))
+        R.retrieve_topk(reps, fewer, k=3, index=R.encode_corpus(model, corpus))
     with pytest.raises(ValueError, match="index"):  # misses one of the corpus's videos
-        R.retrieve_topk(model, corpus, query, k=3, index=R.encode_corpus(model, fewer))
+        R.retrieve_topk(reps, corpus, k=3, index=R.encode_corpus(model, fewer))
     with pytest.raises(ValueError, match="empty corpus"):
         R.encode_corpus(model, dataclasses.replace(corpus, videos=[], queries=[]))
 
@@ -309,7 +335,7 @@ def test_mixed_length_index_ranks_like_per_video_scores():
         reps = R.encode_query(model, q)
         ref = sorted(((vid, reference_score(reps, *enc)) for vid, enc in encodings.items()),
                      key=lambda item: (-item[1], item[0]))
-        got = R.retrieve_topk(model, corpus, q, k=len(videos), index=index)
+        got = R.retrieve_topk(reps, corpus, k=len(videos), index=index)
         assert [vid for vid, _ in got] == [vid for vid, _ in ref]
         assert np.allclose([s for _, s in got], [s for _, s in ref], rtol=0.0, atol=1e-12)
 
