@@ -12,6 +12,17 @@ it instead of corrupting a training run silently) and wraps it in a
 `Tensor` among their inputs, in one `Tape.record` call, and none when no
 input is a `Tensor`. So every op adds at most one record.
 
+A record holds no `Tensor`. It keys the output and each input on its node
+id, an integer from one process-wide counter that a `Tensor` takes the
+first time a tape records it (so inference assigns none), and keys each
+input with its shape too. Each function keeps only what its backward reads:
+`add`, `sub`, `sum_`, `mean`, `reshape`, `slice_axis` and `take` keep shapes
+(and indices), `max_over_axis` its argmax, `relu` its bool mask and
+`conv1d` its unpadded input, which it pads again in backward. So an array
+the caller drops is freed before backward unless a function needs it, like
+the operands of `mul` and `matmul`, `softmax`'s output or the fused ops'
+kept intermediates below.
+
 `linear`, `layer_norm` and `attention` are fused ops: one record each for a
 chain of the ops above. Each evaluates, forward and backward, the same NumPy
 expressions on the same views in the same order as that chain, so its values
@@ -24,6 +35,7 @@ pair, whose function computes that work once.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -38,6 +50,7 @@ class ShapeError(ValueError):
 
 
 _ACTIVE_TAPE = None
+_NODE_IDS = itertools.count()
 
 # Additive logit of a blocked attention key: an exact zero weight after softmax at float64.
 MASK_NEG = -1e9
@@ -47,13 +60,15 @@ class Tensor:
     """Immutable-by-convention dense array, optionally tracked by a Tape.
 
     Parameters are plain Tensors too; what makes a value differentiable is
-    only whether a tape was active when the ops producing it ran.
+    only whether a tape was active when the ops producing it ran. `node` is
+    None until a tape first records the tensor, then its node id.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "node")
 
     def __init__(self, data):
         self.data = np.array(data, dtype=np.float64)
+        self.node = None
 
     @property
     def shape(self):
@@ -69,7 +84,7 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of operations plus accumulated gradients.
+    """Ordered record of operations plus accumulated gradients, keyed on node ids.
 
     Backward pops the records in reverse creation order exactly once;
     since every op's inputs exist before its output, that order is a valid
@@ -78,8 +93,8 @@ class Tape:
     """
 
     def __init__(self):
-        self._records = []  # (output tensor, [(input tensor or tuple of inputs, grad_fn), ...])
-        self._grads = {}  # tensor -> ndarray; a key keeps its tensor alive once backward frees its records
+        self._records = []  # (output node, [(input key or list of input keys, grad_fn), ...])
+        self._grads = {}  # node -> ndarray
         self._done = False
 
     def __enter__(self):
@@ -99,33 +114,37 @@ class Tape:
         gradient of `out` to the gradient of that input, or, when the input is
         a tuple of inputs, to one gradient per input (see `accumulate`).
 
-        The functions close over forward values only, never over the tape, so
-        a finished tape is freed by reference counting alone.
+        The record keeps `out`'s node id and each input's key, not the tensors,
+        and the functions close over forward values only, never over the tape,
+        so a finished tape is freed by reference counting alone.
         """
-        self._records.append((out, pairs))
+        self._records.append((_key(out)[0], [([_key(u) for u in t] if isinstance(t, tuple) else _key(t), fn)
+                                             for t, fn in pairs]))
 
-    def accumulate(self, t, grad):
-        """Add `grad` to the gradient of `t`. For a tuple of inputs, `grad` holds
-        one gradient per input, added in order; inputs that are not a `Tensor`
-        are skipped. The loop runs here, not in `backward`, so no loop variable
-        keeps a gradient alive once this call returns."""
-        if isinstance(t, tuple):
-            for ti, gi in zip(t, grad, strict=True):
-                if isinstance(ti, Tensor):
-                    self.accumulate(ti, gi)
+    def accumulate(self, key, grad):
+        """Add `grad` to the gradient of the input keyed `key`, a (node id,
+        shape) pair. For a list of keys, from a tuple of inputs, `grad` holds
+        one gradient per key, added in order; a None key, an input that is not
+        a `Tensor`, is skipped. The loop runs here, not in `backward`, so no
+        loop variable keeps a gradient alive once this call returns."""
+        if isinstance(key, list):
+            for ki, gi in zip(key, grad, strict=True):
+                if ki is not None:
+                    self.accumulate(ki, gi)
             return
-        if grad.shape != t.data.shape:
-            raise ShapeError(f"gradient shape {grad.shape} != tensor shape {t.data.shape}")
-        if t in self._grads:
-            self._grads[t] = self._grads[t] + grad
+        node, shape = key
+        if grad.shape != shape:
+            raise ShapeError(f"gradient shape {grad.shape} != tensor shape {shape}")
+        if node in self._grads:
+            self._grads[node] = self._grads[node] + grad
         else:
-            self._grads[t] = grad
+            self._grads[node] = grad
 
     def grad(self, t):
         """Accumulated gradient of `t`; zeros if `t` was unreachable. After
         backward the tape holds the gradients of leaves only, tensors that no
         recorded op produced, so an op's output reads zeros."""
-        return self._grads.get(t, np.zeros_like(t.data))
+        return self._grads.get(t.node, np.zeros_like(t.data))
 
     def backward(self, loss):
         if loss.data.size != 1:
@@ -133,13 +152,22 @@ class Tape:
         if self._done:
             raise RuntimeError("backward was already run on this tape")
         self._done = True
-        self.accumulate(loss, np.ones_like(loss.data))
+        self.accumulate(_key(loss), np.ones_like(loss.data))
         while self._records:
-            out, pairs = self._records.pop()
-            g = self._grads.pop(out, None)
+            node, pairs = self._records.pop()
+            g = self._grads.pop(node, None)
             if g is not None:
-                for t, fn in pairs:
-                    self.accumulate(t, fn(g))
+                for key, fn in pairs:
+                    self.accumulate(key, fn(g))
+
+
+def _key(t):
+    """(node id, shape) of a Tensor, which takes the next node id on first use; None for a constant."""
+    if not isinstance(t, Tensor):
+        return None
+    if t.node is None:
+        t.node = next(_NODE_IDS)
+    return t.node, t.data.shape
 
 
 def _val(x):
@@ -156,6 +184,7 @@ def _op(value, *pairs):
         raise NonFiniteError("operation produced a non-finite value")
     out = Tensor.__new__(Tensor)
     out.data = arr
+    out.node = None
     if _ACTIVE_TAPE is not None:
         tracked = [(t, fn) for t, fn in pairs
                    if isinstance(t, Tensor) or isinstance(t, tuple) and any(isinstance(u, Tensor) for u in t)]
@@ -183,12 +212,14 @@ def _unbroadcast(grad, shape):
 
 def add(a, b):
     av, bv = _val(a), _val(b)
-    return _op(av + bv, (a, lambda g: _unbroadcast(g, av.shape)), (b, lambda g: _unbroadcast(g, bv.shape)))
+    a_shape, b_shape = av.shape, bv.shape
+    return _op(av + bv, (a, lambda g: _unbroadcast(g, a_shape)), (b, lambda g: _unbroadcast(g, b_shape)))
 
 
 def sub(a, b):
     av, bv = _val(a), _val(b)
-    return _op(av - bv, (a, lambda g: _unbroadcast(g, av.shape)), (b, lambda g: _unbroadcast(-g, bv.shape)))
+    a_shape, b_shape = av.shape, bv.shape
+    return _op(av - bv, (a, lambda g: _unbroadcast(g, a_shape)), (b, lambda g: _unbroadcast(-g, b_shape)))
 
 
 def mul(a, b):
@@ -203,7 +234,8 @@ def pow_const(x, p):
 
 def relu(x):
     xv = _val(x)
-    return _op(np.maximum(xv, 0.0), (x, lambda g: g * (xv > 0.0)))
+    mask = xv > 0.0
+    return _op(np.maximum(xv, 0.0), (x, lambda g: g * mask))
 
 
 def exp(x):
@@ -258,14 +290,16 @@ def _spread(g, shape, axis, keepdims):
 
 def sum_(x, axis=None, keepdims=False):
     xv = _val(x)
-    return _op(xv.sum(axis=axis, keepdims=keepdims), (x, lambda g: _spread(g, xv.shape, axis, keepdims)))
+    shape = xv.shape
+    return _op(xv.sum(axis=axis, keepdims=keepdims), (x, lambda g: _spread(g, shape, axis, keepdims)))
 
 
 def mean(x, axis=None, keepdims=False):
     xv = _val(x)
-    scale = 1.0 / (xv.size if axis is None else xv.shape[axis])
+    shape = xv.shape
+    scale = 1.0 / (xv.size if axis is None else shape[axis])
     return _op(xv.sum(axis=axis, keepdims=keepdims) * scale,
-               (x, lambda g: _spread(g * scale, xv.shape, axis, keepdims)))
+               (x, lambda g: _spread(g * scale, shape, axis, keepdims)))
 
 
 def max_over_axis(x, axis):
@@ -276,11 +310,12 @@ def max_over_axis(x, axis):
     `retriever.best_clips` scores and the clip the oracle picks agree.
     """
     xv = _val(x)
+    shape = xv.shape
     idx = np.argmax(xv, axis=axis)
     vals = np.take_along_axis(xv, np.expand_dims(idx, axis), axis=axis).squeeze(axis)
 
     def grad(g):
-        gx = np.zeros_like(xv)
+        gx = np.zeros(shape)
         np.put_along_axis(gx, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis)
         return gx
 
@@ -312,7 +347,8 @@ def logsumexp(x, axis=-1, keepdims=False):
 
 def reshape(x, shape):
     xv = _val(x)
-    return _op(xv.reshape(shape), (x, lambda g: g.reshape(xv.shape)))
+    x_shape = xv.shape
+    return _op(xv.reshape(shape), (x, lambda g: g.reshape(x_shape)))
 
 
 def swapaxes(x, a, b):
@@ -328,11 +364,12 @@ def concat(parts, axis=0):
 
 def slice_axis(x, axis, start, stop):
     xv = _val(x)
+    shape = xv.shape
     sl = [slice(None)] * xv.ndim
     sl[axis] = slice(start, stop)
 
     def grad(g):
-        gx = np.zeros_like(xv)
+        gx = np.zeros(shape)
         gx[tuple(sl)] = g
         return gx
 
@@ -343,12 +380,13 @@ def take(x, indices):
     """Rows `indices` (a 1-D index) of x; backward scatter-adds (repeats allowed) as `np.add.at` does, in
     its order, but one `+=` per level of repeated indices (level k: each index's k-th row), which is faster."""
     xv = _val(x)
+    shape = xv.shape
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError(f"take needs a 1-D index, got shape {idx.shape}")
 
     def grad(g):
-        gx = np.zeros_like(xv)
+        gx = np.zeros(shape)
         order = np.argsort(idx, kind="stable")
         pos = np.arange(len(idx))
         starts = np.r_[True, idx[order][1:] != idx[order][:-1]]
@@ -472,7 +510,8 @@ def conv1d(x, kernel, bias=None):
     """Same-length 1-D cross-correlation over the sequence axis.
 
     x: [..., L, D], kernel: [k, D, Dout] with k odd; zero padding keeps the
-    output length equal to the input length.
+    output length equal to the input length. The record keeps x and pads it
+    again in backward.
     """
     xv, kv = _val(x), _val(kernel)
     if kv.ndim != 3:
@@ -489,14 +528,16 @@ def conv1d(x, kernel, bias=None):
     res = np.zeros(xv.shape[:-1] + (kv.shape[2],))
     for t in range(k):
         res += np.matmul(xp[..., t : t + length, :], kv[t])
+    padded_shape = xp.shape
 
     def grad_x(g):
-        gxp = np.zeros_like(xp)
+        gxp = np.zeros(padded_shape)
         for t in range(k):
             gxp[..., t : t + length, :] += np.matmul(g, kv[t].T)
         return gxp[..., pad : pad + length, :]
 
     def grad_kernel(g):
+        xp = np.pad(xv, pad_spec)
         gk = np.zeros_like(kv)
         g_flat = g.reshape(-1, g.shape[-1])
         for t in range(k):

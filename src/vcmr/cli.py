@@ -267,6 +267,9 @@ def cmd_train(args, cfg):
     train_corpus = _require_split(args.corpus, "train", cfg)
 
     if args.stage == "retriever":
+        if len(train_corpus.queries) < 2:
+            raise CorpusError(f"{os.path.join(args.corpus, 'train')}: in-batch contrastive learning needs at least "
+                              f"2 queries, the split has {len(train_corpus.queries)}")
         model, curve = pipeline.train_retriever(train_corpus, cfg.train, model_config=cfg.retriever,
                                                 val_corpus=_load_split(args.corpus, "val", cfg))
         arrays = ckpt_mod.merge_namespaces(retriever={n: t.data for n, t in model.params.items()})

@@ -328,11 +328,21 @@ def _parse_jsonl(path, parse):
                 raise CorpusError(f"{where}: not UTF-8 text ({exc.reason})") from exc
             if not isinstance(rec, dict):
                 raise CorpusError(f"{where}: record is not a JSON object")
+            # no field takes true or false, and NumPy would read them as 1.0 and 0.0 in a list of numbers
+            if (b"true" in line or b"false" in line) and _holds_bool(rec):
+                raise CorpusError(f"{where}: record holds true or false, which no field takes")
             try:
                 out.append(parse(rec, where))
             except KeyError as exc:
                 raise CorpusError(f"{where}: record has no key {exc}") from exc
     return out
+
+
+def _holds_bool(value):
+    """Whether a decoded JSON value holds true or false anywhere inside it."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
 
 
 def _field(rec, key, kind, where):

@@ -4,6 +4,8 @@ and the VR / SVMR / VCMR recall metrics."""
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass, field
@@ -41,6 +43,9 @@ class TrainConfig:
                      "negatives_per_query", "mining_pool"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.retriever_batch < 2:  # a retriever step needs two queries, so batch 1 would train nothing
+            raise ValueError(f"retriever_batch must be at least 2 for in-batch contrastive learning, "
+                             f"got {self.retriever_batch}")
         if self.mining_pool < self.negatives_per_query:
             raise ValueError(f"mining_pool {self.mining_pool} is below negatives_per_query {self.negatives_per_query}")
         for name in ("temperature", "learning_rate"):
@@ -101,9 +106,27 @@ class DivergenceError(ArithmeticError):
 # training loop shared by both stages
 
 
+@functools.cache
+def _keep_heap():
+    """Let glibc keep freed memory between training steps. A step frees each
+    array once backward has read it, and at glibc's default thresholds the
+    heap's top went back to the kernel after a step and faulted in again on
+    the next. The values are the largest that glibc's own dynamic rule sets
+    on a 64-bit host. Once per process; nothing where the C library cannot
+    be opened (Windows takes no None) or has no `mallopt`."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: arrays under 32 MB come from the heap
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: its top is trimmed only past 64 MB free
+
+
 def _fit(stage, model, config: TrainConfig, n_queries, epochs, batch, batch_loss, spawn_key, min_batch=1):
     """AdamW over shuffled batches of query indices from the stage's stream of
     `config.seed`, skipping batches under `min_batch`; yields (epoch, mean loss)."""
+    _keep_heap()
     opt = AdamW(model.params, lr=config.learning_rate, weight_decay=config.weight_decay)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=spawn_key))
     for epoch in range(1, epochs + 1):

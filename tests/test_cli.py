@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -139,6 +140,7 @@ def test_noise_that_overflows_is_config_error_and_leaves_nothing(tmp_path, capsy
     ("train", "weight_decay", -5.0),
     ("train", "lam", -3),
     ("train", "gamma", -2),
+    ("train", "retriever_batch", 1),
     ("synthetic", "subtitle_absent_prob", 7.0),
     ("synthetic", "subtitle_absent_prob", -0.5),
 ])
@@ -198,6 +200,76 @@ def test_gen_with_one_fuzzed_field_exits_0_2_or_3_and_a_refusal_leaves_nothing(d
         assert code in (0, cli.EXIT_CONFIG, cli.EXIT_DATA)
         if code:
             assert err.getvalue().count("\n") == 1 and not os.path.exists(out)
+
+
+# `train` on a corpus of FUZZ_BASE's sizes (3 videos of 6 clips, 3 train queries); the fuzz below changes one
+# field of one record of it
+JSONL_FUZZ_CONFIG = {"synthetic": dict(FUZZ_BASE["synthetic"], subtitle_absent_prob=0.0),
+                     "retriever": {"hidden": 8, "intermediate": 16, "heads": 2},
+                     "train": {"retriever_epochs": 1, "retriever_batch": 2}}
+MISSING, DUPLICATE = object(), object()  # delete the key; the id of the split's next record
+NOT_A_LIST = [None, "x", 3, 1.5, True, {}]
+NOT_A_NUMBER = [None, "x", True, False, [], {}, [0.5], math.nan, math.inf, -math.inf, 10 ** 400]
+# (file, path to the field, values that each make the record invalid)
+JSONL_FIELDS = [
+    ("videos.jsonl", ("id",), [MISSING, DUPLICATE, None, 3, 1.5, True, [], {}]),
+    ("videos.jsonl", ("clips",), [MISSING, [], [1, "2"]] + NOT_A_LIST),
+    ("videos.jsonl", ("clips", 1), [None, "x", 3, True, [], [1, "2"]]),
+    ("videos.jsonl", ("clips", 1, "image"), [MISSING, None, [], [0.5] * 5, [[0.5] * 4]] + NOT_A_LIST[1:]),
+    ("videos.jsonl", ("clips", 2, "subtitle"), [[], [0.5] * 5, [[0.5] * 4]] + NOT_A_LIST[1:]),
+    ("videos.jsonl", ("clips", 0, "image", 3), NOT_A_NUMBER),
+    ("videos.jsonl", ("clips", 5, "subtitle", 0), NOT_A_NUMBER),
+    ("queries.jsonl", ("id",), [MISSING, DUPLICATE, None, 3, 1.5, True, [], {}]),
+    ("queries.jsonl", ("tokens",), [MISSING, [], [[0.5] * 5], [1, "2"]] + NOT_A_LIST),
+    ("queries.jsonl", ("tokens", 1), [[], [0.5] * 5, [[0.5] * 4]] + NOT_A_LIST),
+    ("queries.jsonl", ("tokens", 0, 2), NOT_A_NUMBER),
+    ("queries.jsonl", ("video",), [MISSING, "no-such-video", None, 3, 1.5, True, [], {}]),
+    ("queries.jsonl", ("span",), [MISSING, [], [0], [0, 1, 2], [1, 0], [0, 6], [-1, 0]] + NOT_A_LIST),
+    ("queries.jsonl", ("span", 0), [None, "x", 1.5, True, [], {}, -1, 6, 10 ** 400]),
+    ("queries.jsonl", ("span", 1), [None, "x", 1.5, True, [], {}, -1, 6, 10 ** 400]),
+]
+
+
+@pytest.fixture(scope="module")
+def jsonl_fuzz_run(tmp_path_factory):
+    """(config path, corpus directory) of the fuzz's tiny run; the retriever trains on it."""
+    root = tmp_path_factory.mktemp("jsonl-fuzz")
+    config, out = root / "config.json", root / "corpus"
+    config.write_text(json.dumps(JSONL_FUZZ_CONFIG))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gen", "--config", str(config), "--out", str(out)]) == 0
+        assert cli.main(["train", "--stage", "retriever", "--config", str(config), "--corpus", str(out),
+                         "--ckpt", str(root / "model.ckpt")]) == 0
+    return str(config), str(out)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_train_on_a_corpus_with_one_fuzzed_field_exits_2_or_3_with_one_line(jsonl_fuzz_run, data):
+    config, corpus = jsonl_fuzz_run
+    name, keys, values = data.draw(st.sampled_from(JSONL_FIELDS))
+    split, line = data.draw(st.sampled_from(["train", "val"])), data.draw(st.integers(0, 2))
+    value = data.draw(st.sampled_from(values))
+    with tempfile.TemporaryDirectory() as tmp:
+        copy_dir, ckpt, err = os.path.join(tmp, "corpus"), os.path.join(tmp, "model.ckpt"), io.StringIO()
+        shutil.copytree(corpus, copy_dir)
+        path = os.path.join(copy_dir, split, name)
+        with open(path) as fh:
+            records = [json.loads(text) for text in fh]
+        target = records[line]
+        for key in keys[:-1]:
+            target = target[key]
+        if value is MISSING:
+            del target[keys[-1]]
+        else:
+            target[keys[-1]] = records[(line + 1) % len(records)]["id"] if value is DUPLICATE else value
+        with open(path, "w") as fh:
+            fh.writelines(json.dumps(rec) + "\n" for rec in records)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["train", "--stage", "retriever", "--config", config, "--corpus", copy_dir,
+                             "--ckpt", ckpt])
+        assert code in (cli.EXIT_CONFIG, cli.EXIT_DATA), (name, keys, value)
+        assert err.getvalue().count("\n") == 1 and not os.path.exists(ckpt)
 
 
 def test_localizer_stage_requires_retriever_checkpoint(tmp_path, tiny_config, capsys):
@@ -720,6 +792,20 @@ def test_split_without_queries_is_data_error(tmp_path, tiny_config, split, capsy
     code = cli.main(argv + ["--config", tiny_config, "--corpus", str(out), "--ckpt", str(ckpt)])
     assert code == cli.EXIT_DATA
     assert capsys.readouterr().err == f"data error: {out / split}: split has no queries\n"
+
+
+def test_retriever_train_split_of_one_query_is_data_error(tmp_path, tiny_config, capsys):
+    out, ckpt = tmp_path / "corpus", tmp_path / "model.ckpt"
+    assert cli.main(["gen", "--config", tiny_config, "--out", str(out)]) == 0
+    queries = out / "train" / "queries.jsonl"
+    queries.write_text(queries.read_text().splitlines(keepends=True)[0])
+    capsys.readouterr()
+    code = cli.main(["train", "--stage", "retriever", "--config", tiny_config, "--corpus", str(out),
+                     "--ckpt", str(ckpt)])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err == (f"data error: {out / 'train'}: in-batch contrastive learning needs at least "
+                                       "2 queries, the split has 1\n")
+    assert not ckpt.exists()
 
 
 def test_train_split_too_small_to_mine_is_data_error(tmp_path, capsys):

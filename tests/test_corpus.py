@@ -226,6 +226,33 @@ def test_load_rejects_duplicate_id(tmp_path, name, what):
         C.load(tmp_path / "c")
 
 
+@pytest.mark.parametrize("name, edit", [
+    (C.VIDEOS_FILE, lambda rec: rec["clips"][0]["image"].__setitem__(0, True)),
+    (C.QUERIES_FILE, lambda rec: rec["tokens"][1].__setitem__(2, False)),
+], ids=["image-true", "token-false"])
+def test_load_rejects_true_or_false_in_a_list_of_numbers(tmp_path, name, edit):
+    # NumPy reads [true, 0.5] as [1.0, 0.5], so the type is checked before the numbers are
+    C.save(C.generate(SMALL), tmp_path / "c")
+    path = tmp_path / "c" / name
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    edit(rec)
+    lines[1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(C.CorpusError, match=f"{name}:2: record holds true or false"):
+        C.load(tmp_path / "c")
+
+
+def test_load_reads_ids_that_spell_true_or_false(tmp_path):
+    corpus = C.generate(SMALL)
+    video = dataclasses.replace(corpus.videos[0], id="true-false")
+    queries = [dataclasses.replace(q, id=f"false-{q.id}", target_video=video.id)
+               if q.target_video == corpus.videos[0].id else q for q in corpus.queries]
+    renamed = dataclasses.replace(corpus, videos=[video] + corpus.videos[1:], queries=queries)
+    C.save(renamed, tmp_path / "c")
+    assert C.load(tmp_path / "c") == renamed
+
+
 @pytest.mark.parametrize("value", ["no", 1, None])
 def test_load_rejects_has_subtitles_that_is_not_a_bool(tmp_path, value):
     C.save(C.generate(SMALL), tmp_path / "c")

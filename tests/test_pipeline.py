@@ -17,7 +17,7 @@ from conftest import (RTOL, assert_same_step, at_generic_point, fd_check_params,
 from vcmr import corpus as C
 from vcmr import pipeline as P
 from vcmr import retriever as R
-from vcmr.autodiff import Tape
+from vcmr.autodiff import Tape, Tensor
 from vcmr.localizer import LocalizerConfig, LocalizerModel
 from vcmr.nn import EncoderTrunk
 from vcmr.optim import AdamW
@@ -44,6 +44,8 @@ def small_models(corpus):
 def test_config_validation():
     with pytest.raises(ValueError):
         P.TrainConfig(retriever_epochs=0)
+    with pytest.raises(ValueError, match="retriever_batch must be at least 2"):
+        P.TrainConfig(retriever_batch=1)
     with pytest.raises(ValueError):
         P.TrainConfig(temperature=0.0)
     with pytest.raises(ValueError):
@@ -477,6 +479,27 @@ def test_loss_curves_record_both_stages():
     assert epochs == [1, 2]
 
 
+def test_heap_thresholds_are_the_tops_of_glibcs_dynamic_rule(monkeypatch):
+    calls = []
+    monkeypatch.setattr(P.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=lambda *args: calls.append(args)))
+    P._keep_heap.__wrapped__()
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD 32 MB, M_TRIM_THRESHOLD 64 MB
+
+
+def test_setting_the_heap_thresholds_again_is_harmless():
+    P._keep_heap()
+    P._keep_heap.__wrapped__()  # the C library's own mallopt, a second time
+    corpus = C.generate(SPEC)
+    P.train_retriever(corpus, P.TrainConfig(retriever_epochs=1), model_config=R.RetrieverConfig(hidden=16, heads=2))
+
+
+@pytest.mark.parametrize("cdll", [lambda name: object(), mock.Mock(side_effect=OSError("no C library"))],
+                         ids=["no-mallopt", "no-c-library"])
+def test_a_c_library_without_mallopt_leaves_the_heap_alone(monkeypatch, cdll):
+    monkeypatch.setattr(P.ctypes, "CDLL", cdll)
+    assert P._keep_heap.__wrapped__() is None
+
+
 def test_default_training_steps_stay_within_their_tape_record_budgets():
     # default model and train configs, one full batch per stage; the unfused
     # attention, layer norm and linear chains made 199 and 391 records
@@ -494,6 +517,34 @@ def test_default_training_steps_stay_within_their_tape_record_budgets():
     with Tape() as tape:
         P.localizer_batch_loss(loc, corpus, queries, negatives, cfg, P.InferenceConfig())
     assert len(tape._records) <= 160
+
+
+def closed_over(fn):
+    """Every value `fn` closes over, and every value the functions among those close over."""
+    values = [cell.cell_contents for cell in fn.__closure__ or ()]
+    return values + [v for f in values if callable(f) and hasattr(f, "__closure__") for v in closed_over(f)]
+
+
+def test_training_step_records_hold_no_tensor():
+    # node ids and shapes key each record, and its functions keep arrays, so a dropped Tensor is freed
+    corpus = C.generate(SPEC)
+    retr = R.RetrieverModel(corpus.d_txt, corpus.d_img, corpus.d_sub, R.RetrieverConfig(hidden=16, heads=2))
+    loc = LocalizerModel(corpus.d_txt, corpus.d_img, corpus.d_sub, LocalizerConfig(hidden=16, heads=2))
+    queries = corpus.queries[:4]
+    negatives = {q.id: [v.id for v in corpus.videos if v.id != q.target_video][:2] for q in queries}
+    for loss in (lambda: R.contrastive_loss(retr, R.make_batch(corpus, np.arange(4))),
+                 lambda: P.localizer_batch_loss(loc, corpus, queries, negatives, SMALL_TRAIN, ICFG)):
+        with Tape() as tape:
+            loss()
+        assert len(tape._records) > 50
+        for node, pairs in tape._records:
+            assert type(node) is int
+            for key, fn in pairs:
+                for k in key if isinstance(key, list) else [key]:
+                    assert k is None or type(k[0]) is int and type(k[1]) is tuple
+                values = closed_over(fn)
+                values += [u for v in values if isinstance(v, (tuple, list)) for u in v]
+                assert not any(isinstance(v, Tensor) for v in values)
 
 
 def shared_video_batch():

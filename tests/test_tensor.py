@@ -1,6 +1,9 @@
 """Autodiff engine: per-op gradient oracles, fused ops against the chains
 they replace, closed forms, tape semantics, and the AdamW update rule."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -322,6 +325,91 @@ def test_backward_keeps_leaf_gradients_only():
         tape.backward(ad.sum_(h))
     assert np.array_equal(tape.grad(x), np.full((2, 2), 3.0))
     assert np.array_equal(tape.grad(h), np.zeros((2, 2)))  # freed once its record's pairs ran
+
+
+# ---------------------------------------------------------------------------
+# what a tape keeps alive until backward
+
+# ops whose backward reads no array of the intermediate input x [2, 5, 3]; `c` is a leaf of x's shape
+DROPPED_INPUTS = {
+    "add-residual": lambda x, c: ad.add(c, x),
+    "relu": lambda x, c: ad.relu(x),
+    "max_over_axis": lambda x, c: ad.max_over_axis(x, 1)[0],
+}
+
+
+@pytest.mark.parametrize("name", DROPPED_INPUTS)
+def test_an_input_backward_does_not_read_is_freed_once_the_caller_drops_it(name):
+    r = rng_for(5)
+    leaf, c = Tensor(r.normal(size=(2, 5, 3))), Tensor(r.normal(size=(2, 5, 3)))
+
+    def run(keep):
+        with Tape() as tape:
+            x = ad.mul(leaf, 3.0)
+            ref = weakref.ref(x.data)
+            out = DROPPED_INPUTS[name](x, c)
+            kept = x if keep else None
+            del x
+            alive = ref() is not None
+            tape.backward(ad.sum_(ad.pow_const(out, 2.0)))
+        del kept
+        return alive, tape.grad(leaf), tape.grad(c)
+
+    (freed_alive, *freed_grads), (kept_alive, *kept_grads) = run(keep=False), run(keep=True)
+    assert not freed_alive and kept_alive
+    assert all(np.array_equal(g, w) for g, w in zip(freed_grads, kept_grads))
+    assert np.abs(freed_grads[0]).sum() > 0.0  # x's producer passed its gradient on to the leaf
+
+
+@pytest.mark.parametrize("name", DROPPED_INPUTS)
+def test_a_dropped_intermediates_producer_passes_its_gradient_on(name):
+    r = rng_for(6)
+    c = r.normal(size=(2, 5, 3))
+    # the intermediate is never bound, so its Tensor is gone before backward
+    assert fd_check(lambda leaf: ad.sum_(ad.pow_const(DROPPED_INPUTS[name](ad.mul(leaf, 3.0), c), 2.0)),
+                    [r.normal(size=(2, 5, 3))]) < RTOL
+
+
+def test_conv1d_frees_its_padded_copy_before_backward_and_pads_again(monkeypatch):
+    padded, np_pad = [], np.pad
+
+    def spy(*args, **kwargs):
+        out = np_pad(*args, **kwargs)
+        padded.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(np, "pad", spy)
+    r = rng_for(7)
+    x, kernel = Tensor(r.normal(size=(2, 5, 3))), Tensor(r.normal(size=(3, 3, 2)))
+    with Tape() as tape:
+        loss = ad.sum_(ad.pow_const(ad.conv1d(x, kernel), 2.0))
+        assert len(padded) == 1 and padded[0]() is None
+        tape.backward(loss)
+    assert len(padded) == 2  # the kernel's gradient padded x again
+    assert fd_check(lambda xt, kt: ad.sum_(ad.pow_const(ad.conv1d(xt, kt), 2.0)), [x.data, kernel.data]) < RTOL
+
+
+def _held(record, name):
+    """The value that a function of `record` closes over under `name`."""
+    return next(cell.cell_contents for _, fn in record[1]
+                for var, cell in zip(fn.__code__.co_freevars, fn.__closure__ or ()) if var == name)
+
+
+@pytest.mark.parametrize("op, name", [
+    (lambda x: ad.attention(x, x, x, 2, _KEYS), "probs"),
+    (lambda x: ad.layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8))), "xc"),
+], ids=["attention-probs", "layer_norm-xc"])
+def test_what_backward_reads_stays_alive_until_backward_frees_its_record(op, name):
+    leaf = Tensor(rng_for(8).normal(size=(2, 7, 8)))
+    with Tape() as tape:
+        out = op(ad.mul(leaf, 1.5))
+        ref = weakref.ref(_held(tape._records[-1], name))
+        loss = ad.sum_(ad.pow_const(out, 2.0))
+        del out
+        gc.collect()
+        assert ref() is not None
+        tape.backward(loss)
+    assert ref() is None
 
 
 # ---------------------------------------------------------------------------
