@@ -328,9 +328,6 @@ def _parse_jsonl(path, parse):
                 raise CorpusError(f"{where}: not UTF-8 text ({exc.reason})") from exc
             if not isinstance(rec, dict):
                 raise CorpusError(f"{where}: record is not a JSON object")
-            # no field takes true or false, and NumPy would read them as 1.0 and 0.0 in a list of numbers
-            if (b"true" in line or b"false" in line) and _holds_bool(rec):
-                raise CorpusError(f"{where}: record holds true or false, which no field takes")
             try:
                 out.append(parse(rec, where))
             except KeyError as exc:
@@ -338,18 +335,16 @@ def _parse_jsonl(path, parse):
     return out
 
 
-def _holds_bool(value):
-    """Whether a decoded JSON value holds true or false anywhere inside it."""
-    if isinstance(value, dict):
-        value = list(value.values())
-    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
-
-
 def _field(rec, key, kind, where):
     value = rec[key]
     if not isinstance(value, kind):
         raise CorpusError(f"{where}: {key!r} must be a JSON {'string' if kind is str else 'list'}")
     return value
+
+
+def _holds_bool(value):
+    """Whether a decoded JSON value is true or false or a (nested) list holding one."""
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
 
 
 def _numbers(value):
@@ -361,6 +356,9 @@ def _numbers(value):
     except ValueError:  # ragged nesting
         return None
     if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        return None
+    # NumPy reads [true, 0.5] as [1.0, 0.5], so a list holding a 0 or a 1 is searched for true and false
+    if ((arr == 0) | (arr == 1)).any() and _holds_bool(value):
         return None
     return arr.astype(np.float64, copy=False)
 

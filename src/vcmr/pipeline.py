@@ -112,21 +112,26 @@ def _keep_heap():
     array once backward has read it, and at glibc's default thresholds the
     heap's top went back to the kernel after a step and faulted in again on
     the next. The values are the largest that glibc's own dynamic rule sets
-    on a 64-bit host. Once per process; nothing where the C library cannot
-    be opened (Windows takes no None) or has no `mallopt`."""
+    on a 64-bit host. Once per process; returns `malloc_trim`, which `_fit`
+    calls when training ends to hand the kept heap back. Where the C library
+    cannot be opened (Windows takes no None) or has no `mallopt` or
+    `malloc_trim`, sets nothing and returns None."""
     try:
-        mallopt = ctypes.CDLL(None).mallopt
+        libc = ctypes.CDLL(None)
+        mallopt, trim = libc.mallopt, libc.malloc_trim
     except (OSError, TypeError, AttributeError):
-        return
+        return None
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    trim.argtypes, trim.restype = (ctypes.c_size_t,), ctypes.c_int
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: arrays under 32 MB come from the heap
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: its top is trimmed only past 64 MB free
+    return trim
 
 
 def _fit(stage, model, config: TrainConfig, n_queries, epochs, batch, batch_loss, spawn_key, min_batch=1):
     """AdamW over shuffled batches of query indices from the stage's stream of
     `config.seed`, skipping batches under `min_batch`; yields (epoch, mean loss)."""
-    _keep_heap()
+    trim = _keep_heap()
     opt = AdamW(model.params, lr=config.learning_rate, weight_decay=config.weight_decay)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=spawn_key))
     for epoch in range(1, epochs + 1):
@@ -147,6 +152,8 @@ def _fit(stage, model, config: TrainConfig, n_queries, epochs, batch, batch_loss
             losses.append(loss.item())
             opt.step(grads)
         yield epoch, float(np.mean(losses)) if losses else 0.0
+    if trim is not None:  # hand the heap kept between steps back
+        trim(0)
 
 
 # ---------------------------------------------------------------------------

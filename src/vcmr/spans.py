@@ -127,14 +127,10 @@ def nms(spans, scores, suppress, keep=100, floor=-np.inf):
     every span at or above it, so they can suppress none of those, and the
     result is the floor-free one cut at its first span below `floor`.
     """
-    if floor == -np.inf:  # nothing to leave out
-        order = _ranked(spans, scores)
-    else:
-        candidates = np.flatnonzero(scores >= floor)
-        order = candidates[_ranked(spans[candidates], scores[candidates])]
+    candidates = np.flatnonzero(scores >= floor)
     dropped = np.zeros(len(spans), dtype=bool)
     kept = []
-    for i in order.tolist():
+    for i in candidates[_ranked(spans[candidates], scores[candidates])].tolist():
         if dropped[i]:
             continue
         kept.append(i)

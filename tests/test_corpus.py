@@ -226,31 +226,45 @@ def test_load_rejects_duplicate_id(tmp_path, name, what):
         C.load(tmp_path / "c")
 
 
-@pytest.mark.parametrize("name, edit", [
-    (C.VIDEOS_FILE, lambda rec: rec["clips"][0]["image"].__setitem__(0, True)),
-    (C.QUERIES_FILE, lambda rec: rec["tokens"][1].__setitem__(2, False)),
-], ids=["image-true", "token-false"])
-def test_load_rejects_true_or_false_in_a_list_of_numbers(tmp_path, name, edit):
-    # NumPy reads [true, 0.5] as [1.0, 0.5], so the type is checked before the numbers are
-    C.save(C.generate(SMALL), tmp_path / "c")
-    path = tmp_path / "c" / name
+def edit_second_record(path, edit):
     lines = path.read_text().splitlines()
     rec = json.loads(lines[1])
     edit(rec)
     lines[1] = json.dumps(rec)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(C.CorpusError, match=f"{name}:2: record holds true or false"):
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    (C.VIDEOS_FILE, lambda rec: rec["clips"][0]["image"].__setitem__(0, True), "clip 0 image must be a list"),
+    (C.VIDEOS_FILE, lambda rec: rec["clips"][1]["subtitle"].__setitem__(3, False), "clip 1 subtitle must be a list"),
+    (C.QUERIES_FILE, lambda rec: rec["tokens"][1].__setitem__(2, False), "tokens must be a list"),
+], ids=["image-true", "subtitle-false", "token-false"])
+def test_load_rejects_true_or_false_in_a_list_of_numbers(tmp_path, name, edit, message):
+    # NumPy reads [true, 0.5] as [1.0, 0.5], so the type is checked before the numbers are
+    C.save(C.generate(SMALL), tmp_path / "c")
+    edit_second_record(tmp_path / "c" / name, edit)
+    with pytest.raises(C.CorpusError, match=f"{name}:2: {message}"):
         C.load(tmp_path / "c")
 
 
-def test_load_reads_ids_that_spell_true_or_false(tmp_path):
+def test_load_ignores_true_or_false_under_keys_it_does_not_read(tmp_path):
     corpus = C.generate(SMALL)
-    video = dataclasses.replace(corpus.videos[0], id="true-false")
-    queries = [dataclasses.replace(q, id=f"false-{q.id}", target_video=video.id)
-               if q.target_video == corpus.videos[0].id else q for q in corpus.queries]
-    renamed = dataclasses.replace(corpus, videos=[video] + corpus.videos[1:], queries=queries)
-    C.save(renamed, tmp_path / "c")
-    assert C.load(tmp_path / "c") == renamed
+    C.save(corpus, tmp_path / "c")
+    edit_second_record(tmp_path / "c" / C.VIDEOS_FILE, lambda rec: (rec.__setitem__("reviewed", [True, 0.5]),
+                                                                    rec["clips"][0].__setitem__("verified", True)))
+    edit_second_record(tmp_path / "c" / C.QUERIES_FILE, lambda rec: rec.__setitem__("checked", False))
+    assert C.load(tmp_path / "c") == corpus
+
+
+def test_load_reads_zeros_and_ones(tmp_path):
+    # a list holding 0 or 1 is searched for true and false, and holds none
+    C.save(C.generate(SMALL), tmp_path / "c")
+    edit_second_record(tmp_path / "c" / C.VIDEOS_FILE,
+                       lambda rec: rec["clips"][0]["image"].__setitem__(slice(0, 2), [1.0, 0]))
+    edit_second_record(tmp_path / "c" / C.QUERIES_FILE, lambda rec: rec["tokens"][0].__setitem__(slice(0, 2), [1, 0.0]))
+    loaded = C.load(tmp_path / "c")
+    assert loaded.videos[1].images[0, :2].tolist() == [1.0, 0.0]
+    assert loaded.queries[1].tokens[0, :2].tolist() == [1.0, 0.0]
 
 
 @pytest.mark.parametrize("value", ["no", 1, None])

@@ -479,25 +479,35 @@ def test_loss_curves_record_both_stages():
     assert epochs == [1, 2]
 
 
-def test_heap_thresholds_are_the_tops_of_glibcs_dynamic_rule(monkeypatch):
+@pytest.fixture
+def fresh_keep_heap():
+    """`P._keep_heap` with an empty cache, emptied again afterwards so no fake C library stays in it."""
+    P._keep_heap.cache_clear()
+    yield P._keep_heap
+    P._keep_heap.cache_clear()
+
+
+def test_training_sets_the_heap_thresholds_once_and_trims_after_each_fit(monkeypatch, fresh_keep_heap):
     calls = []
-    monkeypatch.setattr(P.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=lambda *args: calls.append(args)))
-    P._keep_heap.__wrapped__()
-    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD 32 MB, M_TRIM_THRESHOLD 64 MB
+    libc = SimpleNamespace(mallopt=lambda *args: calls.append(("mallopt", *args)),
+                           malloc_trim=lambda pad: calls.append(("malloc_trim", pad)))
+    monkeypatch.setattr(P.ctypes, "CDLL", lambda name: libc)
+    corpus = C.generate(SPEC)
+    for _ in range(2):  # a second training, and so a second call, sets nothing again
+        P.train_retriever(corpus, P.TrainConfig(retriever_epochs=1), model_config=R.RetrieverConfig(hidden=16, heads=2))
+    # M_MMAP_THRESHOLD 32 MB and M_TRIM_THRESHOLD 64 MB, the tops of glibc's dynamic rule
+    assert calls == [("mallopt", -3, 32 << 20), ("mallopt", -1, 64 << 20), ("malloc_trim", 0), ("malloc_trim", 0)]
 
 
-def test_setting_the_heap_thresholds_again_is_harmless():
-    P._keep_heap()
-    P._keep_heap.__wrapped__()  # the C library's own mallopt, a second time
+@pytest.mark.parametrize("cdll", [lambda name: object(),
+                                  lambda name: SimpleNamespace(mallopt=mock.Mock()),
+                                  mock.Mock(side_effect=OSError("no C library"))],
+                         ids=["no-mallopt", "no-malloc-trim", "no-c-library"])
+def test_a_c_library_without_mallopt_leaves_the_heap_alone(monkeypatch, fresh_keep_heap, cdll):
+    monkeypatch.setattr(P.ctypes, "CDLL", cdll)
+    assert fresh_keep_heap() is None
     corpus = C.generate(SPEC)
     P.train_retriever(corpus, P.TrainConfig(retriever_epochs=1), model_config=R.RetrieverConfig(hidden=16, heads=2))
-
-
-@pytest.mark.parametrize("cdll", [lambda name: object(), mock.Mock(side_effect=OSError("no C library"))],
-                         ids=["no-mallopt", "no-c-library"])
-def test_a_c_library_without_mallopt_leaves_the_heap_alone(monkeypatch, cdll):
-    monkeypatch.setattr(P.ctypes, "CDLL", cdll)
-    assert P._keep_heap.__wrapped__() is None
 
 
 def test_default_training_steps_stay_within_their_tape_record_budgets():
