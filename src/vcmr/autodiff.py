@@ -8,9 +8,12 @@ inputs; its function then returns one gradient per input, in tuple order.
 `_op` converts `value` to float64, raises `NonFiniteError` on NaN/Inf before
 recording anything (so a numerical failure surfaces at the op that produced
 it instead of corrupting a training run silently) and wraps it in a
-`Tensor`. Only on an active tape does it build a record: the pairs with a
-`Tensor` among their inputs, in one `Tape.record` call, and none when no
-input is a `Tensor`. So every op adds at most one record.
+`Tensor`. Its finite test reduces `np.isfinite` with `np.logical_and`, so
+it does no arithmetic on the values: a sum would warn on inf - inf or on an
+overflow, and under warnings-as-errors that warning would replace
+`NonFiniteError`. Only on an active tape does it build a record: the pairs
+with a `Tensor` among their inputs, in one `Tape.record` call, and none when
+no input is a `Tensor`. So every op adds at most one record.
 
 A record holds no `Tensor`. It keys the output and each input on its node
 id, an integer from one process-wide counter that a `Tensor` takes the
@@ -28,9 +31,11 @@ chain of the ops above. Each evaluates, forward and backward, the same NumPy
 expressions on the same views in the same order as that chain, so its values
 and gradients have the same bits; a forward may reuse one buffer through
 in-place operators, which round alike. They keep fewer intermediates alive
-and recompute what backward needs from those. Inputs that share backward
-work (layer norm's two paths to `x`, attention's `k` and `q`) share one
-pair, whose function computes that work once.
+and recompute what backward needs from those. `attention` adds no mask
+term when every `key_mask` entry is exactly 1.0: each such term is -0.0,
+which changes no logit. Inputs that share backward work (layer norm's two
+paths to `x`, attention's `k` and `q`) share one pair, whose function
+computes that work once.
 """
 
 from __future__ import annotations
@@ -180,7 +185,7 @@ def _val(x):
 def _op(value, *pairs):
     """`value` as a checked float64 Tensor, recorded with its (input, grad_fn) pairs."""
     arr = np.asarray(value, dtype=np.float64)
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NonFiniteError("operation produced a non-finite value")
     out = Tensor.__new__(Tensor)
     out.data = arr
@@ -199,10 +204,10 @@ def _unbroadcast(grad, shape):
         return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = np.add.reduce(grad, axis=tuple(range(extra)))
     axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
+        grad = np.add.reduce(grad, axis=axes, keepdims=True)
     return grad.reshape(shape)
 
 
@@ -259,8 +264,8 @@ def _matmul_pairs(a, b, av, bv):
         raise ShapeError("matmul operands must be at least 2-D")
     if av.shape[-1] != bv.shape[-2]:
         raise ShapeError(f"matmul inner dims disagree: {av.shape} x {bv.shape}")
-    return ((a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape)),
-            (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape)))
+    return ((a, lambda g: _unbroadcast(np.matmul(g, bv.swapaxes(-1, -2)), av.shape)),
+            (b, lambda g: _unbroadcast(np.matmul(av.swapaxes(-1, -2), g), bv.shape)))
 
 
 def matmul(a, b):
@@ -291,14 +296,14 @@ def _spread(g, shape, axis, keepdims):
 def sum_(x, axis=None, keepdims=False):
     xv = _val(x)
     shape = xv.shape
-    return _op(xv.sum(axis=axis, keepdims=keepdims), (x, lambda g: _spread(g, shape, axis, keepdims)))
+    return _op(np.add.reduce(xv, axis=axis, keepdims=keepdims), (x, lambda g: _spread(g, shape, axis, keepdims)))
 
 
 def mean(x, axis=None, keepdims=False):
     xv = _val(x)
     shape = xv.shape
     scale = 1.0 / (xv.size if axis is None else shape[axis])
-    return _op(xv.sum(axis=axis, keepdims=keepdims) * scale,
+    return _op(np.add.reduce(xv, axis=axis, keepdims=keepdims) * scale,
                (x, lambda g: _spread(g * scale, shape, axis, keepdims)))
 
 
@@ -324,17 +329,17 @@ def max_over_axis(x, axis):
 
 def softmax(x, axis=-1):
     xv = _val(x)
-    shifted = xv - xv.max(axis=axis, keepdims=True)
+    shifted = xv - np.maximum.reduce(xv, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-    return _op(s, (x, lambda g: s * (g - (g * s).sum(axis=axis, keepdims=True))))
+    s = e / np.add.reduce(e, axis=axis, keepdims=True)
+    return _op(s, (x, lambda g: s * (g - np.add.reduce(g * s, axis=axis, keepdims=True))))
 
 
 def logsumexp(x, axis=-1, keepdims=False):
     xv = _val(x)
-    m = xv.max(axis=axis, keepdims=True)
+    m = np.maximum.reduce(xv, axis=axis, keepdims=True)
     e = np.exp(xv - m)
-    se = e.sum(axis=axis, keepdims=True)
+    se = np.add.reduce(e, axis=axis, keepdims=True)
     res = m + np.log(se)
     soft = e / se
     return _op(res if keepdims else res.squeeze(axis),
@@ -353,7 +358,7 @@ def reshape(x, shape):
 
 def swapaxes(x, a, b):
     xv = _val(x)
-    return _op(np.swapaxes(xv, a, b), (x, lambda g: np.swapaxes(g, a, b)))
+    return _op(xv.swapaxes(a, b), (x, lambda g: g.swapaxes(a, b)))
 
 
 def concat(parts, axis=0):
@@ -406,11 +411,11 @@ def take(x, indices):
 def l2_normalize(x, axis=-1):
     """Rows scaled to unit L2 norm; all-zero rows stay zero (by convention)."""
     xv = _val(x)
-    norms = np.sqrt((xv * xv).sum(axis=axis, keepdims=True))
+    norms = np.sqrt(np.add.reduce(xv * xv, axis=axis, keepdims=True))
     safe = np.where(norms > 0.0, norms, 1.0)
 
     def grad(g):
-        inner = (xv * g).sum(axis=axis, keepdims=True)
+        inner = np.add.reduce(xv * g, axis=axis, keepdims=True)
         gx = g / safe - xv * inner / safe ** 3
         return np.where(norms > 0.0, gx, 0.0)
 
@@ -422,8 +427,8 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     mean, sub, mul, mean, add, pow_const, mul, mul, add as one record."""
     xv, gv, bv = _val(x), _val(gamma), _val(beta)
     scale = 1.0 / xv.shape[-1]
-    xc = xv - xv.sum(axis=-1, keepdims=True) * scale
-    ve = (xc * xc).sum(axis=-1, keepdims=True) * scale + eps
+    xc = xv - np.add.reduce(xv, axis=-1, keepdims=True) * scale
+    ve = np.add.reduce(xc * xc, axis=-1, keepdims=True) * scale + eps
     p = -0.5
     inv = ve ** p
     out = xc * inv
@@ -471,39 +476,49 @@ def attention(q, k, v, heads, key_mask):
     scale = 1.0 / math.sqrt(dh)
 
     def split(xv):  # [B, L, D] -> a [B, heads, L, dh] view
-        return np.swapaxes(xv.reshape(b, xv.shape[1], heads, dh), 1, 2)
+        return xv.reshape(b, xv.shape[1], heads, dh).swapaxes(1, 2)
 
     def merge(gh, shape):  # [B, heads, L, dh] -> [B, L, D]
-        return np.swapaxes(gh, 1, 2).reshape(shape)
+        return gh.swapaxes(1, 2).reshape(shape)
 
     qh, kh, vh = split(qv), split(kv), split(vv)
-    probs = np.matmul(qh, np.swapaxes(kh, -1, -2))
+    probs = np.matmul(qh, kh.swapaxes(-1, -2))
     probs *= scale
-    probs += ((1.0 - np.asarray(key_mask, dtype=np.float64)) * MASK_NEG)[:, None, None, :]
-    probs -= probs.max(axis=-1, keepdims=True)
+    mask = np.asarray(key_mask, dtype=np.float64)
+    if not np.logical_and.reduce(mask == 1.0, axis=None):  # an open key's term is -0.0, which changes no logit
+        probs += ((1.0 - mask) * MASK_NEG)[:, None, None, :]
+    probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
 
     def d_ctx(g):
-        return np.swapaxes(g.reshape(b, lq, heads, dh), 1, 2)
+        return g.reshape(b, lq, heads, dh).swapaxes(1, 2)
 
     def d_kq(g):  # the logit gradient, through softmax and the scale, to k and q
-        dl = np.matmul(d_ctx(g), np.swapaxes(vh, -1, -2))
-        dl -= (dl * probs).sum(axis=-1, keepdims=True)
+        dl = np.matmul(d_ctx(g), vh.swapaxes(-1, -2))
+        dl -= np.add.reduce(dl * probs, axis=-1, keepdims=True)
         dl *= probs
         dl *= scale
-        gk, gq = np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), dl), -1, -2), np.matmul(dl, kh)
+        gk, gq = np.matmul(qh.swapaxes(-1, -2), dl).swapaxes(-1, -2), np.matmul(dl, kh)
         del dl  # [B, heads, Lq, Lk]: free it before the merges copy
         return merge(gk, kv.shape), merge(gq, qv.shape)
 
     # v, k, q: the order in which the unfused chain reached them
     return _op(merge(np.matmul(probs, vh), qv.shape),
-               (v, lambda g: merge(np.matmul(np.swapaxes(probs, -1, -2), d_ctx(g)), vv.shape)),
+               (v, lambda g: merge(np.matmul(probs.swapaxes(-1, -2), d_ctx(g)), vv.shape)),
                ((k, q), d_kq))
 
 
 # ---------------------------------------------------------------------------
 # convolution
+
+
+def _pad_seq(xv, pad):
+    """xv [..., L, D] with `pad` zero rows before and after its L rows: a copy into a zeroed array."""
+    length = xv.shape[-2]
+    xp = np.zeros(xv.shape[:-2] + (length + 2 * pad, xv.shape[-1]))
+    xp[..., pad : pad + length, :] = xv
+    return xp
 
 
 def conv1d(x, kernel, bias=None):
@@ -523,8 +538,7 @@ def conv1d(x, kernel, bias=None):
         raise ShapeError(f"conv1d feature dims disagree: input {xv.shape[-1]}, kernel {d_in}")
     length = xv.shape[-2]
     pad = k // 2
-    pad_spec = [(0, 0)] * (xv.ndim - 2) + [(pad, pad), (0, 0)]
-    xp = np.pad(xv, pad_spec)
+    xp = _pad_seq(xv, pad)
     res = np.zeros(xv.shape[:-1] + (kv.shape[2],))
     for t in range(k):
         res += np.matmul(xp[..., t : t + length, :], kv[t])
@@ -537,7 +551,7 @@ def conv1d(x, kernel, bias=None):
         return gxp[..., pad : pad + length, :]
 
     def grad_kernel(g):
-        xp = np.pad(xv, pad_spec)
+        xp = _pad_seq(xv, pad)
         gk = np.zeros_like(kv)
         g_flat = g.reshape(-1, g.shape[-1])
         for t in range(k):

@@ -8,7 +8,9 @@ byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 
 import numpy as np
@@ -22,19 +24,32 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, arrays):
-    """arrays: insertion-ordered mapping name -> ndarray."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays.items():
-            # note: np.ascontiguousarray would promote 0-d arrays to 1-d
-            data = np.asarray(arr, dtype="<f8", order="C")
-            name_b = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(name_b)))
-            fh.write(name_b)
-            fh.write(struct.pack("<BI", _DTYPE_F64, data.ndim))
-            fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            fh.write(data.tobytes())
+    """arrays: insertion-ordered mapping name -> ndarray.
+
+    The archive is written to a temporary file in `path`'s directory and then
+    renamed onto `path`, so a write that fails part way leaves an earlier file
+    at `path` as it was. The temporary file is removed on any failure, and an
+    OSError raises CheckpointError naming `path`."""
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:  # not mkstemp, whose file mode would be 0600
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(arrays)))
+            for name, arr in arrays.items():
+                # note: np.ascontiguousarray would promote 0-d arrays to 1-d
+                data = np.asarray(arr, dtype="<f8", order="C")
+                name_b = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(name_b)))
+                fh.write(name_b)
+                fh.write(struct.pack("<BI", _DTYPE_F64, data.ndim))
+                fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
+                fh.write(data.tobytes())
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise CheckpointError(f"cannot write checkpoint {path}: {exc.strerror or exc}") from exc
+    finally:
+        with contextlib.suppress(OSError):  # gone after the rename, or never made
+            os.remove(tmp)
 
 
 def load_checkpoint(path):

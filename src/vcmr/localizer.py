@@ -13,6 +13,7 @@ as relevant/irrelevant (never used at inference).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,7 +144,7 @@ class LocalizerModel(nn.EncoderTrunk):
         parameter array in place is not seen.
         """
         weights = [t.data for _, t in self.params.items()]
-        if len(weights) != len(self._memo_weights) or any(a is not b for a, b in zip(weights, self._memo_weights)):
+        if len(weights) != len(self._memo_weights) or not all(map(operator.is_, weights, self._memo_weights)):
             self._memo, self._memo_weights = {}, weights
         entries = []
         for video in videos:

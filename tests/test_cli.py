@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vcmr
+from vcmr import checkpoint as ckpt_mod
 from vcmr import cli
 from vcmr import corpus as corpus_mod
 from vcmr import pipeline
@@ -760,6 +762,49 @@ def test_checkpoint_path_that_is_a_directory_is_data_error(tmp_path, tiny_config
     assert "data error" in capsys.readouterr().err
 
 
+class FailingWriter:
+    """A binary file that takes `budget` bytes, then fails as a full disk does."""
+
+    def __init__(self, fh, budget):
+        self.fh, self.budget = fh, budget
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+        return False
+
+    def write(self, data):
+        if len(data) > self.budget:
+            self.fh.write(data[:self.budget])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.budget -= len(data)
+        return self.fh.write(data)
+
+
+def test_checkpoint_write_that_fails_mid_file_keeps_the_old_checkpoint(tmp_path, tiny_config, monkeypatch, capsys):
+    out = tmp_path / "corpus"
+    ckpt = tmp_path / "model.ckpt"
+    cli.main(["gen", "--config", tiny_config, "--out", str(out)])
+    untrained_retriever_checkpoint(out, ckpt)
+    old = ckpt.read_bytes()
+    before = sorted(tmp_path.iterdir())
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return FailingWriter(fh, len(old) // 2) if "w" in mode else fh
+
+    monkeypatch.setattr(ckpt_mod, "open", failing_open, raising=False)
+    code = cli.main(["train", "--stage", "localizer", "--config", tiny_config, "--corpus", str(out),
+                     "--ckpt", str(ckpt)])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"data error: cannot write checkpoint {ckpt}: ")
+    assert ckpt.read_bytes() == old and split_namespace(load_checkpoint(ckpt), "retriever")
+    assert sorted(tmp_path.iterdir()) == before  # no temporary file is left behind
+
+
 def test_config_path_that_is_a_directory_is_config_error(tmp_path, capsys):
     assert cli.main(["gen", "--config", str(tmp_path), "--out", str(tmp_path / "c")]) == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
@@ -862,6 +907,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 WORKFLOW = """
 import sys
+from vcmr import checkpoint as ckpt_mod
 from vcmr import cli
 config, run = sys.argv[1:]
 for argv in (["gen", "--out", run + "/corpus"],

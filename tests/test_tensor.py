@@ -2,6 +2,7 @@
 they replace, closed forms, tape semantics, and the AdamW update rule."""
 
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -148,6 +149,9 @@ _KEYS = np.ones((2, 7))
 _KEYS[0, 4:] = 0.0  # a padded row: its last three keys are blocked
 _QUERY_KEYS = np.ones((2, 3))
 _QUERY_KEYS[1, 2:] = 0.0
+_OPEN_KEYS = np.ones((2, 7))  # no key blocked: the fused op leaves out the mask term
+_HALF_KEYS = np.ones((2, 7))
+_HALF_KEYS[1, 3] = 0.5  # a mask that is not all ones is added, whatever its values
 
 
 class Const(tuple):
@@ -172,6 +176,12 @@ FUSED = {
     "attention-constant-q": (lambda q, k, v: ad.attention(q, k, v, 4, _KEYS),
                              lambda q, k, v: chain_attention(q, k, v, 4, _KEYS),
                              [Const((2, 3, 8)), (2, 7, 8), (2, 7, 8)]),
+    "attention-open-keys": (lambda q, k, v: ad.attention(q, k, v, 2, _OPEN_KEYS),
+                            lambda q, k, v: chain_attention(q, k, v, 2, _OPEN_KEYS),
+                            [(2, 3, 8), (2, 7, 8), (2, 7, 8)]),
+    "attention-fractional-mask": (lambda q, k, v: ad.attention(q, k, v, 2, _HALF_KEYS),
+                                  lambda q, k, v: chain_attention(q, k, v, 2, _HALF_KEYS),
+                                  [(2, 3, 8), (2, 7, 8), (2, 7, 8)]),
     # x's gradient is its two slices, accumulated in part order
     "concat-constant": (lambda x, c: ad.concat([x, c, x], axis=1), lambda x, c: chain_concat([x, c, x], axis=1),
                         [(2, 3, 4), Const((2, 2, 4))]),
@@ -291,6 +301,16 @@ def test_non_finite_forward_raises():
             ad.exp(Tensor(np.array([1e4])))
 
 
+def test_finite_check_does_no_arithmetic_on_values():
+    # a sum of the values would warn on inf - inf and overflow on large finite values
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError):
+            ad.mul(Tensor([np.inf, -np.inf]), 1.0)
+        out = ad.mul(Tensor([1.5e308, 1.5e308]), 1.0)
+    assert np.array_equal(out.data, [1.5e308, 1.5e308])
+
+
 def test_backward_requires_scalar_and_runs_once():
     x = Tensor(np.ones(3))
     with Tape() as tape:
@@ -371,14 +391,14 @@ def test_a_dropped_intermediates_producer_passes_its_gradient_on(name):
 
 
 def test_conv1d_frees_its_padded_copy_before_backward_and_pads_again(monkeypatch):
-    padded, np_pad = [], np.pad
+    padded, pad_seq = [], ad._pad_seq
 
     def spy(*args, **kwargs):
-        out = np_pad(*args, **kwargs)
+        out = pad_seq(*args, **kwargs)
         padded.append(weakref.ref(out))
         return out
 
-    monkeypatch.setattr(np, "pad", spy)
+    monkeypatch.setattr(ad, "_pad_seq", spy)
     r = rng_for(7)
     x, kernel = Tensor(r.normal(size=(2, 5, 3))), Tensor(r.normal(size=(3, 3, 2)))
     with Tape() as tape:
