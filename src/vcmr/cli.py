@@ -22,6 +22,7 @@ from .corpus import CorpusError, SyntheticSpec
 from .localizer import LocalizerConfig, LocalizerModel
 from .pipeline import DivergenceError, InferenceConfig, TrainConfig
 from .retriever import RetrieverConfig, RetrieverModel
+from .spans import span_lengths
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -148,9 +149,7 @@ def _largest_array(cfg):
     """(bytes, what) of the largest float64 array a run of `cfg` makes, estimated from its sizes alone."""
     syn, n = cfg.synthetic, cfg.synthetic.clips_per_video
     clips = syn.video_count * n
-    lo = max(1, min(cfg.inference.moment_min_len, n))  # the span limits of `spans.enumerate_spans`
-    count = max(lo, min(cfg.inference.moment_max_len, n)) - lo + 1
-    spans = count * (n + 1) - count * (2 * lo + count - 1) // 2
+    _, _, spans = span_lengths(n, cfg.inference.moment_min_len, cfg.inference.moment_max_len)
     queries = syn.video_count * syn.queries_per_video
     terms = [(clips * syn.d_img, "a split's image clips"), (clips * syn.d_sub, "a split's subtitle clips"),
              (spans * spans, f"the suppression table's IoU matrix over the {spans} spans of a {n}-clip video")]

@@ -49,11 +49,20 @@ def iou_matrix(spans):
     return _iou(st[:, None], ed[:, None], st, ed)
 
 
-def enumerate_spans(n_clips, min_len, max_len):
-    """All (st, ed) with st <= ed and length within the limits, clamped to
-    the available range; never empty for n_clips >= 1."""
+def span_lengths(n_clips, min_len, max_len):
+    """(lo, hi, count): the length limits clamped to the available range,
+    lo <= hi for n_clips >= 1, and the number of spans of `n_clips` clips
+    with a length in lo..hi."""
     lo = max(1, min(min_len, n_clips))
     hi = max(lo, min(max_len, n_clips))
+    lengths = hi - lo + 1
+    return lo, hi, lengths * (n_clips + 1) - lengths * (lo + hi) // 2
+
+
+def enumerate_spans(n_clips, min_len, max_len):
+    """All (st, ed) with st <= ed and length within `span_lengths`'s limits,
+    shortest first; never empty for n_clips >= 1."""
+    lo, hi, _ = span_lengths(n_clips, min_len, max_len)
     return [
         (st, st + length - 1)
         for length in range(lo, hi + 1)

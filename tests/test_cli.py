@@ -389,8 +389,7 @@ def test_corpus_file_that_is_a_directory_is_data_error(tmp_path, tiny_config, ca
     lambda meta: json.dumps({key: value for key, value in meta.items() if key != "d_img"}).encode(),
     lambda meta: json.dumps([meta]).encode(),
     lambda meta: json.dumps(dict(meta, d_img=16.0)).encode(),
-    lambda meta: json.dumps(dict(meta, spec=dict(meta["spec"], moment_len_range=3))).encode(),
-], ids=["malformed-json", "not-utf8", "missing-d_img", "not-an-object", "non-integer-d_img", "malformed-spec"])
+], ids=["malformed-json", "not-utf8", "missing-d_img", "not-an-object", "non-integer-d_img"])
 def test_malformed_corpus_meta_is_data_error(tmp_path, tiny_config, capsys, rewrite):
     out = tmp_path / "corpus"
     cli.main(["gen", "--config", tiny_config, "--out", str(out)])

@@ -278,6 +278,22 @@ def test_load_rejects_has_subtitles_that_is_not_a_bool(tmp_path, value):
         C.load(tmp_path / "c")
 
 
+@pytest.mark.parametrize("edit", [
+    lambda meta: meta.pop("spec"),
+    lambda meta: meta.__setitem__("spec", dict(meta["spec"], moment_len_range=3)),
+    lambda meta: meta.__setitem__("spec", "not a spec"),
+], ids=["missing", "malformed-field", "not-an-object"])
+def test_load_does_not_read_the_meta_spec(tmp_path, edit):
+    corpus = C.generate(SMALL)
+    C.save(corpus, tmp_path / "c")
+    meta_path = tmp_path / "c" / C.META_FILE
+    meta = json.loads(meta_path.read_text())
+    edit(meta)
+    meta_path.write_text(json.dumps(meta))
+    loaded = C.load(tmp_path / "c")
+    assert loaded == corpus and loaded.spec is None
+
+
 def test_corpus_validation_errors():
     v = C.Video(id="v0", images=np.zeros((4, 4)), subtitles=np.zeros((4, 4)), has_subtitle=np.zeros(4, bool))
     with pytest.raises(C.CorpusError, match="missing video"):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcmr.spans import (enumerate_spans, iou, iou_matrix, nms, sample_positive_spans, span_table,
+from vcmr.spans import (enumerate_spans, iou, iou_matrix, nms, sample_positive_spans, span_lengths, span_table,
                         suppression_table, top_spans)
 
 THRESHOLDS = (0.5, 0.7, 1.0)
@@ -95,6 +95,17 @@ def test_sample_positive_spans_matches_double_loop(video_len, data, threshold):
     got = sample_positive_spans(gt, video_len, threshold)
     assert got == ref
     assert all(type(s) is int and type(e) is int for s, e in got)
+
+
+def test_span_lengths_count_and_clamp_the_span_table():
+    # min_len and max_len run past n_clips, and min_len past max_len
+    for n_clips in range(1, 13):
+        for min_len in range(0, 15):
+            for max_len in range(0, 15):
+                lo, hi, count = span_lengths(n_clips, min_len, max_len)
+                table = span_table(n_clips, min_len, max_len)
+                lengths = table[:, 1] - table[:, 0] + 1
+                assert count == len(table) and (lo, hi) == (lengths.min(), lengths.max())
 
 
 def test_span_tables_are_cached_and_read_only():
