@@ -2,18 +2,25 @@
 
 Everything is small enough at desk scale that each value is a plain numpy
 float64 array. Operations never mutate their inputs, and each returns
-`_op(value, *pairs)`, each pair an input with the function that maps the
+`_op(value, pairs, *args)`, where the module-level function `pairs(*args)`
+builds the op's pairs, each an input with the function that maps the
 output's gradient to that input's. The input of a pair may be a tuple of
 inputs; its function then returns one gradient per input, in tuple order.
-`_op` converts `value` to float64, raises `NonFiniteError` on NaN/Inf before
-recording anything (so a numerical failure surfaces at the op that produced
-it instead of corrupting a training run silently) and wraps it in a
-`Tensor`. Its finite test reduces `np.isfinite` with `np.logical_and`, so
-it does no arithmetic on the values: a sum would warn on inf - inf or on an
-overflow, and under warnings-as-errors that warning would replace
-`NonFiniteError`. Only on an active tape does it build a record: the pairs
-with a `Tensor` among their inputs, in one `Tape.record` call, and none when
-no input is a `Tensor`. So every op adds at most one record.
+`_op` converts `value` to float64, raises `NonFiniteError` on NaN/Inf
+before recording anything (so a numerical failure surfaces at the op that
+produced it instead of corrupting a training run silently) and wraps it in
+a `Tensor`. Its finite test
+reduces `np.isfinite` with `np.logical_and`, so it does no arithmetic on the
+values: a sum would warn on inf - inf or on an overflow, and under
+warnings-as-errors that warning would replace `NonFiniteError`. Only on an
+active tape does it call `pairs(*args)` and build a record: the pairs with a
+`Tensor` among their inputs, in one `Tape.record` call, and none when no
+input is a `Tensor`. So every op adds at most one record, and with no tape
+an op computes its value, checks it and builds nothing else: no pair, no
+closure (an op's body defines no function, so it has no cell variables
+either) and no array only backward reads (`relu`'s mask, `concat`'s split
+offsets, `logsumexp`'s softmax, `bce_with_logits`' sigmoid). Shape checks
+run on both paths.
 
 A record holds no `Tensor`. It keys the output and each input on its node
 id, an integer from one process-wide counter that a `Tensor` takes the
@@ -182,8 +189,9 @@ def _val(x):
     return np.asarray(x, dtype=np.float64)
 
 
-def _op(value, *pairs):
-    """`value` as a checked float64 Tensor, recorded with its (input, grad_fn) pairs."""
+def _op(value, pairs, *args):
+    """`value` as a checked float64 Tensor. Only under an active tape is `pairs(*args)` called, to build
+    the op's (input, grad_fn) pairs, and the tape records them."""
     arr = np.asarray(value, dtype=np.float64)
     if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NonFiniteError("operation produced a non-finite value")
@@ -191,7 +199,7 @@ def _op(value, *pairs):
     out.data = arr
     out.node = None
     if _ACTIVE_TAPE is not None:
-        tracked = [(t, fn) for t, fn in pairs
+        tracked = [(t, fn) for t, fn in pairs(*args)
                    if isinstance(t, Tensor) or isinstance(t, tuple) and any(isinstance(u, Tensor) for u in t)]
         if tracked:
             _ACTIVE_TAPE.record(out, tracked)
@@ -217,70 +225,104 @@ def _unbroadcast(grad, shape):
 
 def add(a, b):
     av, bv = _val(a), _val(b)
+    return _op(av + bv, _add_pairs, a, b, av, bv)
+
+
+def _add_pairs(a, b, av, bv):
     a_shape, b_shape = av.shape, bv.shape
-    return _op(av + bv, (a, lambda g: _unbroadcast(g, a_shape)), (b, lambda g: _unbroadcast(g, b_shape)))
+    return (a, lambda g: _unbroadcast(g, a_shape)), (b, lambda g: _unbroadcast(g, b_shape))
 
 
 def sub(a, b):
     av, bv = _val(a), _val(b)
+    return _op(av - bv, _sub_pairs, a, b, av, bv)
+
+
+def _sub_pairs(a, b, av, bv):
     a_shape, b_shape = av.shape, bv.shape
-    return _op(av - bv, (a, lambda g: _unbroadcast(g, a_shape)), (b, lambda g: _unbroadcast(-g, b_shape)))
+    return (a, lambda g: _unbroadcast(g, a_shape)), (b, lambda g: _unbroadcast(-g, b_shape))
 
 
 def mul(a, b):
     av, bv = _val(a), _val(b)
-    return _op(av * bv, (a, lambda g: _unbroadcast(g * bv, av.shape)), (b, lambda g: _unbroadcast(g * av, bv.shape)))
+    return _op(av * bv, _mul_pairs, a, b, av, bv)
+
+
+def _mul_pairs(a, b, av, bv):
+    return (a, lambda g: _unbroadcast(g * bv, av.shape)), (b, lambda g: _unbroadcast(g * av, bv.shape))
 
 
 def pow_const(x, p):
     xv = _val(x)
-    return _op(xv ** p, (x, lambda g: g * p * xv ** (p - 1)))
+    return _op(xv ** p, _pow_const_pairs, x, xv, p)
+
+
+def _pow_const_pairs(x, xv, p):
+    return (x, lambda g: g * p * xv ** (p - 1)),
 
 
 def relu(x):
     xv = _val(x)
+    return _op(np.maximum(xv, 0.0), _relu_pairs, x, xv)
+
+
+def _relu_pairs(x, xv):
     mask = xv > 0.0
-    return _op(np.maximum(xv, 0.0), (x, lambda g: g * mask))
+    return (x, lambda g: g * mask),
 
 
 def exp(x):
-    xv = _val(x)
-    ev = np.exp(xv)
-    return _op(ev, (x, lambda g: g * ev))
+    ev = np.exp(_val(x))
+    return _op(ev, _exp_pairs, x, ev)
+
+
+def _exp_pairs(x, ev):
+    return (x, lambda g: g * ev),
 
 
 def log(x):
     xv = _val(x)
-    return _op(np.log(xv), (x, lambda g: g / xv))
+    return _op(np.log(xv), _log_pairs, x, xv)
+
+
+def _log_pairs(x, xv):
+    return (x, lambda g: g / xv),
 
 
 # ---------------------------------------------------------------------------
 # linear algebra
 
 
-def _matmul_pairs(a, b, av, bv):
-    """The (input, grad_fn) pairs of `a @ b`, after checking the operand shapes."""
+def _check_matmul(av, bv):
+    """ShapeError unless `av @ bv` multiplies at-least-2-D operands whose inner dims agree."""
     if av.ndim < 2 or bv.ndim < 2:
         raise ShapeError("matmul operands must be at least 2-D")
     if av.shape[-1] != bv.shape[-2]:
         raise ShapeError(f"matmul inner dims disagree: {av.shape} x {bv.shape}")
-    return ((a, lambda g: _unbroadcast(np.matmul(g, bv.swapaxes(-1, -2)), av.shape)),
-            (b, lambda g: _unbroadcast(np.matmul(av.swapaxes(-1, -2), g), bv.shape)))
 
 
 def matmul(a, b):
     av, bv = _val(a), _val(b)
-    pairs = _matmul_pairs(a, b, av, bv)
-    return _op(np.matmul(av, bv), *pairs)
+    _check_matmul(av, bv)
+    return _op(np.matmul(av, bv), _matmul_pairs, a, b, av, bv)
+
+
+def _matmul_pairs(a, b, av, bv):
+    return ((a, lambda g: _unbroadcast(np.matmul(g, bv.swapaxes(-1, -2)), av.shape)),
+            (b, lambda g: _unbroadcast(np.matmul(av.swapaxes(-1, -2), g), bv.shape)))
 
 
 def linear(x, w, b):
     """Affine map `x @ w + b`; `b` broadcasts over the rows of the product."""
     xv, wv, bv = _val(x), _val(w), _val(b)
-    pairs = _matmul_pairs(x, w, xv, wv)
+    _check_matmul(xv, wv)
     out = np.matmul(xv, wv)
     out += bv
-    return _op(out, *pairs, (b, lambda g: _unbroadcast(g, bv.shape)))
+    return _op(out, _linear_pairs, x, w, b, xv, wv, bv)
+
+
+def _linear_pairs(x, w, b, xv, wv, bv):
+    return (*_matmul_pairs(x, w, xv, wv), (b, lambda g: _unbroadcast(g, bv.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +337,23 @@ def _spread(g, shape, axis, keepdims):
 
 def sum_(x, axis=None, keepdims=False):
     xv = _val(x)
+    return _op(np.add.reduce(xv, axis=axis, keepdims=keepdims), _sum_pairs, x, xv, axis, keepdims)
+
+
+def _sum_pairs(x, xv, axis, keepdims):
     shape = xv.shape
-    return _op(np.add.reduce(xv, axis=axis, keepdims=keepdims), (x, lambda g: _spread(g, shape, axis, keepdims)))
+    return (x, lambda g: _spread(g, shape, axis, keepdims)),
 
 
 def mean(x, axis=None, keepdims=False):
     xv = _val(x)
+    scale = 1.0 / (xv.size if axis is None else xv.shape[axis])
+    return _op(np.add.reduce(xv, axis=axis, keepdims=keepdims) * scale, _mean_pairs, x, xv, axis, keepdims, scale)
+
+
+def _mean_pairs(x, xv, axis, keepdims, scale):
     shape = xv.shape
-    scale = 1.0 / (xv.size if axis is None else shape[axis])
-    return _op(np.add.reduce(xv, axis=axis, keepdims=keepdims) * scale,
-               (x, lambda g: _spread(g * scale, shape, axis, keepdims)))
+    return (x, lambda g: _spread(g * scale, shape, axis, keepdims)),
 
 
 def max_over_axis(x, axis):
@@ -312,19 +361,24 @@ def max_over_axis(x, axis):
 
     Ties break toward the lowest index (numpy argmax), as in the
     relevant-clip sampling oracle of `tests/conftest.py`, so the clip that
-    `retriever.best_clips` scores and the clip the oracle picks agree.
+    `retriever.best_clips` scores and the clip the oracle picks agree. The
+    values come from `np.maximum.reduce`, not a gather at the argmax; a max
+    is exact, so they are the same bits.
     """
     xv = _val(x)
-    shape = xv.shape
     idx = np.argmax(xv, axis=axis)
-    vals = np.take_along_axis(xv, np.expand_dims(idx, axis), axis=axis).squeeze(axis)
+    return _op(np.maximum.reduce(xv, axis=axis), _max_pairs, x, xv, idx, axis), idx
+
+
+def _max_pairs(x, xv, idx, axis):
+    shape = xv.shape
 
     def grad(g):
         gx = np.zeros(shape)
         np.put_along_axis(gx, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis)
         return gx
 
-    return _op(vals, (x, grad)), idx
+    return (x, grad),
 
 
 def softmax(x, axis=-1):
@@ -332,7 +386,11 @@ def softmax(x, axis=-1):
     shifted = xv - np.maximum.reduce(xv, axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / np.add.reduce(e, axis=axis, keepdims=True)
-    return _op(s, (x, lambda g: s * (g - np.add.reduce(g * s, axis=axis, keepdims=True))))
+    return _op(s, _softmax_pairs, x, s, axis)
+
+
+def _softmax_pairs(x, s, axis):
+    return (x, lambda g: s * (g - np.add.reduce(g * s, axis=axis, keepdims=True))),
 
 
 def logsumexp(x, axis=-1, keepdims=False):
@@ -341,9 +399,12 @@ def logsumexp(x, axis=-1, keepdims=False):
     e = np.exp(xv - m)
     se = np.add.reduce(e, axis=axis, keepdims=True)
     res = m + np.log(se)
+    return _op(res if keepdims else res.squeeze(axis), _logsumexp_pairs, x, e, se, axis, keepdims)
+
+
+def _logsumexp_pairs(x, e, se, axis, keepdims):
     soft = e / se
-    return _op(res if keepdims else res.squeeze(axis),
-               (x, lambda g: soft * (g if keepdims else np.expand_dims(g, axis))))
+    return (x, lambda g: soft * (g if keepdims else np.expand_dims(g, axis))),
 
 
 # ---------------------------------------------------------------------------
@@ -352,43 +413,63 @@ def logsumexp(x, axis=-1, keepdims=False):
 
 def reshape(x, shape):
     xv = _val(x)
+    return _op(xv.reshape(shape), _reshape_pairs, x, xv)
+
+
+def _reshape_pairs(x, xv):
     x_shape = xv.shape
-    return _op(xv.reshape(shape), (x, lambda g: g.reshape(x_shape)))
+    return (x, lambda g: g.reshape(x_shape)),
 
 
 def swapaxes(x, a, b):
-    xv = _val(x)
-    return _op(xv.swapaxes(a, b), (x, lambda g: g.swapaxes(a, b)))
+    return _op(_val(x).swapaxes(a, b), _swapaxes_pairs, x, a, b)
+
+
+def _swapaxes_pairs(x, a, b):
+    return (x, lambda g: g.swapaxes(a, b)),
 
 
 def concat(parts, axis=0):
     vals = [_val(p) for p in parts]
+    return _op(np.concatenate(vals, axis=axis), _concat_pairs, parts, vals, axis)
+
+
+def _concat_pairs(parts, vals, axis):
     ends = np.cumsum([v.shape[axis] for v in vals[:-1]])
-    return _op(np.concatenate(vals, axis=axis), (tuple(parts), lambda g: np.split(g, ends, axis=axis)))
+    return (tuple(parts), lambda g: np.split(g, ends, axis=axis)),
 
 
 def slice_axis(x, axis, start, stop):
     xv = _val(x)
-    shape = xv.shape
     sl = [slice(None)] * xv.ndim
     sl[axis] = slice(start, stop)
+    sl = tuple(sl)
+    return _op(xv[sl], _slice_axis_pairs, x, xv, sl)
+
+
+def _slice_axis_pairs(x, xv, sl):
+    shape = xv.shape
 
     def grad(g):
         gx = np.zeros(shape)
-        gx[tuple(sl)] = g
+        gx[sl] = g
         return gx
 
-    return _op(xv[tuple(sl)], (x, grad))
+    return (x, grad),
 
 
 def take(x, indices):
     """Rows `indices` (a 1-D index) of x; backward scatter-adds (repeats allowed) as `np.add.at` does, in
     its order, but one `+=` per level of repeated indices (level k: each index's k-th row), which is faster."""
     xv = _val(x)
-    shape = xv.shape
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError(f"take needs a 1-D index, got shape {idx.shape}")
+    return _op(xv[idx], _take_pairs, x, xv, idx)
+
+
+def _take_pairs(x, xv, idx):
+    shape = xv.shape
 
     def grad(g):
         gx = np.zeros(shape)
@@ -401,7 +482,7 @@ def take(x, indices):
             gx[idx[level == k]] += g[level == k]
         return gx
 
-    return _op(xv[idx], (x, grad))
+    return (x, grad),
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +494,16 @@ def l2_normalize(x, axis=-1):
     xv = _val(x)
     norms = np.sqrt(np.add.reduce(xv * xv, axis=axis, keepdims=True))
     safe = np.where(norms > 0.0, norms, 1.0)
+    return _op(xv / safe, _l2_normalize_pairs, x, xv, norms, safe, axis)
 
+
+def _l2_normalize_pairs(x, xv, norms, safe, axis):
     def grad(g):
         inner = np.add.reduce(xv * g, axis=axis, keepdims=True)
         gx = g / safe - xv * inner / safe ** 3
         return np.where(norms > 0.0, gx, 0.0)
 
-    return _op(xv / safe, (x, grad))
+    return (x, grad),
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
@@ -434,6 +518,10 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     out = xc * inv
     out *= gv
     out += bv
+    return _op(out, _layer_norm_pairs, x, gamma, beta, xv, gv, bv, xc, ve, p, inv, scale)
+
+
+def _layer_norm_pairs(x, gamma, beta, xv, gv, bv, xc, ve, p, inv, scale):
     shape, mu_shape = xv.shape, ve.shape
 
     def d_xc(g):  # the gradient the chain accumulated for xc: (g_n * inv + g_sq * xc) + g_sq * xc
@@ -446,13 +534,24 @@ def layer_norm(x, gamma, beta, eps=1e-5):
         g_xc = d_xc(g)
         return g_xc, _spread(_unbroadcast(-g_xc, mu_shape) * scale, shape, -1, True)
 
-    return _op(out, ((x, x), d_x),
-               (gamma, lambda g: _unbroadcast(g * (xc * inv), gv.shape)),
-               (beta, lambda g: _unbroadcast(g, bv.shape)))
+    return (((x, x), d_x),
+            (gamma, lambda g: _unbroadcast(g * (xc * inv), gv.shape)),
+            (beta, lambda g: _unbroadcast(g, bv.shape)))
 
 
 # ---------------------------------------------------------------------------
 # attention
+
+
+def _split_heads(xv, heads):
+    """[B, L, D] -> a [B, heads, L, D / heads] view."""
+    b, length, d = xv.shape
+    return xv.reshape(b, length, heads, d // heads).swapaxes(1, 2)
+
+
+def _merge_heads(gh, shape):
+    """[B, heads, L, dh] -> [B, L, D]."""
+    return gh.swapaxes(1, 2).reshape(shape)
 
 
 def attention(q, k, v, heads, key_mask):
@@ -469,19 +568,11 @@ def attention(q, k, v, heads, key_mask):
     if qv.ndim != 3 or kv.shape != vv.shape or kv.shape[:1] + kv.shape[2:] != qv.shape[:1] + qv.shape[2:]:
         raise ShapeError(f"attention needs q [B, Lq, D] and k, v [B, Lk, D]; got {qv.shape}, {kv.shape}, "
                          f"{vv.shape}")
-    b, lq, d = qv.shape
+    d = qv.shape[2]
     if d % heads != 0:
         raise ShapeError(f"hidden size {d} not divisible by {heads} heads")
-    dh = d // heads
-    scale = 1.0 / math.sqrt(dh)
-
-    def split(xv):  # [B, L, D] -> a [B, heads, L, dh] view
-        return xv.reshape(b, xv.shape[1], heads, dh).swapaxes(1, 2)
-
-    def merge(gh, shape):  # [B, heads, L, dh] -> [B, L, D]
-        return gh.swapaxes(1, 2).reshape(shape)
-
-    qh, kh, vh = split(qv), split(kv), split(vv)
+    scale = 1.0 / math.sqrt(d // heads)
+    qh, kh, vh = _split_heads(qv, heads), _split_heads(kv, heads), _split_heads(vv, heads)
     probs = np.matmul(qh, kh.swapaxes(-1, -2))
     probs *= scale
     mask = np.asarray(key_mask, dtype=np.float64)
@@ -490,23 +581,25 @@ def attention(q, k, v, heads, key_mask):
     probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= np.add.reduce(probs, axis=-1, keepdims=True)
+    return _op(_merge_heads(np.matmul(probs, vh), qv.shape), _attention_pairs, q, k, v, qv, kv, qh, kh, vh, probs,
+               heads, scale)
 
-    def d_ctx(g):
-        return g.reshape(b, lq, heads, dh).swapaxes(1, 2)
+
+def _attention_pairs(q, k, v, qv, kv, qh, kh, vh, probs, heads, scale):
+    q_shape, kv_shape = qv.shape, kv.shape
 
     def d_kq(g):  # the logit gradient, through softmax and the scale, to k and q
-        dl = np.matmul(d_ctx(g), vh.swapaxes(-1, -2))
+        dl = np.matmul(_split_heads(g, heads), vh.swapaxes(-1, -2))
         dl -= np.add.reduce(dl * probs, axis=-1, keepdims=True)
         dl *= probs
         dl *= scale
         gk, gq = np.matmul(qh.swapaxes(-1, -2), dl).swapaxes(-1, -2), np.matmul(dl, kh)
         del dl  # [B, heads, Lq, Lk]: free it before the merges copy
-        return merge(gk, kv.shape), merge(gq, qv.shape)
+        return _merge_heads(gk, kv_shape), _merge_heads(gq, q_shape)
 
     # v, k, q: the order in which the unfused chain reached them
-    return _op(merge(np.matmul(probs, vh), qv.shape),
-               (v, lambda g: merge(np.matmul(probs.swapaxes(-1, -2), d_ctx(g)), vv.shape)),
-               ((k, q), d_kq))
+    return ((v, lambda g: _merge_heads(np.matmul(probs.swapaxes(-1, -2), _split_heads(g, heads)), kv_shape)),
+            ((k, q), d_kq))
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +630,21 @@ def conv1d(x, kernel, bias=None):
     if xv.shape[-1] != d_in:
         raise ShapeError(f"conv1d feature dims disagree: input {xv.shape[-1]}, kernel {d_in}")
     length = xv.shape[-2]
-    pad = k // 2
-    xp = _pad_seq(xv, pad)
+    xp = _pad_seq(xv, k // 2)
     res = np.zeros(xv.shape[:-1] + (kv.shape[2],))
     for t in range(k):
         res += np.matmul(xp[..., t : t + length, :], kv[t])
-    padded_shape = xp.shape
+    bv = None
+    if bias is not None:
+        bv = _val(bias)
+        res += bv
+    return _op(res, _conv1d_pairs, x, kernel, bias, xv, kv, bv)
+
+
+def _conv1d_pairs(x, kernel, bias, xv, kv, bv):
+    k, d_in, _ = kv.shape
+    length, pad = xv.shape[-2], k // 2
+    padded_shape = xv.shape[:-2] + (length + 2 * pad, d_in)
 
     def grad_x(g):
         gxp = np.zeros(padded_shape)
@@ -558,12 +660,9 @@ def conv1d(x, kernel, bias=None):
             gk[t] = xp[..., t : t + length, :].reshape(-1, d_in).T @ g_flat
         return gk
 
-    pairs = [(x, grad_x), (kernel, grad_kernel)]
-    if bias is not None:
-        bv = _val(bias)
-        res += bv
-        pairs.append((bias, lambda g: _unbroadcast(g, bv.shape)))
-    return _op(res, *pairs)
+    if bias is None:
+        return (x, grad_x), (kernel, grad_kernel)
+    return (x, grad_x), (kernel, grad_kernel), (bias, lambda g: _unbroadcast(g, bv.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -575,5 +674,9 @@ def bce_with_logits(logits, labels):
     zv = _val(logits)
     yv = _val(labels)
     loss = np.maximum(zv, 0.0) - zv * yv + np.log1p(np.exp(-np.abs(zv)))
+    return _op(loss, _bce_pairs, logits, zv, yv)
+
+
+def _bce_pairs(logits, zv, yv):
     sig = 1.0 / (1.0 + np.exp(-zv))
-    return _op(loss, (logits, lambda g: g * (sig - yv)))
+    return (logits, lambda g: g * (sig - yv)),

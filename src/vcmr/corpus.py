@@ -31,6 +31,10 @@ def _same_fields(a, b):
 
 
 def _frozen(array, dtype):
+    """`array` as a read-only `dtype` array: itself when it is one that owns its memory (as `load` makes
+    them), else a read-only copy, so a caller's writable array shares no memory with it."""
+    if isinstance(array, np.ndarray) and array.dtype == dtype and array.flags.owndata and not array.flags.writeable:
+        return array
     out = np.array(array, dtype=dtype)
     out.flags.writeable = False
     return out
@@ -41,7 +45,10 @@ class Video:
     """One video as one read-only array per modality.
 
     images [N, d_img]; subtitles [N, d_sub], a zero row wherever
-    has_subtitle [N] is False.
+    has_subtitle [N] is False. A read-only array of the right dtype that
+    owns its memory, as `load` builds, is kept as it is; anything else is
+    copied, so writing the caller's arrays afterwards does not change the
+    video.
     """
 
     id: str
@@ -52,13 +59,17 @@ class Video:
     def __post_init__(self):
         self.images = _frozen(self.images, np.float64)
         self.has_subtitle = _frozen(self.has_subtitle, bool)
-        subtitles = np.array(self.subtitles, dtype=np.float64)
+        subtitles = _frozen(self.subtitles, np.float64)
         n = len(self.images)
         if self.images.ndim != 2 or subtitles.ndim != 2 or len(subtitles) != n or self.has_subtitle.shape != (n,):
             raise CorpusError(f"video {self.id!r}: images {self.images.shape}, subtitles {subtitles.shape} "
                               f"and has_subtitle {self.has_subtitle.shape} do not describe one clip sequence")
-        subtitles[~self.has_subtitle] = 0.0
-        self.subtitles = _frozen(subtitles, np.float64)
+        absent = ~self.has_subtitle
+        if subtitles[absent].view(np.uint64).any():  # an absent subtitle's row holds a bit that +0.0 does not
+            subtitles = np.array(subtitles)
+            subtitles[absent] = 0.0
+            subtitles.flags.writeable = False
+        self.subtitles = subtitles
 
     def __len__(self):
         return len(self.images)
@@ -372,6 +383,7 @@ def _clip_rows(rows, width, what, where, bools):
                 raise CorpusError(f"{where}: clip {ci} {what} must be a list of finite numbers")
             if vec.shape != (width,):
                 raise CorpusError(f"{where}: clip {ci} {what} dim {vec.shape} != ({width},)")
+    arr.flags.writeable = False  # `Video` takes a read-only array that owns its memory without a copy
     return arr
 
 

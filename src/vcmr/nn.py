@@ -119,7 +119,8 @@ def pad_rows(*streams):
     valid = np.arange(lengths.max()) < lengths[:, None]
     padded = [np.zeros(valid.shape + rows[0].shape[1:]) for rows in streams]
     for out, rows in zip(padded, streams):
-        out[valid] = np.concatenate(rows)
+        for slot, row in zip(out, rows):
+            slot[: len(row)] = row
     return (*padded, valid.astype(np.float64))
 
 

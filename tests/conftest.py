@@ -208,7 +208,7 @@ def chain_concat(parts, axis=0):
         return lambda g: g[(slice(None),) * (axis % g.ndim) + (slice(lo, hi),)]
 
     return ad._op(np.concatenate(vals, axis=axis),
-                  *[(p, part_grad(lo, hi)) for p, lo, hi in zip(parts, offsets[:-1], offsets[1:])])
+                  lambda: [(p, part_grad(lo, hi)) for p, lo, hi in zip(parts, offsets[:-1], offsets[1:])])
 
 
 def at_generic_point(model, seed):

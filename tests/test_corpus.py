@@ -166,6 +166,33 @@ def test_video_arrays_are_read_only():
             array[0] = 1
 
 
+def test_video_does_not_change_when_the_callers_arrays_are_written():
+    r = np.random.default_rng(4)
+    images, subtitles = r.normal(size=(4, 3)), r.normal(size=(4, 3))
+    has_subtitle = np.array([True, False, True, True])
+    video = C.Video(id="v", images=images, subtitles=subtitles, has_subtitle=has_subtitle)
+    want = [images.copy(), np.where(has_subtitle[:, None], subtitles, 0.0), has_subtitle.copy()]
+    images[:], subtitles[:], has_subtitle[:] = 7.0, 7.0, False
+    assert all(np.array_equal(got, w) for got, w in zip((video.images, video.subtitles, video.has_subtitle), want))
+
+
+def test_video_zeroes_absent_subtitles_of_read_only_arrays_in_a_copy():
+    subtitles = np.array([[1.0, 2.0], [-0.0, 3.0]])
+    subtitles.flags.writeable = False
+    video = C.Video(id="v", images=np.ones((2, 2)), subtitles=subtitles, has_subtitle=[True, False])
+    assert np.array_equal(subtitles, [[1.0, 2.0], [-0.0, 3.0]])
+    assert np.array_equal(video.subtitles, [[1.0, 2.0], [0.0, 0.0]])
+    assert not np.signbit(video.subtitles[1]).any()  # +0.0, as on a writable input
+
+
+def test_loaded_corpus_arrays_are_read_only(tmp_path):
+    C.save(C.generate(SMALL), tmp_path / "c")
+    for video in C.load(tmp_path / "c").videos:
+        for array in (video.image_matrix(), video.subtitle_matrix(), video.has_subtitle):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+
 def test_load_reports_line_number_on_malformed_json(tmp_path):
     corpus = C.generate(SMALL)
     C.save(corpus, tmp_path / "c")

@@ -12,6 +12,7 @@ import pytest
 from conftest import (RTOL, assert_same_step, at_generic_point, fd_check_params, pad_pairs, per_row_contrastive_loss,
                       reference_score, sample_relevance)
 from vcmr import corpus as C
+from vcmr import nn
 from vcmr import retriever as R
 from vcmr.autodiff import Tape
 from vcmr.optim import AdamW
@@ -155,6 +156,18 @@ def test_padded_clips_do_not_reach_valid_clips():
     assert np.array_equal(img_r.data[valid], img_r2.data[valid])
     assert np.array_equal(sub_r.data[valid], sub_r2.data[valid])
     assert not np.allclose(img_r.data[pad], img_r2.data[pad])
+
+
+def test_pad_rows_zero_pads_rows_of_mixed_lengths():
+    r = np.random.default_rng(5)
+    lengths = [2, 5, 1, 3]
+    images, subs = [r.normal(size=(n, 4)) for n in lengths], [r.normal(size=(n, 2)) for n in lengths]
+    got = nn.pad_rows(images, subs)
+    want = [np.stack([np.concatenate([row, np.zeros((5 - len(row), row.shape[1]))]) for row in rows])
+            for rows in (images, subs)]
+    want.append(np.array([[1.0] * n + [0.0] * (5 - n) for n in lengths]))
+    assert len(got) == 3
+    assert all(g.dtype == np.float64 and np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_padded_row_matches_unpadded_encoding():

@@ -502,6 +502,69 @@ def test_op_without_tape_records_nothing(monkeypatch):
         call(Tensor)
 
 
+def _arrays(out):
+    """An op's output as arrays: its value, and for `max_over_axis` the argmax too."""
+    return (out[0].data, out[1]) if isinstance(out, tuple) else (out.data,)
+
+
+@pytest.mark.parametrize("name, call, records", OP_CALLS, ids=_IDS)
+def test_op_without_tape_has_the_bits_of_the_taped_op(name, call, records):
+    free = _arrays(call(Tensor))
+    with Tape():
+        taped = _arrays(call(Tensor))
+    assert len(free) == len(taped)
+    assert all(f.dtype == t.dtype and np.array_equal(f, t) for f, t in zip(free, taped))
+
+
+@pytest.mark.parametrize("name, call, records", OP_CALLS, ids=_IDS)
+def test_op_without_tape_raises_on_a_nan_input(name, call, records):
+    def with_nan(a):
+        out = np.array(a, dtype=np.float64)
+        out.flat[0] = np.nan
+        return Tensor(out)
+
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
+        call(with_nan)
+
+
+@pytest.mark.parametrize("name, call, records", OP_CALLS, ids=_IDS)
+def test_op_without_tape_builds_no_backward_state(monkeypatch, name, call, records):
+    built, op = [], ad._op
+
+    def spy(value, pairs, *args):
+        def build(*args):
+            built.append(name)
+            return pairs(*args)
+
+        return op(value, build, *args)
+
+    monkeypatch.setattr(ad, "_op", spy)
+    call(Tensor)
+    assert built == []  # no pair, gradient function or backward-only array was made
+    with Tape():
+        call(Tensor)
+    assert built == [name]
+
+
+class _CountsComparisons(np.ndarray):
+    comparisons = 0
+
+    def __gt__(self, other):
+        _CountsComparisons.comparisons += 1
+        return super().__gt__(other)
+
+
+def test_relu_without_tape_builds_no_mask():
+    x = Tensor(_A)
+    x.data = _A.view(_CountsComparisons)
+    _CountsComparisons.comparisons = 0
+    ad.relu(x)
+    assert _CountsComparisons.comparisons == 0
+    with Tape():
+        ad.relu(x)
+    assert _CountsComparisons.comparisons == 1  # the mask `x > 0` that backward reads
+
+
 def test_non_finite_op_adds_no_record():
     with Tape() as tape, np.errstate(divide="ignore", over="ignore"):
         with pytest.raises(NonFiniteError):
