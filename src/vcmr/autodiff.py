@@ -18,9 +18,9 @@ active tape does it call `pairs(*args)` and build a record: the pairs with a
 input is a `Tensor`. So every op adds at most one record, and with no tape
 an op computes its value, checks it and builds nothing else: no pair, no
 closure (an op's body defines no function, so it has no cell variables
-either) and no array only backward reads (`relu`'s mask, `concat`'s split
-offsets, `logsumexp`'s softmax, `bce_with_logits`' sigmoid). Shape checks
-run on both paths.
+either) and no array only backward reads (`relu`'s mask, `max_over_axis`'
+argmax, `concat`'s split offsets, `logsumexp`'s softmax, `bce_with_logits`'
+sigmoid). Shape checks run on both paths.
 
 A record holds no `Tensor`. It keys the output and each input on its node
 id, an integer from one process-wide counter that a `Tensor` takes the
@@ -156,7 +156,8 @@ class Tape:
         """Accumulated gradient of `t`; zeros if `t` was unreachable. After
         backward the tape holds the gradients of leaves only, tensors that no
         recorded op produced, so an op's output reads zeros."""
-        return self._grads.get(t.node, np.zeros_like(t.data))
+        g = self._grads.get(t.node)
+        return np.zeros_like(t.data) if g is None else g
 
     def backward(self, loss):
         if loss.data.size != 1:
@@ -357,21 +358,20 @@ def _mean_pairs(x, xv, axis, keepdims, scale):
 
 
 def max_over_axis(x, axis):
-    """Max along one axis; returns (values, argmax indices).
+    """Max along one axis, by `np.maximum.reduce`.
 
-    Ties break toward the lowest index (numpy argmax), as in the
-    relevant-clip sampling oracle of `tests/conftest.py`, so the clip that
-    `retriever.best_clips` scores and the clip the oracle picks agree. The
-    values come from `np.maximum.reduce`, not a gather at the argmax; a max
-    is exact, so they are the same bits.
+    The gradient goes to the argmax, taken only under a tape. Ties break
+    toward the lowest index (numpy argmax), as in the relevant-clip
+    sampling oracle of `tests/conftest.py`, so the clip that
+    `retriever.best_clips` scores and the clip the oracle picks agree.
     """
     xv = _val(x)
-    idx = np.argmax(xv, axis=axis)
-    return _op(np.maximum.reduce(xv, axis=axis), _max_pairs, x, xv, idx, axis), idx
+    return _op(np.maximum.reduce(xv, axis=axis), _max_pairs, x, xv, axis)
 
 
-def _max_pairs(x, xv, idx, axis):
+def _max_pairs(x, xv, axis):
     shape = xv.shape
+    idx = np.argmax(xv, axis=axis)
 
     def grad(g):
         gx = np.zeros(shape)
@@ -393,18 +393,17 @@ def _softmax_pairs(x, s, axis):
     return (x, lambda g: s * (g - np.add.reduce(g * s, axis=axis, keepdims=True))),
 
 
-def logsumexp(x, axis=-1, keepdims=False):
+def logsumexp(x, axis=-1):
     xv = _val(x)
     m = np.maximum.reduce(xv, axis=axis, keepdims=True)
     e = np.exp(xv - m)
     se = np.add.reduce(e, axis=axis, keepdims=True)
-    res = m + np.log(se)
-    return _op(res if keepdims else res.squeeze(axis), _logsumexp_pairs, x, e, se, axis, keepdims)
+    return _op((m + np.log(se)).squeeze(axis), _logsumexp_pairs, x, e, se, axis)
 
 
-def _logsumexp_pairs(x, e, se, axis, keepdims):
+def _logsumexp_pairs(x, e, se, axis):
     soft = e / se
-    return (x, lambda g: soft * (g if keepdims else np.expand_dims(g, axis))),
+    return (x, lambda g: soft * np.expand_dims(g, axis)),
 
 
 # ---------------------------------------------------------------------------

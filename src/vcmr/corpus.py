@@ -31,10 +31,7 @@ def _same_fields(a, b):
 
 
 def _frozen(array, dtype):
-    """`array` as a read-only `dtype` array: itself when it is one that owns its memory (as `load` makes
-    them), else a read-only copy, so a caller's writable array shares no memory with it."""
-    if isinstance(array, np.ndarray) and array.dtype == dtype and array.flags.owndata and not array.flags.writeable:
-        return array
+    """A read-only `dtype` copy of `array`. No caller holds the copy, so no caller can make it writable again."""
     out = np.array(array, dtype=dtype)
     out.flags.writeable = False
     return out
@@ -45,10 +42,9 @@ class Video:
     """One video as one read-only array per modality.
 
     images [N, d_img]; subtitles [N, d_sub], a zero row wherever
-    has_subtitle [N] is False. A read-only array of the right dtype that
-    owns its memory, as `load` builds, is kept as it is; anything else is
-    copied, so writing the caller's arrays afterwards does not change the
-    video.
+    has_subtitle [N] is False. Each array is copied once into a read-only
+    array that only the video holds, so writing the caller's arrays
+    afterwards, or making them writable again, does not change the video.
     """
 
     id: str
@@ -59,16 +55,13 @@ class Video:
     def __post_init__(self):
         self.images = _frozen(self.images, np.float64)
         self.has_subtitle = _frozen(self.has_subtitle, bool)
-        subtitles = _frozen(self.subtitles, np.float64)
-        n = len(self.images)
-        if self.images.ndim != 2 or subtitles.ndim != 2 or len(subtitles) != n or self.has_subtitle.shape != (n,):
+        subtitles = np.array(self.subtitles, dtype=np.float64)
+        n = self.images.shape[:1]
+        if self.images.ndim != 2 or subtitles.ndim != 2 or subtitles.shape[:1] != n or self.has_subtitle.shape != n:
             raise CorpusError(f"video {self.id!r}: images {self.images.shape}, subtitles {subtitles.shape} "
                               f"and has_subtitle {self.has_subtitle.shape} do not describe one clip sequence")
-        absent = ~self.has_subtitle
-        if subtitles[absent].view(np.uint64).any():  # an absent subtitle's row holds a bit that +0.0 does not
-            subtitles = np.array(subtitles)
-            subtitles[absent] = 0.0
-            subtitles.flags.writeable = False
+        subtitles[~self.has_subtitle] = 0.0
+        subtitles.flags.writeable = False
         self.subtitles = subtitles
 
     def __len__(self):
@@ -86,10 +79,19 @@ class Video:
 
 @dataclass
 class Query:
+    """One query: tokens [n_tokens, d_txt], copied once into a read-only
+    float64 array that only the query holds, with at least one token; any
+    other shape raises CorpusError naming the query."""
+
     id: str
-    tokens: np.ndarray  # [n_tokens, d_txt]
+    tokens: np.ndarray
     target_video: str
     span: tuple[int, int]  # inclusive clip indices
+
+    def __post_init__(self):
+        self.tokens = _frozen(self.tokens, np.float64)
+        if self.tokens.ndim != 2 or len(self.tokens) < 1:
+            raise CorpusError(f"query {self.id!r}: tokens {self.tokens.shape} are not [n_tokens >= 1, d]")
 
     __eq__ = _same_fields
 
@@ -120,8 +122,6 @@ class Corpus:
             st, ed = q.span
             if not (0 <= st <= ed < len(v)):
                 raise CorpusError(f"query {q.id}: span {q.span} out of range for video of {len(v)} clips")
-            if len(q.tokens) < 1:
-                raise CorpusError(f"query {q.id}: needs at least one token")
 
     def video(self, video_id):
         return self._by_id[video_id]
@@ -383,7 +383,6 @@ def _clip_rows(rows, width, what, where, bools):
                 raise CorpusError(f"{where}: clip {ci} {what} must be a list of finite numbers")
             if vec.shape != (width,):
                 raise CorpusError(f"{where}: clip {ci} {what} dim {vec.shape} != ({width},)")
-    arr.flags.writeable = False  # `Video` takes a read-only array that owns its memory without a copy
     return arr
 
 
@@ -431,7 +430,7 @@ def load(path) -> Corpus:
         tokens = _numbers(rec["tokens"], bools)
         if tokens is None:
             raise CorpusError(f"{where}: tokens must be a list of lists of finite numbers")
-        if tokens.ndim != 2 or tokens.shape[1] != d_txt:
+        if tokens.shape[1:] != (d_txt,):
             raise CorpusError(f"{where}: token dim {tokens.shape} != (*, {d_txt})")
         vid = _field(rec, "video", str, where)
         if vid not in by_id:

@@ -191,8 +191,7 @@ def span_max_features(adv_out, items):
     mask = np.zeros((len(items), n))
     for i, (_, (st, ed)) in enumerate(items):
         mask[i, st : ed + 1] = 1.0
-    vals, _ = ad.max_over_axis(ad.add(sel, ((1.0 - mask) * MASK_NEG)[:, :, None]), axis=1)
-    return vals
+    return ad.max_over_axis(ad.add(sel, ((1.0 - mask) * MASK_NEG)[:, :, None]), axis=1)
 
 
 def adversarial_loss(model: LocalizerModel, adv_out, positives, negatives):

@@ -130,7 +130,10 @@ def _keep_heap():
 
 def _fit(stage, model, config: TrainConfig, n_queries, epochs, batch, batch_loss, spawn_key, min_batch=1):
     """AdamW over shuffled batches of query indices from the stage's stream of
-    `config.seed`, skipping batches under `min_batch`; yields (epoch, mean loss)."""
+    `config.seed`, skipping batches under `min_batch`; yields (epoch, mean loss). Fewer than `min_batch`
+    queries would leave every epoch without a step, so they raise ValueError before the first epoch."""
+    if n_queries < min_batch:
+        raise ValueError(f"{stage} training needs at least {min_batch} queries, got {n_queries}")
     trim = _keep_heap()
     opt = AdamW(model.params, lr=config.learning_rate, weight_decay=config.weight_decay)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=spawn_key))
@@ -151,7 +154,7 @@ def _fit(stage, model, config: TrainConfig, n_queries, epochs, batch, batch_loss
                     f"{stage} loss became non-finite at epoch {epoch}, step {start // batch}") from exc
             losses.append(loss.item())
             opt.step(grads)
-        yield epoch, float(np.mean(losses)) if losses else 0.0
+        yield epoch, float(np.mean(losses))
     if trim is not None:  # hand the heap kept between steps back
         trim(0)
 
@@ -301,7 +304,7 @@ def localize_scores(model: LocalizerModel, query, videos):
 
     The query is encoded once and shared by every row; each video's clip
     encodings come from the model's memo (`LocalizerModel.video_clips`)."""
-    tokens = np.asarray(query.tokens, dtype=np.float64)[None]
+    tokens = query.tokens[None]
     token_mask = np.ones(tokens.shape[:2])
     token_reps = model.encode_tokens(tokens, token_mask).data
     r = len(videos)

@@ -79,15 +79,12 @@ class RetrieverModel(nn.EncoderTrunk):
 def encode_queries(model: RetrieverModel, queries) -> list[ModalityQueryReps]:
     """Reps of each query, in order. Queries of one token count share one `encode_query_batch` call
     with an all-ones mask; no row is padded, so each row has the bits of a one-query batch."""
-    tokens = [np.asarray(q.tokens, dtype=np.float64) for q in queries]
-    if any(t.ndim != 2 or t.shape[0] < 1 for t in tokens):
-        raise ValueError("query must have at least one token")
     groups = {}
-    for i, t in enumerate(tokens):
-        groups.setdefault(t.shape[0], []).append(i)
-    out = [None] * len(tokens)
+    for i, q in enumerate(queries):
+        groups.setdefault(len(q.tokens), []).append(i)
+    out = [None] * len(queries)
     for length, rows in groups.items():
-        q_img, q_sub, (a_img, a_sub) = model.encode_query_batch(np.stack([tokens[i] for i in rows]),
+        q_img, q_sub, (a_img, a_sub) = model.encode_query_batch(np.stack([queries[i].tokens for i in rows]),
                                                                 np.ones((len(rows), length)))
         for j, i in enumerate(rows):
             out[i] = ModalityQueryReps(*(t.data[j].copy() for t in (q_img, q_sub, a_img, a_sub)))
@@ -120,7 +117,7 @@ def best_clips(sims_img, sims_sub, mask, use_subtitles):
     modalities (image alone without subtitles): [..., N] -> [...]."""
 
     def best(sims):
-        return ad.max_over_axis(ad.add(sims, (1.0 - mask) * MASK_NEG), axis=-1)[0]
+        return ad.max_over_axis(ad.add(sims, (1.0 - mask) * MASK_NEG), axis=-1)
 
     phi_img = best(sims_img)
     return phi_img if not use_subtitles else ad.mul(ad.add(phi_img, best(sims_sub)), 0.5)

@@ -8,6 +8,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcmr import corpus as C
 
@@ -183,6 +185,54 @@ def test_video_zeroes_absent_subtitles_of_read_only_arrays_in_a_copy():
     assert np.array_equal(subtitles, [[1.0, 2.0], [-0.0, 3.0]])
     assert np.array_equal(video.subtitles, [[1.0, 2.0], [0.0, 0.0]])
     assert not np.signbit(video.subtitles[1]).any()  # +0.0, as on a writable input
+
+
+@st.composite
+def held_arrays(draw, shape, dtypes):
+    """An array a caller holds: of a drawn dtype, owning its memory or a view of a larger array, writable or not."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.integers(-3, 4, size=(2, *shape)).astype(draw(st.sampled_from(dtypes)))
+    out = base[1] if draw(st.booleans()) else base[1].copy()
+    out.flags.writeable = draw(st.booleans())
+    return out
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_records_copy_each_array_once_into_a_read_only_array_of_their_own(data):
+    n, d = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    numbers = [np.float64, np.float32, np.int64]
+    images, subtitles, tokens = (data.draw(held_arrays((n, d), numbers)) for _ in range(3))
+    has_subtitle = data.draw(held_arrays((n,), [bool]))
+    want = [images.astype(np.float64), np.where(has_subtitle[:, None], subtitles, 0.0), has_subtitle.copy(),
+            tokens.astype(np.float64)]
+    video = C.Video("v", images, subtitles, has_subtitle)
+    query = C.Query("q", tokens, "v", (0, 0))
+    kept = [video.images, video.subtitles, video.has_subtitle, query.tokens]
+    held = [images, subtitles, has_subtitle, tokens]
+    for array, given_array, dtype in zip(kept, held, [np.float64, np.float64, bool, np.float64]):
+        assert array.dtype == dtype and not array.flags.writeable and not np.shares_memory(array, given_array)
+    for given_array in held:  # the caller makes its arrays writable again and writes them
+        given_array.flags.writeable = True
+        given_array[...] = ~given_array if given_array.dtype == bool else 7
+    assert all(np.array_equal(array, w) for array, w in zip(kept, want))
+
+
+@pytest.mark.parametrize("images, subtitles, has_subtitle", [
+    (np.ones((2, 3)), np.ones((3, 3)), [True, True]),
+    (np.ones((2, 3)), np.ones((2, 3)), [True]),
+    (np.ones(3), np.ones((3, 3)), [True, True, True]),
+    (1.0, np.ones((1, 3)), [True]),
+], ids=["subtitle-rows", "mask-length", "1-d-images", "0-d-images"])
+def test_video_arrays_that_are_not_one_clip_sequence_raise_naming_the_video(images, subtitles, has_subtitle):
+    with pytest.raises(C.CorpusError, match="video 'v7': images"):
+        C.Video("v7", images, subtitles, has_subtitle)
+
+
+@pytest.mark.parametrize("tokens", [np.ones(3), np.zeros((0, 3)), [], 1.0], ids=["1-d", "no-rows", "empty", "0-d"])
+def test_query_tokens_that_are_not_rows_raise_naming_the_query(tokens):
+    with pytest.raises(C.CorpusError, match="query 'q7': tokens"):
+        C.Query("q7", tokens, "v", (0, 0))
 
 
 def test_loaded_corpus_arrays_are_read_only(tmp_path):

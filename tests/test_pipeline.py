@@ -479,6 +479,13 @@ def test_loss_curves_record_both_stages():
     assert epochs == [1, 2]
 
 
+def test_training_on_fewer_queries_than_one_step_needs_raises():
+    corpus = C.generate(SPEC)
+    one = C.Corpus(corpus.videos, corpus.queries[:1], d_img=SPEC.d_img, d_sub=SPEC.d_sub, d_txt=SPEC.d_txt)
+    with pytest.raises(ValueError, match="retriever training needs at least 2 queries, got 1"):
+        P.train_retriever(one, SMALL_TRAIN, model_config=R.RetrieverConfig(hidden=16, intermediate=32, heads=2))
+
+
 @pytest.fixture
 def fresh_keep_heap():
     """`P._keep_heap` with an empty cache, emptied again afterwards so no fake C library stays in it."""

@@ -62,7 +62,7 @@ def test_softmax_logsumexp_max_match_fd(seed):
     assert fd_check(lambda x: ad.sum_(ad.logsumexp(x, axis=1)), [a]) < RTOL
     # distinct values keep the max argmax stable under the FD perturbation
     spread = a + np.arange(15).reshape(3, 5)
-    assert fd_check(lambda x: ad.sum_(ad.max_over_axis(x, axis=1)[0]), [spread]) < RTOL
+    assert fd_check(lambda x: ad.sum_(ad.max_over_axis(x, axis=1)), [spread]) < RTOL
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -270,9 +270,12 @@ def test_logsumexp_matches_numpy_reference():
 
 
 def test_max_over_axis_breaks_ties_toward_lowest_index():
-    x = np.array([[2.0, 5.0, 5.0]])
-    vals, arg = ad.max_over_axis(Tensor(x), axis=1)
-    assert vals.data[0] == 5.0 and arg[0] == 1
+    x = Tensor(np.array([[2.0, 5.0, 5.0], [7.0, 1.0, 7.0]]))
+    with Tape() as tape:
+        vals = ad.max_over_axis(x, axis=1)
+        tape.backward(ad.sum_(ad.mul(vals, np.array([2.0, 3.0]))))
+    assert np.array_equal(vals.data, [5.0, 7.0])
+    assert np.array_equal(tape.grad(x), [[0.0, 2.0, 0.0], [3.0, 0.0, 0.0]])
 
 
 def test_two_paths_accumulate_gradients():
@@ -338,6 +341,14 @@ def test_grad_of_unreached_tensor_is_zeros():
         assert np.array_equal(tape.grad(unused), np.zeros(3))
 
 
+def test_grad_of_a_reached_tensor_builds_no_zeros(monkeypatch):
+    x = Tensor(np.ones((2, 2)))
+    with Tape() as tape:
+        tape.backward(ad.sum_(ad.mul(x, 3.0)))
+    monkeypatch.setattr(np, "zeros_like", lambda *args, **kwargs: pytest.fail("zeros built for a reached tensor"))
+    assert np.array_equal(tape.grad(x), np.full((2, 2), 3.0))
+
+
 def test_backward_keeps_leaf_gradients_only():
     x = Tensor(np.ones((2, 2)))
     with Tape() as tape:
@@ -354,7 +365,7 @@ def test_backward_keeps_leaf_gradients_only():
 DROPPED_INPUTS = {
     "add-residual": lambda x, c: ad.add(c, x),
     "relu": lambda x, c: ad.relu(x),
-    "max_over_axis": lambda x, c: ad.max_over_axis(x, 1)[0],
+    "max_over_axis": lambda x, c: ad.max_over_axis(x, 1),
 }
 
 
@@ -502,18 +513,12 @@ def test_op_without_tape_records_nothing(monkeypatch):
         call(Tensor)
 
 
-def _arrays(out):
-    """An op's output as arrays: its value, and for `max_over_axis` the argmax too."""
-    return (out[0].data, out[1]) if isinstance(out, tuple) else (out.data,)
-
-
 @pytest.mark.parametrize("name, call, records", OP_CALLS, ids=_IDS)
 def test_op_without_tape_has_the_bits_of_the_taped_op(name, call, records):
-    free = _arrays(call(Tensor))
+    free = call(Tensor).data
     with Tape():
-        taped = _arrays(call(Tensor))
-    assert len(free) == len(taped)
-    assert all(f.dtype == t.dtype and np.array_equal(f, t) for f, t in zip(free, taped))
+        taped = call(Tensor).data
+    assert free.dtype == taped.dtype and np.array_equal(free, taped)
 
 
 @pytest.mark.parametrize("name, call, records", OP_CALLS, ids=_IDS)
