@@ -215,11 +215,6 @@ def cmd_gen(args, cfg):
         corpora = [corpus_mod.generate(variants[split], split=split) for split in SPLITS]
     except CorpusError as exc:  # the spec passed its checks, but its spans cannot all be placed or its noise overflows
         raise ConfigError(f"{args.config}: {exc}" if args.config else str(exc)) from None
-    for path in split_dirs:
-        try:
-            os.makedirs(path, exist_ok=True)
-        except OSError as exc:
-            raise CorpusError(f"cannot write a corpus to {args.out}: {path}: {exc.strerror}") from exc
     for corpus, path in zip(corpora, split_dirs):
         corpus_mod.save(corpus, path)
     train = corpora[0]
@@ -237,11 +232,11 @@ def _check_outputs(*paths):
 
 
 def _load_split(corpus_dir, split, cfg):
-    """The split's corpus, or None without its directory. It must hold a
-    query, and every video and query must fit both models' max_positions."""
+    """The split's corpus. Its directory must exist, it must hold a query, and
+    every video and query must fit both models' max_positions."""
     path = os.path.join(corpus_dir, split)
     if not os.path.isdir(path):
-        return None
+        raise CorpusError(f"missing corpus split directory: {path}")
     corpus = corpus_mod.load(path)
     if not corpus.queries:
         raise CorpusError(f"{path}: split has no queries")
@@ -254,31 +249,18 @@ def _load_split(corpus_dir, split, cfg):
     return corpus
 
 
-def _require_split(corpus_dir, split, cfg):
-    corpus = _load_split(corpus_dir, split, cfg)
-    if corpus is None:
-        raise CorpusError(f"missing corpus split directory: {os.path.join(corpus_dir, split)}")
-    return corpus
-
-
 def cmd_train(args, cfg):
     _check_outputs(args.ckpt, args.loss_csv)
-    train_corpus = _require_split(args.corpus, "train", cfg)
+    train_corpus = _load_split(args.corpus, "train", cfg)
 
     if args.stage == "retriever":
-        if len(train_corpus.queries) < 2:
-            raise CorpusError(f"{os.path.join(args.corpus, 'train')}: in-batch contrastive learning needs at least "
-                              f"2 queries, the split has {len(train_corpus.queries)}")
+        has_val = os.path.isdir(os.path.join(args.corpus, "val"))
         model, curve = pipeline.train_retriever(train_corpus, cfg.train, model_config=cfg.retriever,
-                                                val_corpus=_load_split(args.corpus, "val", cfg))
+                                                val_corpus=_load_split(args.corpus, "val", cfg) if has_val else None)
         arrays = ckpt_mod.merge_namespaces(retriever={n: t.data for n, t in model.params.items()})
         ckpt_mod.save_checkpoint(args.ckpt, arrays)
         print(f"retriever checkpoint written to {args.ckpt}")
     else:
-        n = cfg.train.negatives_per_query
-        if len(train_corpus.videos) < n + 1:
-            raise CorpusError(f"{os.path.join(args.corpus, 'train')}: {len(train_corpus.videos)} videos cannot "
-                              f"supply train.negatives_per_query {n} negatives per query besides its target")
         if not os.path.exists(args.ckpt):
             raise CorpusError(
                 f"localizer stage needs a retriever checkpoint at {args.ckpt} for hard-negative mining; "
@@ -299,7 +281,7 @@ def cmd_train(args, cfg):
 
 def cmd_eval(args, cfg):
     _check_outputs(args.out)
-    corpus = _require_split(args.corpus, args.split, cfg)
+    corpus = _load_split(args.corpus, args.split, cfg)
     arrays = ckpt_mod.load_checkpoint(args.ckpt)
     retr = _load_model(RetrieverModel, "retriever", arrays, corpus, cfg.retriever, args.ckpt)
     loc = None
@@ -363,7 +345,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CorpusError, ckpt_mod.CheckpointError, FileNotFoundError) as exc:
+    except (CorpusError, ckpt_mod.CheckpointError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (DivergenceError, NonFiniteError) as exc:

@@ -30,10 +30,16 @@ def _same_fields(a, b):
     return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a) if f.compare)
 
 
-def _frozen(array, dtype):
-    """A read-only `dtype` copy of `array`. No caller holds the copy, so no caller can make it writable again."""
-    out = np.array(array, dtype=dtype)
-    out.flags.writeable = False
+def _frozen(array, dtype, record, field, writeable=False):
+    """A `dtype` copy of `array`, read-only unless `writeable` (for a caller that edits it before freezing it).
+    No caller holds the copy, so no caller can make it writable again. An `array` NumPy cannot convert
+    (ragged, or not numbers) raises CorpusError naming the `record` and its `field`."""
+    try:
+        out = np.array(array, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise CorpusError(f"{type(record).__name__.lower()} {record.id!r}: {field} cannot be read as a "
+                          f"{dtype.__name__} array ({exc})") from None
+    out.flags.writeable = writeable
     return out
 
 
@@ -53,9 +59,9 @@ class Video:
     has_subtitle: np.ndarray
 
     def __post_init__(self):
-        self.images = _frozen(self.images, np.float64)
-        self.has_subtitle = _frozen(self.has_subtitle, bool)
-        subtitles = np.array(self.subtitles, dtype=np.float64)
+        self.images = _frozen(self.images, np.float64, self, "images")
+        self.has_subtitle = _frozen(self.has_subtitle, bool, self, "has_subtitle")
+        subtitles = _frozen(self.subtitles, np.float64, self, "subtitles", writeable=True)
         n = self.images.shape[:1]
         if self.images.ndim != 2 or subtitles.ndim != 2 or subtitles.shape[:1] != n or self.has_subtitle.shape != n:
             raise CorpusError(f"video {self.id!r}: images {self.images.shape}, subtitles {subtitles.shape} "
@@ -80,8 +86,8 @@ class Video:
 @dataclass
 class Query:
     """One query: tokens [n_tokens, d_txt], copied once into a read-only
-    float64 array that only the query holds, with at least one token; any
-    other shape raises CorpusError naming the query."""
+    float64 array that only the query holds, with at least one token, and
+    a span of two integers; anything else raises CorpusError naming the query."""
 
     id: str
     tokens: np.ndarray
@@ -89,9 +95,13 @@ class Query:
     span: tuple[int, int]  # inclusive clip indices
 
     def __post_init__(self):
-        self.tokens = _frozen(self.tokens, np.float64)
+        self.tokens = _frozen(self.tokens, np.float64, self, "tokens")
         if self.tokens.ndim != 2 or len(self.tokens) < 1:
             raise CorpusError(f"query {self.id!r}: tokens {self.tokens.shape} are not [n_tokens >= 1, d]")
+        span = self.span
+        if not (isinstance(span, (tuple, list)) and len(span) == 2
+                and all(type(i) is int or isinstance(i, np.integer) for i in span)):
+            raise CorpusError(f"query {self.id!r}: span {span!r} is not two integers")
 
     __eq__ = _same_fields
 
@@ -162,7 +172,7 @@ class SyntheticSpec:
         for name in ("visual_ratio", "subtitle_absent_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise CorpusError(f"{name} must lie in [0, 1]")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:  # NaN fails it
             raise CorpusError("noise_sigma must be nonnegative")
 
     @property

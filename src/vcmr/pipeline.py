@@ -16,6 +16,7 @@ from . import autodiff as ad
 from . import localizer as loc_mod
 from . import retriever as ret_mod
 from .autodiff import Tape
+from .corpus import CorpusError
 from .localizer import LocalizerConfig, LocalizerModel
 from .nn import encode_once
 from .optim import AdamW
@@ -48,11 +49,11 @@ class TrainConfig:
                              f"got {self.retriever_batch}")
         if self.mining_pool < self.negatives_per_query:
             raise ValueError(f"mining_pool {self.mining_pool} is below negatives_per_query {self.negatives_per_query}")
-        for name in ("temperature", "learning_rate"):
-            if getattr(self, name) <= 0:
+        for name in ("temperature", "learning_rate"):  # each bound is written so that NaN fails it
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("weight_decay", "lam", "gamma"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
 
 
@@ -72,7 +73,7 @@ class InferenceConfig:
             raise ValueError("nms_threshold must lie in (0, 1]")
         if self.top_k_videos < 1 or self.results_per_query < 1:
             raise ValueError("top_k_videos and results_per_query must be positive")
-        if self.score_temperature <= 0:
+        if not self.score_temperature > 0:
             raise ValueError("score_temperature must be positive")
 
 
@@ -131,9 +132,9 @@ def _keep_heap():
 def _fit(stage, model, config: TrainConfig, n_queries, epochs, batch, batch_loss, spawn_key, min_batch=1):
     """AdamW over shuffled batches of query indices from the stage's stream of
     `config.seed`, skipping batches under `min_batch`; yields (epoch, mean loss). Fewer than `min_batch`
-    queries would leave every epoch without a step, so they raise ValueError before the first epoch."""
+    queries would leave every epoch without a step, so they raise CorpusError before the first epoch."""
     if n_queries < min_batch:
-        raise ValueError(f"{stage} training needs at least {min_batch} queries, got {n_queries}")
+        raise CorpusError(f"{stage} training needs at least {min_batch} queries, got {n_queries}")
     trim = _keep_heap()
     opt = AdamW(model.params, lr=config.learning_rate, weight_decay=config.weight_decay)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=spawn_key))
@@ -212,7 +213,8 @@ def mine_hard_negatives(model: RetrieverModel, corpus, config: TrainConfig):
     ranking (pool capped at `mining_pool`). Seed-deterministic."""
     n = config.negatives_per_query
     if len(corpus.videos) < n + 1:
-        raise ValueError(f"corpus of {len(corpus.videos)} videos cannot supply {n} negatives per query")
+        raise CorpusError(f"corpus of {len(corpus.videos)} videos cannot supply negatives_per_query {n} "
+                          "negatives per query besides its target")
     index = ret_mod.encode_corpus(model, corpus)
     out = {}
     for qi, (query, reps) in enumerate(zip(corpus.queries, ret_mod.encode_queries(model, corpus.queries))):

@@ -816,13 +816,24 @@ def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cls", [corpus_mod.SyntheticSpec, EncoderConfig, RetrieverConfig, LocalizerConfig,
-                                 pipeline.TrainConfig, pipeline.InferenceConfig], ids=lambda cls: cls.__name__)
+CONFIG_CLASSES = [corpus_mod.SyntheticSpec, EncoderConfig, RetrieverConfig, LocalizerConfig,
+                  pipeline.TrainConfig, pipeline.InferenceConfig]
+
+
+@pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda cls: cls.__name__)
 def test_configs_are_immutable(cls):
     cfg = cls()
     name = dataclasses.fields(cfg)[0].name
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(cfg, name, getattr(cfg, name))
+
+
+@pytest.mark.parametrize("cls, name", [(cls, f.name) for cls in CONFIG_CLASSES for f in dataclasses.fields(cls)
+                                       if type(f.default) is float], ids=lambda x: getattr(x, "__name__", x))
+def test_config_float_field_refuses_nan(cls, name):
+    # the CLI refuses NaN before building a config; a library caller reaches the constructor's bounds directly
+    with pytest.raises(ValueError, match=name):
+        cls(**{name: math.nan})
 
 
 @pytest.mark.parametrize("split", ["train", "val", "test"])
@@ -838,21 +849,25 @@ def test_split_without_queries_is_data_error(tmp_path, tiny_config, split, capsy
     assert capsys.readouterr().err == f"data error: {out / split}: split has no queries\n"
 
 
-def test_retriever_train_split_of_one_query_is_data_error(tmp_path, tiny_config, capsys):
+def no_training_step(*args, **kwargs):
+    pytest.fail("a training step started before the refusal")
+
+
+def test_retriever_train_split_of_one_query_is_data_error(tmp_path, tiny_config, monkeypatch, capsys):
     out, ckpt = tmp_path / "corpus", tmp_path / "model.ckpt"
     assert cli.main(["gen", "--config", tiny_config, "--out", str(out)]) == 0
     queries = out / "train" / "queries.jsonl"
     queries.write_text(queries.read_text().splitlines(keepends=True)[0])
     capsys.readouterr()
+    monkeypatch.setattr(pipeline, "AdamW", no_training_step)
     code = cli.main(["train", "--stage", "retriever", "--config", tiny_config, "--corpus", str(out),
                      "--ckpt", str(ckpt)])
     assert code == cli.EXIT_DATA
-    assert capsys.readouterr().err == (f"data error: {out / 'train'}: in-batch contrastive learning needs at least "
-                                       "2 queries, the split has 1\n")
+    assert capsys.readouterr().err == "data error: retriever training needs at least 2 queries, got 1\n"
     assert not ckpt.exists()
 
 
-def test_train_split_too_small_to_mine_is_data_error(tmp_path, capsys):
+def test_train_split_too_small_to_mine_is_data_error(tmp_path, monkeypatch, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(dict(TINY, synthetic=dict(TINY["synthetic"], video_count=4),
                                       train=dict(TINY["train"], negatives_per_query=4))))
@@ -861,10 +876,42 @@ def test_train_split_too_small_to_mine_is_data_error(tmp_path, capsys):
     common = ["--config", str(config), "--corpus", str(out), "--ckpt", str(ckpt)]
     assert cli.main(["train", "--stage", "retriever"] + common) == 0
     before = ckpt.read_bytes()
+    monkeypatch.setattr(pipeline, "AdamW", no_training_step)
     assert cli.main(["train", "--stage", "localizer"] + common) == cli.EXIT_DATA
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "4 videos cannot supply train.negatives_per_query 4" in err
+    assert err.count("\n") == 1 and "corpus of 4 videos cannot supply negatives_per_query 4" in err
     assert ckpt.read_bytes() == before
+
+
+# A file name past NAME_MAX (255 bytes on Linux file systems): the directory exists, so the output passes the
+# checks made before any work, and the write itself fails once the work is done
+LONG_NAME = "x" * 300
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["train", "--stage", "retriever", "--ckpt", "{tmp}/model.ckpt", "--loss-csv", "{tmp}/" + LONG_NAME],
+     "model.ckpt"),
+    (["eval", "--task", "vr", "--ckpt", "{tmp}/retriever.ckpt", "--out", "{tmp}/" + LONG_NAME], None),
+], ids=["loss-csv", "eval-out"])
+def test_output_write_that_fails_after_the_work_is_data_error(tmp_path, tiny_config, argv, written, capsys):
+    out = tmp_path / "corpus"
+    assert cli.main(["gen", "--config", tiny_config, "--out", str(out)]) == 0
+    untrained_retriever_checkpoint(out, tmp_path / "retriever.ckpt")
+    capsys.readouterr()
+    argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--config", tiny_config, "--corpus", str(out)]
+    assert cli.main(argv) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("data error: ") and LONG_NAME in err
+    # the loss curve is written after the checkpoint, so a failed --loss-csv leaves the new checkpoint
+    assert written is None or (tmp_path / written).exists()
+
+
+def test_gen_out_that_cannot_be_made_is_data_error(tmp_path, tiny_config, capsys):
+    before = sorted(tmp_path.iterdir())
+    assert cli.main(["gen", "--config", tiny_config, "--out", str(tmp_path / LONG_NAME)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("data error: ") and LONG_NAME in err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("argv", [

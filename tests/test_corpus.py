@@ -229,10 +229,28 @@ def test_video_arrays_that_are_not_one_clip_sequence_raise_naming_the_video(imag
         C.Video("v7", images, subtitles, has_subtitle)
 
 
-@pytest.mark.parametrize("tokens", [np.ones(3), np.zeros((0, 3)), [], 1.0], ids=["1-d", "no-rows", "empty", "0-d"])
+RAGGED, STRINGS = [[1.0, 2.0], [3.0]], [["a", "b"], ["c", "d"]]  # arrays NumPy cannot convert to float64
+
+
+@pytest.mark.parametrize("tokens", [np.ones(3), np.zeros((0, 3)), [], 1.0, RAGGED, STRINGS, "ab"],
+                         ids=["1-d", "no-rows", "empty", "0-d", "ragged", "strings", "string"])
 def test_query_tokens_that_are_not_rows_raise_naming_the_query(tokens):
     with pytest.raises(C.CorpusError, match="query 'q7': tokens"):
         C.Query("q7", tokens, "v", (0, 0))
+
+
+@pytest.mark.parametrize("value", [RAGGED, STRINGS, "ab"], ids=["ragged", "strings", "string"])
+@pytest.mark.parametrize("field", ["images", "subtitles"])
+def test_video_arrays_numpy_cannot_convert_raise_naming_the_video_and_field(field, value):
+    arrays = {"images": np.ones((2, 2)), "subtitles": np.ones((2, 2)), "has_subtitle": [True, True], field: value}
+    with pytest.raises(C.CorpusError, match=f"video 'v7': {field} cannot be read as a float64 array"):
+        C.Video("v7", **arrays)
+
+
+@pytest.mark.parametrize("span", [("a", 0), (0, None), (0.0, 1), (True, 1), (0,), (0, 1, 2), 0, None])
+def test_query_span_that_is_not_two_integers_raises_naming_the_query(span):
+    with pytest.raises(C.CorpusError, match="query 'q7': span .* is not two integers"):
+        C.Query("q7", np.ones((1, 2)), "v", span)
 
 
 def test_loaded_corpus_arrays_are_read_only(tmp_path):

@@ -139,7 +139,7 @@ def test_split_is_encoded_once_per_token_count_and_ranked_as_one_query_at_a_time
 def test_mining_rejects_too_small_corpus():
     corpus = C.generate(C.SyntheticSpec(video_count=2, clips_per_video=8, seed=3))
     model = R.RetrieverModel(corpus.d_txt, corpus.d_img, corpus.d_sub, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(C.CorpusError, match="corpus of 2 videos cannot supply negatives_per_query 4 "):
         P.mine_hard_negatives(model, corpus, P.TrainConfig(negatives_per_query=4))
 
 
@@ -482,7 +482,7 @@ def test_loss_curves_record_both_stages():
 def test_training_on_fewer_queries_than_one_step_needs_raises():
     corpus = C.generate(SPEC)
     one = C.Corpus(corpus.videos, corpus.queries[:1], d_img=SPEC.d_img, d_sub=SPEC.d_sub, d_txt=SPEC.d_txt)
-    with pytest.raises(ValueError, match="retriever training needs at least 2 queries, got 1"):
+    with pytest.raises(C.CorpusError, match="retriever training needs at least 2 queries, got 1"):
         P.train_retriever(one, SMALL_TRAIN, model_config=R.RetrieverConfig(hidden=16, intermediate=32, heads=2))
 
 
