@@ -54,7 +54,7 @@ def save_checkpoint(path, arrays):
 
 def load_checkpoint(path):
     """Returns an insertion-ordered dict name -> float64 ndarray. Any file
-    that is not a well-formed archive raises CheckpointError."""
+    that is not a well-formed archive of finite values raises CheckpointError."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -93,6 +93,8 @@ def load_checkpoint(path):
             arr = np.frombuffer(blob[off:end], dtype="<f8").astype(np.float64).reshape(shape)
         except ValueError as exc:  # more dimensions than NumPy allows
             raise CheckpointError(f"{path}: record {name} has {ndim} dimensions") from exc
+        if not np.isfinite(arr).all():  # training never saves one, so the file is damaged
+            raise CheckpointError(f"{path}: record {name} holds a non-finite value")
         off = end
         if name in out:
             raise CheckpointError(f"{path}: duplicate record {name}")

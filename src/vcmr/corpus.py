@@ -32,10 +32,11 @@ def _same_fields(a, b):
 
 def _frozen(array, dtype, record, field, writeable=False):
     """A `dtype` copy of `array`, read-only unless `writeable` (for a caller that edits it before freezing it).
-    No caller holds the copy, so no caller can make it writable again. An `array` NumPy cannot convert
-    (ragged, or not numbers) raises CorpusError naming the `record` and its `field`."""
+    No caller holds the copy, so no caller can make it writable again. An `array` NumPy cannot convert (ragged,
+    or of a dtype it cannot cast to `dtype` without loss, such as strings, or numbers to bool) raises
+    CorpusError naming the `record` and its `field`."""
     try:
-        out = np.array(array, dtype=dtype)
+        out = np.array(array).astype(dtype, casting="safe", copy=False)
     except (TypeError, ValueError) as exc:
         raise CorpusError(f"{type(record).__name__.lower()} {record.id!r}: {field} cannot be read as a "
                           f"{dtype.__name__} array ({exc})") from None
@@ -48,9 +49,10 @@ class Video:
     """One video as one read-only array per modality.
 
     images [N, d_img]; subtitles [N, d_sub], a zero row wherever
-    has_subtitle [N] is False. Each array is copied once into a read-only
-    array that only the video holds, so writing the caller's arrays
-    afterwards, or making them writable again, does not change the video.
+    has_subtitle [N], of booleans, is False. A video has at least one clip.
+    Each array is copied once into a read-only array that only the video
+    holds, so writing the caller's arrays afterwards, or making them
+    writable again, does not change the video.
     """
 
     id: str
@@ -60,9 +62,11 @@ class Video:
 
     def __post_init__(self):
         self.images = _frozen(self.images, np.float64, self, "images")
+        n = self.images.shape[:1]
+        if n == (0,):  # before has_subtitle, which [] would fail as not booleans
+            raise CorpusError(f"video {self.id!r} has no clips")
         self.has_subtitle = _frozen(self.has_subtitle, bool, self, "has_subtitle")
         subtitles = _frozen(self.subtitles, np.float64, self, "subtitles", writeable=True)
-        n = self.images.shape[:1]
         if self.images.ndim != 2 or subtitles.ndim != 2 or subtitles.shape[:1] != n or self.has_subtitle.shape != n:
             raise CorpusError(f"video {self.id!r}: images {self.images.shape}, subtitles {subtitles.shape} "
                               f"and has_subtitle {self.has_subtitle.shape} do not describe one clip sequence")
@@ -87,7 +91,8 @@ class Video:
 class Query:
     """One query: tokens [n_tokens, d_txt], copied once into a read-only
     float64 array that only the query holds, with at least one token, and
-    a span of two integers; anything else raises CorpusError naming the query."""
+    a span of two integers, stored as a tuple of Python ints; anything else
+    raises CorpusError naming the query."""
 
     id: str
     tokens: np.ndarray
@@ -102,36 +107,60 @@ class Query:
         if not (isinstance(span, (tuple, list)) and len(span) == 2
                 and all(type(i) is int or isinstance(i, np.integer) for i in span)):
             raise CorpusError(f"query {self.id!r}: span {span!r} is not two integers")
+        self.span = (int(span[0]), int(span[1]))
 
     __eq__ = _same_fields
 
 
 @dataclass
 class Corpus:
+    """Videos and the queries on them, every image, subtitle and token row of
+    the corpus's widths. Each record passes `add`'s rules, whichever way it
+    comes in: as the lists given to the constructor, videos first, or one
+    `add` at a time."""
+
     videos: list[Video]
     queries: list[Query]
+    d_img: int
+    d_sub: int
+    d_txt: int
     split: str = "train"
-    d_img: int = 0
-    d_sub: int = 0
-    d_txt: int = 0
     has_subtitles: bool = True
     spec: "SyntheticSpec | None" = field(default=None, compare=False)
 
     def __post_init__(self):
-        self._by_id = {v.id: v for v in self.videos}
-        if len(self._by_id) != len(self.videos):
-            raise CorpusError("duplicate video ids")
-        query_ids = set()
-        for q in self.queries:
-            if q.id in query_ids:
-                raise CorpusError(f"duplicate query id {q.id!r}")
-            query_ids.add(q.id)
-            v = self._by_id.get(q.target_video)
-            if v is None:
-                raise CorpusError(f"query {q.id} references missing video id {q.target_video!r}")
-            st, ed = q.span
-            if not (0 <= st <= ed < len(v)):
-                raise CorpusError(f"query {q.id}: span {q.span} out of range for video of {len(v)} clips")
+        records, self.videos, self.queries = [*self.videos, *self.queries], [], []
+        self._by_id, self._query_ids = {}, set()
+        for record in records:
+            self.add(record)
+
+    def add(self, record):
+        """Append a Video or a Query. A video whose image or subtitle width is
+        not the corpus's, a query whose token width is not, whose target
+        video is not in the corpus or whose span lies outside it, and a
+        second record of an id raise CorpusError naming the record."""
+        if isinstance(record, Video):
+            widths = (record.images.shape[1], record.subtitles.shape[1])
+            if widths != (self.d_img, self.d_sub):
+                raise CorpusError(f"video {record.id!r}: image and subtitle widths {widths} are not "
+                                  f"d_img and d_sub {(self.d_img, self.d_sub)}")
+            if record.id in self._by_id:
+                raise CorpusError(f"video {record.id!r}: duplicate video id")
+            self._by_id[record.id] = record
+            self.videos.append(record)
+            return
+        video = self._by_id.get(record.target_video)
+        if record.tokens.shape[1] != self.d_txt:
+            raise CorpusError(f"query {record.id!r}: token width {record.tokens.shape[1]} is not d_txt {self.d_txt}")
+        if video is None:
+            raise CorpusError(f"query {record.id!r}: missing video id {record.target_video!r}")
+        if not 0 <= record.span[0] <= record.span[1] < len(video):
+            raise CorpusError(f"query {record.id!r}: span {record.span} out of range for video {video.id!r} "
+                              f"of {len(video)} clips")
+        if record.id in self._query_ids:
+            raise CorpusError(f"query {record.id!r}: duplicate query id")
+        self._query_ids.add(record.id)
+        self.queries.append(record)
 
     def video(self, video_id):
         return self._by_id[video_id]
@@ -299,7 +328,7 @@ def save(corpus: Corpus, path):
                 "id": q.id,
                 "tokens": q.tokens.tolist(),
                 "video": q.target_video,
-                "span": [int(q.span[0]), int(q.span[1])],
+                "span": list(q.span),
             }
             fh.write(json.dumps(rec) + "\n")
     meta = {
@@ -325,7 +354,8 @@ def _open(path):
 
 @contextlib.contextmanager
 def _decoded(raw, where):
-    """The JSON object in bytes `raw`, for a `with` body; bad JSON or a missing key raises CorpusError at `where`."""
+    """The JSON object in bytes `raw`, for a `with` body. Bad JSON, a missing key, and any CorpusError the body
+    raises, raise CorpusError at `where`."""
     try:
         rec = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -338,27 +368,27 @@ def _decoded(raw, where):
         yield rec
     except KeyError as exc:
         raise CorpusError(f"{where}: record has no key {exc}") from exc
+    except CorpusError as exc:
+        raise CorpusError(f"{where}: {exc}") from exc
 
 
 def _parse_jsonl(path, parse):
-    """[parse(record, where, bools) for each non-blank line], where = "path:lineno" and bools whether the line
+    """parse(record, where, bools) for each non-blank line, where = "path:lineno" and bools whether the line
     holds an "r" or an "f", as a JSON true or false does: no key or number of the format holds either, and a
     one-byte search takes about a tenth of the time of a search for "true" and "false"."""
-    out = []
     with _open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
                 where = f"{path}:{lineno}"
                 with _decoded(line, where) as rec:
-                    out.append(parse(rec, where, b"r" in line or b"f" in line))
-    return out
+                    parse(rec, where, b"r" in line or b"f" in line)
 
 
-def _field(rec, key, kind, where):
+def _field(rec, key, kind):
     value = rec[key]
     if not isinstance(value, kind):
-        raise CorpusError(f"{where}: {key!r} must be a JSON {'string' if kind is str else 'list'}")
+        raise CorpusError(f"{key!r} must be a JSON {'string' if kind is str else 'list'}")
     return value
 
 
@@ -383,86 +413,66 @@ def _numbers(value, bools):
     return arr.astype(np.float64, copy=False)
 
 
-def _clip_rows(rows, width, what, where, bools):
-    """[len(rows), width] array of per-clip vectors; a bad row raises CorpusError naming its clip."""
+def _clip_rows(rows, what, bools):
+    """[len(rows), d] array of per-clip vectors; the first clip that is not a list of finite numbers, or whose
+    length differs from clip 0's, raises CorpusError naming it."""
     arr = _numbers(rows, bools)
-    if arr is None or arr.shape != (len(rows), width):  # find the first bad row
+    if arr is None or arr.ndim != 2:  # find the first bad row; no rows give shape (0,), which Video refuses
         for ci, row in enumerate(rows):
             vec = _numbers(row, bools)
-            if vec is None:
-                raise CorpusError(f"{where}: clip {ci} {what} must be a list of finite numbers")
-            if vec.shape != (width,):
-                raise CorpusError(f"{where}: clip {ci} {what} dim {vec.shape} != ({width},)")
+            if vec is None or vec.ndim != 1:
+                raise CorpusError(f"clip {ci} {what} must be a list of finite numbers")
+            if len(vec) != len(rows[0]):
+                raise CorpusError(f"clip {ci} {what} dim ({len(vec)},) != clip 0's ({len(rows[0])},)")
     return arr
 
 
 def _claim(seen, what, key, where):
     """Record that id `key` was read at `where`; a second read of it raises
-    CorpusError naming both places."""
+    CorpusError naming the place of the first."""
     if key in seen:
-        raise CorpusError(f"{where}: {what} id {key!r} is already used at {seen[key]}")
+        raise CorpusError(f"{what} id {key!r} is already used at {seen[key]}")
     seen[key] = where
 
 
 def load(path) -> Corpus:
+    """The corpus saved at `path`. `load` checks what only the files show: the meta file, JSON types,
+    `true`/`false` among numbers, and clip rows of one length. Each record is built and added to the corpus
+    inside its line's `where`, so the record's and the corpus's own refusals name `file:line`."""
     meta_path = os.path.join(path, META_FILE)
     with _open(meta_path) as fh, _decoded(fh.read(), meta_path) as meta:
         d_img, d_sub, d_txt, split = meta["d_img"], meta["d_sub"], meta["d_txt"], meta["split"]
-    if not all(type(d) is int and d >= 1 for d in (d_img, d_sub, d_txt)) or not isinstance(split, str):
-        raise CorpusError(f"{meta_path}: d_img, d_sub and d_txt must be positive integers and split a string")
-    has_subtitles = meta.get("has_subtitles", True)
-    if type(has_subtitles) is not bool:
-        raise CorpusError(f"{meta_path}: has_subtitles must be true or false, got {has_subtitles!r}")
-
+        has_subtitles = meta.get("has_subtitles", True)
+        if not all(type(d) is int and d >= 1 for d in (d_img, d_sub, d_txt)) or not isinstance(split, str):
+            raise CorpusError("d_img, d_sub and d_txt must be positive integers and split a string")
+        if type(has_subtitles) is not bool:
+            raise CorpusError(f"has_subtitles must be true or false, got {has_subtitles!r}")
+    corpus = Corpus([], [], d_img=d_img, d_sub=d_sub, d_txt=d_txt, split=split, has_subtitles=has_subtitles)
     video_ids, query_ids = {}, {}  # id -> where it was first read
 
-    def parse_video(rec, where, bools):
-        vid = _field(rec, "id", str, where)
+    def add_video(rec, where, bools):
+        vid = _field(rec, "id", str)
         _claim(video_ids, "video", vid, where)
-        clips = _field(rec, "clips", list, where)
-        if not clips:
-            raise CorpusError(f"{where}: video {vid!r} has no clips")
+        clips = _field(rec, "clips", list)
         for ci, clip in enumerate(clips):
             if not isinstance(clip, dict):
-                raise CorpusError(f"{where}: clip {ci} is not a JSON object")
-        images = _clip_rows([c["image"] for c in clips], d_img, "image", where, bools)
+                raise CorpusError(f"clip {ci} is not a JSON object")
         has_subtitle = [c.get("subtitle") is not None for c in clips]
         rows = [c["subtitle"] if has else [0.0] * d_sub for c, has in zip(clips, has_subtitle)]
-        subtitles = _clip_rows(rows, d_sub, "subtitle", where, bools)
-        return Video(id=vid, images=images, subtitles=subtitles, has_subtitle=has_subtitle)
+        corpus.add(Video(vid, _clip_rows([c["image"] for c in clips], "image", bools),
+                         _clip_rows(rows, "subtitle", bools), has_subtitle))
 
-    videos = _parse_jsonl(os.path.join(path, VIDEOS_FILE), parse_video)
-    by_id = {v.id: v for v in videos}
-
-    def parse_query(rec, where, bools):
-        qid = _field(rec, "id", str, where)
+    def add_query(rec, where, bools):
+        qid = _field(rec, "id", str)
         _claim(query_ids, "query", qid, where)
         tokens = _numbers(rec["tokens"], bools)
         if tokens is None:
-            raise CorpusError(f"{where}: tokens must be a list of lists of finite numbers")
-        if tokens.shape[1:] != (d_txt,):
-            raise CorpusError(f"{where}: token dim {tokens.shape} != (*, {d_txt})")
-        vid = _field(rec, "video", str, where)
-        if vid not in by_id:
-            raise CorpusError(f"{where}: query {qid!r} references missing video id {vid!r}")
-        span = _field(rec, "span", list, where)
-        if len(span) != 2 or not all(type(x) is int for x in span):
-            raise CorpusError(f"{where}: span must be a list of two integers")
-        st, ed = span
-        if not (0 <= st <= ed < len(by_id[vid])):
-            raise CorpusError(f"{where}: span [{st}, {ed}] out of range for video {vid!r}")
-        return Query(id=qid, tokens=tokens, target_video=vid, span=(st, ed))
+            raise CorpusError("tokens must be a list of lists of finite numbers")
+        corpus.add(Query(qid, tokens, _field(rec, "video", str), rec["span"]))
 
-    queries = _parse_jsonl(os.path.join(path, QUERIES_FILE), parse_query)
-    return Corpus(
-        videos=videos,
-        queries=queries,
-        split=split,
-        d_img=d_img,
-        d_sub=d_sub,
-        d_txt=d_txt,
-        has_subtitles=has_subtitles,
-    )
+    _parse_jsonl(os.path.join(path, VIDEOS_FILE), add_video)
+    _parse_jsonl(os.path.join(path, QUERIES_FILE), add_query)
+    return corpus
 
 
 def span_ratio(corpus: Corpus) -> float:

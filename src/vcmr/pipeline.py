@@ -170,8 +170,13 @@ def train_retriever(corpus, config: TrainConfig, model_config: RetrieverConfig |
     Returns (model, loss_curve) where loss_curve is a list of
     (epoch, split, value) rows; validation rows hold VR R@10. The model is
     left at the epoch with the best validation R@10 (or the final epoch when
-    no validation corpus is given). Deterministic given config.seed.
+    no validation corpus is given). Deterministic given config.seed. A
+    validation corpus of other widths raises CorpusError before the first epoch.
     """
+    widths = [(c.d_img, c.d_sub, c.d_txt) for c in (corpus, val_corpus or corpus)]
+    if widths[1] != widths[0]:
+        raise CorpusError(f"val corpus widths (d_img, d_sub, d_txt) {widths[1]} differ from the train corpus's "
+                          f"{widths[0]}")
     model = RetrieverModel(corpus.d_txt, corpus.d_img, corpus.d_sub, model_config, seed=config.seed)
 
     def batch_loss(idx):

@@ -272,6 +272,10 @@ def test_train_on_a_corpus_with_one_fuzzed_field_exits_2_or_3_with_one_line(json
                              "--ckpt", ckpt])
         assert code in (cli.EXIT_CONFIG, cli.EXIT_DATA), (name, keys, value)
         assert err.getvalue().count("\n") == 1 and not os.path.exists(ckpt)
+        if code == cli.EXIT_DATA:  # the refusal names the edited line: as its place, or as a duplicate's first
+            edited = f"{path}:{line + 1}"
+            assert f"{edited}: " in err.getvalue() or err.getvalue().endswith(f"already used at {edited}\n"), (
+                name, keys, value, err.getvalue())
 
 
 def test_localizer_stage_requires_retriever_checkpoint(tmp_path, tiny_config, capsys):
@@ -440,6 +444,46 @@ def test_eval_non_finite_forward_is_numerical_failure(tmp_path, tiny_config, cap
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, record, value", [
+    (["eval", "--task", "vr"], "retriever.img_proj.b", math.nan),
+    (["eval", "--task", "vcmr"], "localizer.head.st.w", math.inf),
+    (["train", "--stage", "localizer"], "retriever.q_proj.w", -math.inf),
+], ids=["eval-vr", "eval-vcmr", "train-localizer"])
+def test_checkpoint_with_a_non_finite_value_is_data_error_naming_the_record(tmp_path, tiny_config, capsys, argv,
+                                                                            record, value):
+    from vcmr.checkpoint import save_checkpoint
+    from vcmr.localizer import LocalizerModel
+
+    out, ckpt = tmp_path / "corpus", tmp_path / "model.ckpt"
+    cli.main(["gen", "--config", tiny_config, "--out", str(out)])
+    untrained_retriever_checkpoint(out, ckpt)
+    localizer = LocalizerModel(16, 16, 16, LocalizerConfig(**TINY["localizer"]))
+    arrays = dict(load_checkpoint(ckpt), **{f"localizer.{n}": t.data for n, t in localizer.params.items()})
+    arrays[record] = arrays[record].copy()
+    arrays[record].flat[1] = value
+    save_checkpoint(ckpt, arrays)
+    written = ckpt.read_bytes()
+    code = cli.main([*argv, "--config", tiny_config, "--corpus", str(out), "--ckpt", str(ckpt)])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == f"data error: {ckpt}: record {record} holds a non-finite value\n"
+    assert ckpt.read_bytes() == written
+
+
+def test_val_split_of_other_widths_is_data_error_before_training(tmp_path, tiny_config, monkeypatch, capsys):
+    out, ckpt = tmp_path / "corpus", tmp_path / "model.ckpt"
+    cli.main(["gen", "--config", tiny_config, "--out", str(out)])
+    spec = corpus_mod.SyntheticSpec(**dict(TINY["synthetic"], d_img=17))
+    corpus_mod.save(corpus_mod.generate(spec, split="val"), out / "val")
+    monkeypatch.setattr(pipeline, "AdamW", no_training_step)
+    code = cli.main(["train", "--stage", "retriever", "--config", tiny_config,
+                     "--corpus", str(out), "--ckpt", str(ckpt)])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err == ("data error: val corpus widths (d_img, d_sub, d_txt) (17, 16, 16) differ "
+                                       "from the train corpus's (16, 16, 16)\n")
+    assert not ckpt.exists()
+
+
 def rewrite_record(path, lineno, keys, value):
     """Set rec[k0][k1]... = value in line `lineno` (1-based) of a JSONL file."""
     lines = path.read_text().splitlines()
@@ -465,6 +509,7 @@ def rewrite_record(path, lineno, keys, value):
     pytest.param("videos.jsonl", ("clips",), [], id="videos.jsonl-no-clips"),
     pytest.param("queries.jsonl", ("tokens",), [[0.5] * 3], id="queries.jsonl-token-width"),
     pytest.param("queries.jsonl", ("span",), [0, 8], id="queries.jsonl-span-out-of-range"),
+    pytest.param("videos.jsonl", ("clips",), [{"image": [0.5] * 3, "subtitle": None}], id="videos.jsonl-image-width"),
 ])
 def test_mistyped_corpus_field_is_data_error_with_line(tmp_path, tiny_config, capsys, name, keys, value):
     out = tmp_path / "corpus"

@@ -218,32 +218,45 @@ def test_records_copy_each_array_once_into_a_read_only_array_of_their_own(data):
     assert all(np.array_equal(array, w) for array, w in zip(kept, want))
 
 
-@pytest.mark.parametrize("images, subtitles, has_subtitle", [
-    (np.ones((2, 3)), np.ones((3, 3)), [True, True]),
-    (np.ones((2, 3)), np.ones((2, 3)), [True]),
-    (np.ones(3), np.ones((3, 3)), [True, True, True]),
-    (1.0, np.ones((1, 3)), [True]),
-], ids=["subtitle-rows", "mask-length", "1-d-images", "0-d-images"])
-def test_video_arrays_that_are_not_one_clip_sequence_raise_naming_the_video(images, subtitles, has_subtitle):
-    with pytest.raises(C.CorpusError, match="video 'v7': images"):
+@pytest.mark.parametrize("images, subtitles, has_subtitle, message", [
+    (np.ones((2, 3)), np.ones((3, 3)), [True, True], "video 'v7': images"),
+    (np.ones((2, 3)), np.ones((2, 3)), [True], "video 'v7': images"),
+    (np.ones(3), np.ones((3, 3)), [True, True, True], "video 'v7': images"),
+    (1.0, np.ones((1, 3)), [True], "video 'v7': images"),
+    ([], [], [], "video 'v7' has no clips"),
+    (np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, bool), "video 'v7' has no clips"),
+], ids=["subtitle-rows", "mask-length", "1-d-images", "0-d-images", "no-clips", "no-clip-rows"])
+def test_video_arrays_that_are_not_one_clip_sequence_raise_naming_the_video(images, subtitles, has_subtitle,
+                                                                            message):
+    with pytest.raises(C.CorpusError, match=message):
         C.Video("v7", images, subtitles, has_subtitle)
 
 
 RAGGED, STRINGS = [[1.0, 2.0], [3.0]], [["a", "b"], ["c", "d"]]  # arrays NumPy cannot convert to float64
 
 
-@pytest.mark.parametrize("tokens", [np.ones(3), np.zeros((0, 3)), [], 1.0, RAGGED, STRINGS, "ab"],
-                         ids=["1-d", "no-rows", "empty", "0-d", "ragged", "strings", "string"])
+@pytest.mark.parametrize("tokens", [np.ones(3), np.zeros((0, 3)), [], 1.0, RAGGED, STRINGS, "ab", [["1.5"]],
+                                    [[10 ** 400]]],
+                         ids=["1-d", "no-rows", "empty", "0-d", "ragged", "strings", "string", "numeric-string",
+                              "int-beyond-float"])
 def test_query_tokens_that_are_not_rows_raise_naming_the_query(tokens):
     with pytest.raises(C.CorpusError, match="query 'q7': tokens"):
         C.Query("q7", tokens, "v", (0, 0))
 
 
-@pytest.mark.parametrize("value", [RAGGED, STRINGS, "ab"], ids=["ragged", "strings", "string"])
-@pytest.mark.parametrize("field", ["images", "subtitles"])
+NOT_BOOLS = {"zz": ["zz", "zz"], "0.5": [0.5, 0.5], "1": [1, 1]}  # NumPy's truthiness would read each as a mask
+
+
+@pytest.mark.parametrize("field, value", [(field, value) for field in ("images", "subtitles")
+                                          for value in (RAGGED, STRINGS, "ab")]
+                         + [("has_subtitle", value) for value in NOT_BOOLS.values()],
+                         ids=[f"{field}-{value}" for field in ("images", "subtitles")
+                              for value in ("ragged", "strings", "string")]
+                         + [f"has_subtitle-{value}" for value in NOT_BOOLS])
 def test_video_arrays_numpy_cannot_convert_raise_naming_the_video_and_field(field, value):
     arrays = {"images": np.ones((2, 2)), "subtitles": np.ones((2, 2)), "has_subtitle": [True, True], field: value}
-    with pytest.raises(C.CorpusError, match=f"video 'v7': {field} cannot be read as a float64 array"):
+    dtype = "bool" if field == "has_subtitle" else "float64"
+    with pytest.raises(C.CorpusError, match=f"video 'v7': {field} cannot be read as a {dtype} array"):
         C.Video("v7", **arrays)
 
 
@@ -391,15 +404,37 @@ def test_load_does_not_read_the_meta_spec(tmp_path, edit):
 
 def test_corpus_validation_errors():
     v = C.Video(id="v0", images=np.zeros((4, 4)), subtitles=np.zeros((4, 4)), has_subtitle=np.zeros(4, bool))
-    with pytest.raises(C.CorpusError, match="missing video"):
-        C.Corpus(videos=[v], queries=[C.Query("q", np.zeros((2, 4)), "nope", (0, 1))])
-    with pytest.raises(C.CorpusError, match="out of range"):
-        C.Corpus(videos=[v], queries=[C.Query("q", np.zeros((2, 4)), "v0", (2, 7))])
-    with pytest.raises(C.CorpusError, match="duplicate"):
-        C.Corpus(videos=[v, dataclasses.replace(v)], queries=[])
+    widths = {"d_img": 4, "d_sub": 4, "d_txt": 4}
+    with pytest.raises(C.CorpusError, match="query 'q': missing video id 'nope'"):
+        C.Corpus(videos=[v], queries=[C.Query("q", np.zeros((2, 4)), "nope", (0, 1))], **widths)
+    with pytest.raises(C.CorpusError, match="query 'q': span .* out of range"):
+        C.Corpus(videos=[v], queries=[C.Query("q", np.zeros((2, 4)), "v0", (2, 7))], **widths)
+    with pytest.raises(C.CorpusError, match="video 'v0': duplicate video id"):
+        C.Corpus(videos=[v, dataclasses.replace(v)], queries=[], **widths)
     q = C.Query("q", np.zeros((2, 4)), "v0", (0, 1))
-    with pytest.raises(C.CorpusError, match="duplicate query id 'q'"):
-        C.Corpus(videos=[v], queries=[q, dataclasses.replace(q, span=(1, 2))])
+    with pytest.raises(C.CorpusError, match="query 'q': duplicate query id"):
+        C.Corpus(videos=[v], queries=[q, dataclasses.replace(q, span=(1, 2))], **widths)
+
+
+@pytest.mark.parametrize("images, subtitles, tokens, message", [
+    (np.ones((2, 5)), np.ones((2, 16)), np.ones((3, 16)), r"video 'v7': image and subtitle widths \(5, 16\)"),
+    (np.ones((2, 16)), np.ones((2, 5)), np.ones((3, 16)), r"video 'v7': image and subtitle widths \(16, 5\)"),
+    (np.ones((2, 16)), np.ones((2, 16)), np.ones((3, 7)), "query 'q7': token width 7 is not d_txt 16"),
+], ids=["images", "subtitles", "tokens"])
+def test_record_of_other_widths_than_its_corpus_raises_naming_it(images, subtitles, tokens, message):
+    video = C.Video("v7", images, subtitles, [True, True])
+    query = C.Query("q7", tokens, "v7", (0, 1))
+    with pytest.raises(C.CorpusError, match=message):
+        C.Corpus([video], [query], d_img=16, d_sub=16, d_txt=16)
+    corpus = C.Corpus([], [], d_img=16, d_sub=16, d_txt=16)
+    with pytest.raises(C.CorpusError, match=message):  # one record at a time, as load adds them
+        corpus.add(video)
+        corpus.add(query)
+
+
+def test_query_span_is_a_tuple_of_python_ints():
+    query = C.Query("q", np.ones((1, 2)), "v", [np.int64(1), 2])
+    assert query.span == (1, 2) and all(type(i) is int for i in query.span)
 
 
 def test_spec_validation_errors():
