@@ -171,12 +171,14 @@ def train_retriever(corpus, config: TrainConfig, model_config: RetrieverConfig |
     (epoch, split, value) rows; validation rows hold VR R@10. The model is
     left at the epoch with the best validation R@10 (or the final epoch when
     no validation corpus is given). Deterministic given config.seed. A
-    validation corpus of other widths raises CorpusError before the first epoch.
+    validation corpus of other widths or without queries raises CorpusError before the first epoch.
     """
     widths = [(c.d_img, c.d_sub, c.d_txt) for c in (corpus, val_corpus or corpus)]
     if widths[1] != widths[0]:
         raise CorpusError(f"val corpus widths (d_img, d_sub, d_txt) {widths[1]} differ from the train corpus's "
                           f"{widths[0]}")
+    if val_corpus is not None and not val_corpus.queries:
+        raise CorpusError("val corpus has no queries to validate on")
     model = RetrieverModel(corpus.d_txt, corpus.d_img, corpus.d_sub, model_config, seed=config.seed)
 
     def batch_loss(idx):
@@ -199,12 +201,19 @@ def train_retriever(corpus, config: TrainConfig, model_config: RetrieverConfig |
 
 
 def rank_videos(reps, corpus, index):
-    return ret_mod.retrieve_topk(reps, corpus, k=len(corpus.videos), index=index)
+    """Every index video id for one query's reps: descending score, ties by id. An index of another video count
+    raises ValueError; the full `retriever.check_index` that `index` holds `corpus`'s videos is the caller's, once
+    per pass."""
+    if len(index.ids) != len(corpus.videos):
+        raise ValueError(f"the index holds {len(index.ids)} videos, the corpus {len(corpus.videos)}; "
+                         "build it with encode_corpus")
+    return [index.ids[i] for i in ret_mod.rank_index(reps, corpus, index)[0]]
 
 
 def evaluate_retrieval(model: RetrieverModel, corpus, index):
+    ret_mod.check_index(index, corpus)
     reps = ret_mod.encode_queries(model, corpus.queries)
-    rankings = {q.id: [vid for vid, _ in rank_videos(r, corpus, index=index)] for q, r in zip(corpus.queries, reps)}
+    rankings = {q.id: rank_videos(r, corpus, index) for q, r in zip(corpus.queries, reps)}
     return evaluate(rankings, corpus, task="vr")
 
 
@@ -220,10 +229,10 @@ def mine_hard_negatives(model: RetrieverModel, corpus, config: TrainConfig):
     if len(corpus.videos) < n + 1:
         raise CorpusError(f"corpus of {len(corpus.videos)} videos cannot supply negatives_per_query {n} "
                           "negatives per query besides its target")
-    index = ret_mod.encode_corpus(model, corpus)
+    index = ret_mod.encode_corpus(model, corpus)  # built from this corpus, so it needs no check_index
     out = {}
     for qi, (query, reps) in enumerate(zip(corpus.queries, ret_mod.encode_queries(model, corpus.queries))):
-        ranked = [vid for vid, _ in rank_videos(reps, corpus, index=index) if vid != query.target_video]
+        ranked = [vid for vid in rank_videos(reps, corpus, index) if vid != query.target_video]
         pool = ranked[: min(config.mining_pool, len(ranked))]
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(2, qi)))
         picks = rng.choice(len(pool), size=n, replace=False)
@@ -407,7 +416,10 @@ def _moment_hits(q, top):
 def evaluate(predictions, corpus, task) -> MetricsReport:
     """task 'vr' expects per-query ranked video-id lists; 'svmr'/'vcmr'
     expect per-query ranked MomentPrediction lists (svmr predictions must
-    already be restricted to the ground-truth video)."""
+    already be restricted to the ground-truth video). A corpus without
+    queries raises CorpusError, since no recall can be measured on it."""
+    if not corpus.queries:
+        raise CorpusError("corpus has no queries to evaluate")
     report = MetricsReport()
     if task == "vr":  # a hit is 1 (True) on the target video, so R@K is R@K,IoU=1
         recall = _recall(predictions, corpus, lambda q, top: [vid == q.target_video for vid in top], VR_KS, (1,))

@@ -3,13 +3,15 @@
 Late-fusion design: queries and videos are encoded independently, so video
 encodings can be precomputed once per corpus, a split's queries can be
 encoded together (`encode_queries`, one batch per token count), and ranking
-reduces to cosine scoring of one query's reps (`retrieve_topk`). The query
-encoder pools token representations per modality with learned weights; the
-video encoder runs one transformer layer jointly over the image and
-subtitle streams. Training uses relevant-content contrastive
-learning: the positive logit is the score of the best clips inside the
-annotated moment (plus a weaker term for the best clips outside it), and
-negatives are the hardest clips of other in-batch videos.
+reduces to cosine scoring of one query's reps against that index
+(`score_video`, which evaluates `best_clips`' expressions on plain arrays)
+and one stable sort of the scores (`rank_index`). The query encoder pools
+token representations per modality with learned weights; the video encoder
+runs one transformer layer jointly over the image and subtitle streams.
+Training uses relevant-content contrastive learning: the positive logit is
+the score of the best clips inside the annotated moment (plus a weaker term
+for the best clips outside it), and negatives are the hardest clips of other
+in-batch videos.
 """
 
 from __future__ import annotations
@@ -107,8 +109,8 @@ def clip_cosines(qn, clips_n):
 
 
 def video_cosines(qn, clips_n):
-    """Each unit query [B, D] against its own video's unit clip rows [B, N, D] -> [B, 1, N];
-    one query [1, D] meets every video. One product per video, so its bits do not depend on its position."""
+    """Each unit query [B, D] against its own video's unit clip rows [B, N, D] -> [B, 1, N].
+    One product per video, so its bits do not depend on its position."""
     return ad.matmul(ad.reshape(qn, (qn.shape[0], 1, qn.shape[1])), ad.swapaxes(clips_n, 1, 2))
 
 
@@ -123,14 +125,31 @@ def best_clips(sims_img, sims_sub, mask, use_subtitles):
     return phi_img if not use_subtitles else ad.mul(ad.add(phi_img, best(sims_sub)), 0.5)
 
 
-def _query_cosines(q, clips_n):
-    return video_cosines((q / np.linalg.norm(q))[None], clips_n)
-
-
 def score_video(reps: ModalityQueryReps, index: CorpusIndex, use_subtitles=True):
-    """Retrieval score of every index video for one query, [V] in `index.ids` order."""
-    sims_img, sims_sub = _query_cosines(reps.q_image, index.image), _query_cosines(reps.q_subtitle, index.subtitle)
-    return best_clips(sims_img, sims_sub, index.clip_mask[:, None, :], use_subtitles).data[:, 0]
+    """Retrieval score of every index video for one query, [V] in `index.ids` order.
+
+    `best_clips(video_cosines(...))` of the unit query [1, D] against every video, on plain arrays: the same
+    NumPy calls on the same views in the same order, so the same bits; the subtitle stream only when
+    `use_subtitles`. A non-finite cosine, from the query or any index row, raises NonFiniteError before the max
+    over clips can hide it."""
+    mask_term = (1.0 - index.clip_mask[:, None, :]) * MASK_NEG
+
+    def best(q, clips):
+        sims = np.matmul((q / np.linalg.norm(q)).reshape(1, 1, -1), clips.swapaxes(1, 2)) + mask_term
+        if not np.logical_and.reduce(np.isfinite(sims), axis=None):
+            raise ad.NonFiniteError("retrieval cosine is not finite")
+        return np.maximum.reduce(sims, axis=-1)
+
+    phi = best(reps.q_image, index.image)
+    return (phi if not use_subtitles else (phi + best(reps.q_subtitle, index.subtitle)) * 0.5)[:, 0]
+
+
+def rank_index(reps: ModalityQueryReps, corpus, index: CorpusIndex):
+    """Positions in `index.ids` of every video for one query's reps, by descending score with ties by id (the
+    ids are sorted), and the [V] scores. The one ordering rule of `retrieve_topk` and `pipeline.rank_videos`;
+    it assumes `index` holds `corpus`'s videos (`check_index`)."""
+    scores = score_video(reps, index, use_subtitles=corpus.has_subtitles)
+    return np.argsort(-scores, kind="stable"), scores
 
 
 def encode_corpus(model: RetrieverModel, corpus) -> CorpusIndex:
@@ -145,15 +164,20 @@ def encode_corpus(model: RetrieverModel, corpus) -> CorpusIndex:
     return CorpusIndex(tuple(v.id for v in videos), image, subtitle, clip_mask)
 
 
+def check_index(index: CorpusIndex, corpus):
+    """ValueError unless `index` holds exactly the videos of `corpus`, as `encode_corpus` builds it."""
+    if list(index.ids) != sorted(v.id for v in corpus.videos):
+        raise ValueError("the index does not hold this corpus's videos; build it with encode_corpus")
+
+
 def retrieve_topk(reps: ModalityQueryReps, corpus, k, index: CorpusIndex):
     """Top k corpus videos for one query's reps by their `encode_corpus` index entries: descending score,
     ties by id."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if list(index.ids) != sorted(v.id for v in corpus.videos):
-        raise ValueError("the index does not hold this corpus's videos; build it with encode_corpus")
-    scores = score_video(reps, index, use_subtitles=corpus.has_subtitles)
-    return [(index.ids[i], float(scores[i])) for i in np.argsort(-scores, kind="stable")[:k]]
+    check_index(index, corpus)
+    order, scores = rank_index(reps, corpus, index)
+    return [(index.ids[i], float(scores[i])) for i in order[:k]]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 retrieval score oracle, the per-query and per-video statements of the
 batched localizer and retriever losses (`shared_norm_loss`,
 `sample_relevance`), the chains of elementary ops that the fused
-`linear`, `layer_norm` and `attention` ops replace (`chain_*`), `concat`
-with one tape pair per part (`chain_concat`), and the training steps that
+`linear`, `layer_norm` and `attention` ops and the array-only
+`score_video` replace (`chain_*`), `concat` with one tape pair per part
+(`chain_concat`), and the training steps that
 pad and encode every (query, video) row (`pad_pairs`, `per_row_*`), which
 the steps that encode each distinct query and video once must match, and
 the moment ranking that runs NMS on every retrieved video in full
@@ -31,7 +32,7 @@ from vcmr import pipeline as P
 from vcmr import retriever as R
 from vcmr.autodiff import MASK_NEG, Tape, Tensor
 from vcmr.nn import pad_rows
-from vcmr.retriever import ModalityQueryReps, _query_cosines, best_clips, clip_cosines, video_cosines
+from vcmr.retriever import ModalityQueryReps, best_clips, clip_cosines, video_cosines
 from vcmr.spans import _iou, nms, sample_positive_spans, span_table, suppression_table, top_spans
 
 H = 1e-5
@@ -118,6 +119,17 @@ def reference_score(reps, image, subtitle, use_subtitles=True):
     return phi_image if not use_subtitles else (phi_image + best(reps.q_subtitle, subtitle)) / 2.0
 
 
+def query_cosines(q, clips_n):
+    """One query's rep, made unit, against every video's unit clip rows [V, N, D] -> [V, 1, N]."""
+    return video_cosines((q / np.linalg.norm(q))[None], clips_n)
+
+
+def chain_score_video(reps, index, use_subtitles=True):
+    """`retriever.score_video` as the autodiff ops it replaces: `best_clips` of `video_cosines` over the index."""
+    return best_clips(query_cosines(reps.q_image, index.image), query_cosines(reps.q_subtitle, index.subtitle),
+                      index.clip_mask[:, None, :], use_subtitles).data[:, 0]
+
+
 def shared_norm_loss(pos_st, pos_ed, neg_st, neg_ed, gt_span):
     """Boundary cross-entropy normalized over the positive video's clips and
     all negative videos' clips jointly.
@@ -153,8 +165,8 @@ def sample_relevance(reps: ModalityQueryReps, image, subtitle, span, use_subtitl
     st, ed = span
     if not (0 <= st <= ed < n):
         raise ValueError(f"span {span} out of range for {n} clips")
-    sim_img = _query_cosines(reps.q_image, ad.l2_normalize(image[None])).data[0, 0]
-    sim_sub = _query_cosines(reps.q_subtitle, ad.l2_normalize(subtitle[None])).data[0, 0]
+    sim_img = query_cosines(reps.q_image, ad.l2_normalize(image[None])).data[0, 0]
+    sim_sub = query_cosines(reps.q_subtitle, ad.l2_normalize(subtitle[None])).data[0, 0]
     inside = np.zeros(n, dtype=bool)
     inside[st : ed + 1] = True
 

@@ -104,7 +104,7 @@ def test_mined_negatives_are_valid_and_deterministic():
         assert len(picked) == SMALL_TRAIN.negatives_per_query
         assert len(set(picked)) == len(picked)
         assert q.target_video not in picked
-        ranked = [v for v, _ in P.rank_videos(R.encode_query(model, q), corpus, index) if v != q.target_video]
+        ranked = [v for v in P.rank_videos(R.encode_query(model, q), corpus, index) if v != q.target_video]
         pool = ranked[: SMALL_TRAIN.mining_pool]
         assert all(v in pool for v in picked)
 
@@ -444,6 +444,18 @@ def test_evaluate_rejects_unknown_task():
         P.evaluate({}, corpus, task="nope")
 
 
+@pytest.mark.parametrize("task", ["vr", "svmr", "vcmr"])
+def test_evaluating_a_corpus_without_queries_raises(task):
+    corpus = C.generate(SPEC)
+    empty = C.Corpus(corpus.videos, [], d_img=SPEC.d_img, d_sub=SPEC.d_sub, d_txt=SPEC.d_txt)
+    with pytest.raises(C.CorpusError, match="no queries"):
+        P.evaluate({}, empty, task=task)
+    retr = R.RetrieverModel(SPEC.d_txt, SPEC.d_img, SPEC.d_sub, R.RetrieverConfig(hidden=16, heads=2))
+    loc = LocalizerModel(SPEC.d_txt, SPEC.d_img, SPEC.d_sub, LocalizerConfig(hidden=16, heads=2))
+    with pytest.raises(C.CorpusError, match="no queries"):
+        P.evaluate_pipeline(retr, loc, empty, ICFG, tasks=(task,))
+
+
 # ---------------------------------------------------------------------------
 # determinism and loss curves
 
@@ -484,6 +496,14 @@ def test_training_on_fewer_queries_than_one_step_needs_raises():
     one = C.Corpus(corpus.videos, corpus.queries[:1], d_img=SPEC.d_img, d_sub=SPEC.d_sub, d_txt=SPEC.d_txt)
     with pytest.raises(C.CorpusError, match="retriever training needs at least 2 queries, got 1"):
         P.train_retriever(one, SMALL_TRAIN, model_config=R.RetrieverConfig(hidden=16, intermediate=32, heads=2))
+
+
+def test_val_corpus_without_queries_raises_before_the_first_epoch():
+    corpus = C.generate(SPEC)
+    empty = C.Corpus(corpus.videos, [], d_img=SPEC.d_img, d_sub=SPEC.d_sub, d_txt=SPEC.d_txt)
+    with mock.patch.object(R, "contrastive_loss", side_effect=AssertionError("a training step ran")), \
+            pytest.raises(C.CorpusError, match="val corpus has no queries"):
+        P.train_retriever(corpus, SMALL_TRAIN, model_config=R.RetrieverConfig(hidden=16, heads=2), val_corpus=empty)
 
 
 @pytest.fixture

@@ -5,16 +5,18 @@ import dataclasses
 import gc
 import weakref
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from conftest import (RTOL, assert_same_step, at_generic_point, fd_check_params, pad_pairs, per_row_contrastive_loss,
-                      reference_score, sample_relevance)
+from conftest import (RTOL, assert_same_step, at_generic_point, chain_score_video, fd_check_params, pad_pairs,
+                      per_row_contrastive_loss, reference_score, sample_relevance)
 from vcmr import corpus as C
 from vcmr import nn
+from vcmr import pipeline as P
 from vcmr import retriever as R
-from vcmr.autodiff import Tape
+from vcmr.autodiff import NonFiniteError, Tape
 from vcmr.optim import AdamW
 
 SPEC = C.SyntheticSpec(video_count=10, clips_per_video=8, queries_per_video=2, seed=1)
@@ -314,6 +316,15 @@ def test_retrieve_topk_rejects_a_stale_index():
         R.retrieve_topk(reps, fewer, k=3, index=R.encode_corpus(model, corpus))
     with pytest.raises(ValueError, match="index"):  # misses one of the corpus's videos
         R.retrieve_topk(reps, corpus, k=3, index=R.encode_corpus(model, fewer))
+    for split, other in ((fewer, corpus), (corpus, fewer)):
+        with pytest.raises(ValueError, match="index"):
+            P.evaluate_retrieval(model, split, R.encode_corpus(model, other))
+    with mock.patch.object(R, "check_index", wraps=R.check_index) as check:
+        P.evaluate_retrieval(model, corpus, R.encode_corpus(model, corpus))
+    assert check.call_count == 1  # once per pass, not once per query
+    for split, other in ((fewer, corpus), (corpus, fewer)):  # a direct call still refuses an index of other size
+        with pytest.raises(ValueError, match="index"):
+            P.rank_videos(R.encode_query(model, split.queries[0]), split, R.encode_corpus(model, other))
     with pytest.raises(ValueError, match="empty corpus"):
         R.encode_corpus(model, dataclasses.replace(corpus, videos=[], queries=[]))
 
@@ -351,6 +362,39 @@ def test_mixed_length_index_ranks_like_per_video_scores():
         got = R.retrieve_topk(reps, corpus, k=len(videos), index=index)
         assert [vid for vid, _ in got] == [vid for vid, _ in ref]
         assert np.allclose([s for _, s in got], [s for _, s in ref], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("pooling", R.POOLING_MODES)
+@pytest.mark.parametrize("use_subtitles", [True, False], ids=["subtitles", "image-only"])
+@pytest.mark.parametrize("lengths", [[8] * 10, [8, 3, 5, 1, 8, 2, 7, 4, 6, 8]], ids=["equal-length", "padded"])
+def test_score_video_has_the_bits_of_the_autodiff_chain(lengths, use_subtitles, pooling):
+    base = C.generate(SPEC)
+    videos = [C.Video(v.id, v.images[:n], v.subtitles[:n], v.has_subtitle[:n]) for v, n in zip(base.videos, lengths)]
+    model = make_model(pooling=pooling)
+    index = R.encode_corpus(model, C.Corpus(videos, [], d_img=base.d_img, d_sub=base.d_sub, d_txt=base.d_txt))
+    assert index.clip_mask.all() == (len(set(lengths)) == 1)  # no padded clip, or some
+    for reps in R.encode_queries(model, base.queries[:8]):
+        got = R.score_video(reps, index, use_subtitles=use_subtitles)
+        assert np.array_equal(got, chain_score_video(reps, index, use_subtitles=use_subtitles))
+
+
+@pytest.mark.parametrize("bad", ["nan", "-inf cosine"])
+@pytest.mark.parametrize("stream", ["image", "subtitle"])
+def test_score_video_raises_on_a_nan_index_row(stream, bad):
+    corpus = C.generate(SPEC)
+    model = make_model()
+    index = R.encode_corpus(model, corpus)
+    reps = R.encode_query(model, corpus.queries[0])
+    rows = getattr(index, stream).copy()
+    if bad == "nan":
+        rows[3, 2, 0] = np.nan
+    else:  # one real clip of cosine -inf, which the max over the video's other clips would hide
+        q = reps.q_image if stream == "image" else reps.q_subtitle
+        j = np.argmax(np.abs(q))
+        rows[3, 2] = 0.0
+        rows[3, 2, j] = -np.inf * np.sign(q[j])
+    with pytest.raises(NonFiniteError):
+        R.score_video(reps, dataclasses.replace(index, **{stream: rows}))
 
 
 # ---------------------------------------------------------------------------
