@@ -219,8 +219,7 @@ def cmd_gen(args, cfg):
         corpus_mod.save(corpus, path)
     train = corpora[0]
     print(f"generated {len(train.videos)} videos x {spec.clips_per_video} clips, "
-          f"{len(train.queries)} queries, mean span ratio {corpus_mod.span_ratio(train):.3f} "
-          f"(target {spec.target_span_ratio:.3f}), seed {spec.seed}")
+          f"{len(train.queries)} queries, seed {spec.seed}")
     return 0
 
 

@@ -14,7 +14,7 @@ import contextlib
 import dataclasses
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +24,10 @@ class CorpusError(ValueError):
 
 
 def _same_fields(a, b):
-    """Record equality: same type and every compared field equal, arrays by value."""
+    """Record equality: same type and every field equal, arrays by value."""
     if type(a) is not type(b):
         return NotImplemented
-    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a) if f.compare)
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
 
 
 def _frozen(array, dtype, record, field, writeable=False):
@@ -126,7 +126,6 @@ class Corpus:
     d_txt: int
     split: str = "train"
     has_subtitles: bool = True
-    spec: "SyntheticSpec | None" = field(default=None, compare=False)
 
     def __post_init__(self):
         records, self.videos, self.queries = [*self.videos, *self.queries], [], []
@@ -203,11 +202,6 @@ class SyntheticSpec:
                 raise CorpusError(f"{name} must lie in [0, 1]")
         if not self.noise_sigma >= 0:  # NaN fails it
             raise CorpusError("noise_sigma must be nonnegative")
-
-    @property
-    def target_span_ratio(self):
-        lo, hi = self.moment_len_range
-        return (lo + hi) / 2.0 / self.clips_per_video
 
 
 def _projection(rng, d_out, d_in):
@@ -303,7 +297,6 @@ def generate(spec: SyntheticSpec, split="train") -> Corpus:
         d_img=spec.d_img,
         d_sub=spec.d_sub,
         d_txt=spec.d_txt,
-        spec=spec,
     )
 
 
@@ -337,7 +330,6 @@ def save(corpus: Corpus, path):
         "d_sub": corpus.d_sub,
         "d_txt": corpus.d_txt,
         "has_subtitles": corpus.has_subtitles,
-        "spec": None if corpus.spec is None else dataclasses.asdict(corpus.spec),
     }
     with open(os.path.join(path, META_FILE), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -473,10 +465,3 @@ def load(path) -> Corpus:
     _parse_jsonl(os.path.join(path, VIDEOS_FILE), add_video)
     _parse_jsonl(os.path.join(path, QUERIES_FILE), add_query)
     return corpus
-
-
-def span_ratio(corpus: Corpus) -> float:
-    """Mean annotated span length over mean video length."""
-    mean_span = float(np.mean([q.span[1] - q.span[0] + 1 for q in corpus.queries]))
-    mean_len = float(np.mean([len(v) for v in corpus.videos]))
-    return mean_span / mean_len

@@ -95,8 +95,7 @@ def test_gen_writes_three_splits_with_meta(tmp_path, tiny_config, capsys):
         assert (out / split / "queries.jsonl").exists()
         meta = json.loads((out / split / "corpus.meta.json").read_text())
         assert meta["split"] == split
-    train_meta = json.loads((out / "train" / "corpus.meta.json").read_text())
-    assert train_meta["spec"]["seed"] == 7
+    assert corpus_mod.load(out / "train") == corpus_mod.generate(cli.load_run_config(tiny_config, seed=7).synthetic)
 
 
 def test_gen_is_deterministic(tmp_path, tiny_config, capsys):
@@ -705,10 +704,9 @@ def test_top_level_seed_sets_corpus_and_training_seed(tmp_path, capsys):
     path.write_text(json.dumps(dict(TINY, seed=5)))
     out = tmp_path / "corpus"
     assert cli.main(["gen", "--config", str(path), "--out", str(out)]) == 0
-    meta = json.loads((out / "train" / "corpus.meta.json").read_text())
-    assert meta["spec"]["seed"] == 5
     cfg = cli.load_run_config(str(path))
     assert cfg.synthetic.seed == cfg.train.seed == 5
+    assert corpus_mod.load(out / "train") == corpus_mod.generate(cfg.synthetic)
 
 
 @pytest.mark.parametrize("section", ["synthetic", "train"])

@@ -85,8 +85,9 @@ def test_default_spec_separation_ratio():
 
 
 def test_modality_split_signal_stays_in_one_channel():
-    corpus = C.generate(C.SyntheticSpec(seed=5))
-    margin = 3 * corpus.spec.noise_sigma
+    spec = C.SyntheticSpec(seed=5)
+    corpus = C.generate(spec)
+    margin = 3 * spec.noise_sigma
     split_seen = {"img": 0, "sub": 0}
     for sims in in_span_similarities(corpus):
         img_in, sub_in = sims["img"][0], sims["sub"][0]
@@ -98,11 +99,16 @@ def test_modality_split_signal_stays_in_one_channel():
 
 
 def test_span_ratio_configurable_and_near_target():
-    corpus = C.generate(C.SyntheticSpec())
-    target = corpus.spec.target_span_ratio
-    assert abs(C.span_ratio(corpus) - target) <= 0.2 * target
+    def span_ratio(corpus):  # mean span length over mean video length
+        return np.mean([q.span[1] - q.span[0] + 1 for q in corpus.queries]) / np.mean([len(v) for v in corpus.videos])
+
+    spec = C.SyntheticSpec()
+    lo, hi = spec.moment_len_range
+    target = (lo + hi) / 2 / spec.clips_per_video
+    corpus = C.generate(spec)
+    assert abs(span_ratio(corpus) - target) <= 0.2 * target
     wide = C.generate(C.SyntheticSpec(moment_len_range=(4, 6), queries_per_video=1))
-    assert C.span_ratio(wide) > C.span_ratio(corpus)
+    assert span_ratio(wide) > span_ratio(corpus)
 
 
 def test_spans_within_video_and_disjoint_per_video():
@@ -150,7 +156,7 @@ PINNED = C.SyntheticSpec(video_count=4, clips_per_video=8, queries_per_video=2,
 PINNED_SHA256 = {
     "videos.jsonl": "5603ad892a943e4b21b9ff6e8048334e9cca3585e97e79db02c322704b9af991",
     "queries.jsonl": "9c3f00754082619981ef61f4afab1124bf12bfeb3bab73d5b9f328dcf6ad093a",
-    "corpus.meta.json": "fd3fcd1d733b6360ad91f27980a89db5bb543eb761b98e8905cda19bf8b7b155",
+    "corpus.meta.json": "094d27b7e2318e6423b3502fb3bfcad77d9f9111b76f3dc3c690bb5bf47bcf69",
 }
 
 
@@ -386,20 +392,23 @@ def test_load_rejects_has_subtitles_that_is_not_a_bool(tmp_path, value):
         C.load(tmp_path / "c")
 
 
-@pytest.mark.parametrize("edit", [
-    lambda meta: meta.pop("spec"),
-    lambda meta: meta.__setitem__("spec", dict(meta["spec"], moment_len_range=3)),
-    lambda meta: meta.__setitem__("spec", "not a spec"),
-], ids=["missing", "malformed-field", "not-an-object"])
-def test_load_does_not_read_the_meta_spec(tmp_path, edit):
+# older versions of `save` wrote the generating SyntheticSpec to the meta file under "spec"
+@pytest.mark.parametrize("spec", [
+    None,
+    dataclasses.asdict(SMALL),
+    dict(dataclasses.asdict(SMALL), moment_len_range=3),
+    "not a spec",
+], ids=["missing", "well-formed", "malformed-field", "not-an-object"])
+def test_meta_with_an_old_spec_key_still_loads(tmp_path, spec):
     corpus = C.generate(SMALL)
     C.save(corpus, tmp_path / "c")
     meta_path = tmp_path / "c" / C.META_FILE
     meta = json.loads(meta_path.read_text())
-    edit(meta)
+    assert "spec" not in meta
+    if spec is not None:
+        meta["spec"] = spec
     meta_path.write_text(json.dumps(meta))
-    loaded = C.load(tmp_path / "c")
-    assert loaded == corpus and loaded.spec is None
+    assert C.load(tmp_path / "c") == corpus
 
 
 def test_corpus_validation_errors():

@@ -607,6 +607,20 @@ def test_localizer_step_on_shared_videos_matches_the_per_row_step():
                          loc.params)
 
 
+def test_localizer_step_without_negatives_is_the_boundary_loss_alone():
+    # no mined video gives no adversarial negative moment, so the adversarial term is left out, not weighted
+    corpus, queries, _, loc = shared_video_batch()
+    icfg = P.InferenceConfig(moment_max_len=4)
+    boundary = P.localizer_batch_loss(loc, corpus, queries, {}, P.TrainConfig(gamma=0.0), icfg)
+    with Tape() as tape:
+        loss = P.localizer_batch_loss(loc, corpus, queries, {}, P.TrainConfig(gamma=0.8), icfg)
+        tape.backward(loss)
+    assert loss.data.tobytes() == boundary.data.tobytes()
+    grads = {name: tape.grad(t) for name, t in loc.params.items()}
+    assert not any(g.any() for name, g in grads.items() if name.startswith("adv."))
+    assert any(g.any() for name, g in grads.items() if not name.startswith("adv."))
+
+
 def test_localizer_step_on_shared_videos_gradients_match_fd():
     # boundary loss alone: the adversarial branch re-mines its moments from the scores, a step function
     corpus, queries, negatives, loc = shared_video_batch()

@@ -117,3 +117,12 @@ def test_span_tables_are_cached_and_read_only():
     for table in (spans, suppress):
         with pytest.raises(ValueError):
             table[0, 0] = 0
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: iou((3, 2), (0, 1)), r"invalid span: \(3, 2\) vs \(0, 1\)"),
+    (lambda: sample_positive_spans((2, 4), 4), r"ground-truth span \(2, 4\) out of range for 4 clips"),
+], ids=["iou-inverted-span", "positive-spans-outside-video"])
+def test_refusals_name_the_span(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -12,7 +12,7 @@ from conftest import RTOL, chain_attention, chain_concat, chain_layer_norm, chai
 from vcmr import autodiff as ad
 from vcmr.autodiff import NonFiniteError, ShapeError, Tape, Tensor
 from vcmr.optim import AdamW
-from vcmr.nn import Params
+from vcmr.nn import EncoderConfig, EncoderTrunk, Params
 
 
 def rng_for(seed):
@@ -246,6 +246,54 @@ def test_attention_rejects_bad_shapes():
         ad.attention(x, x, x, 4, np.ones((2, 3)))  # 6 is not divisible by 4
     with pytest.raises(ShapeError):
         ad.attention(x, x[:, :, :4], x[:, :, :4], 2, np.ones((2, 3)))
+
+
+def params_of(*names):
+    p = Params()
+    for name in names:
+        p.add(name, np.zeros(2))
+    return p
+
+
+def trunk_of_four_positions():
+    return EncoderTrunk(2, 2, 2, EncoderConfig(hidden=4, intermediate=8, heads=1, max_positions=4), rng_for(0))
+
+
+def backward_through_a_wrong_shaped_gradient():
+    x, loss = Tensor(np.ones(2)), Tensor(2.0)
+    with Tape() as tape:
+        tape.record(loss, [(x, lambda g: np.ones(3))])
+        tape.backward(loss)
+
+
+REFUSALS = {
+    "trunk-query-too-long": (lambda: trunk_of_four_positions().encode_tokens(np.zeros((1, 5, 2)), np.ones((1, 5))),
+                             ShapeError, "query length 5 exceeds max_positions 4"),
+    "trunk-video-too-long": (lambda: trunk_of_four_positions().encode_video_batch(
+                                 np.zeros((1, 5, 2)), np.zeros((1, 5, 2)), np.ones((1, 5))),
+                             ShapeError, "video length 5 exceeds max_positions 4"),
+    "params-duplicate-name": (lambda: params_of("w", "w"), ValueError, "duplicate parameter name: w"),
+    "params-missing-state": (lambda: params_of("w").load_state_dict({}), KeyError, "missing parameter in state: w"),
+    "backward-gradient-shape": (backward_through_a_wrong_shaped_gradient, ShapeError,
+                                r"gradient shape \(3,\) != tensor shape \(2,\)"),
+    "adamw-gradient-shape": (lambda: AdamW(params_of("w")).step({"w": np.zeros(3)}), ShapeError,
+                             r"gradient for w: shape \(3,\) != \(2,\)"),
+    "matmul-1d": (lambda: ad.matmul(np.ones(2), np.ones((2, 2))), ShapeError, "operands must be at least 2-D"),
+    "matmul-inner-dims": (lambda: ad.matmul(np.ones((2, 3)), np.ones((2, 2))), ShapeError,
+                          r"inner dims disagree: \(2, 3\) x \(2, 2\)"),
+    "conv1d-kernel-not-3d": (lambda: ad.conv1d(np.ones((4, 2)), np.ones((3, 2))), ShapeError,
+                             r"kernel must be \[k, D, Dout\], got \(3, 2\)"),
+    "conv1d-even-width": (lambda: ad.conv1d(np.ones((4, 2)), np.ones((2, 2, 2))), ShapeError, "width must be odd"),
+    "conv1d-feature-width": (lambda: ad.conv1d(np.ones((4, 3)), np.ones((3, 2, 2))), ShapeError,
+                             "feature dims disagree: input 3, kernel 2"),
+    "item-non-scalar": (lambda: Tensor(np.ones(2)).item(), ShapeError, r"expected a scalar tensor, got shape \(2,\)"),
+}
+
+
+@pytest.mark.parametrize("call, error, match", REFUSALS.values(), ids=REFUSALS)
+def test_refusals_raise_their_named_error(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 # ---------------------------------------------------------------------------
